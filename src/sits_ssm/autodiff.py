@@ -15,19 +15,23 @@ Every forward op checks its output for NaN/Inf and raises
 Threading: tensor values are immutable after creation (gradient
 accumulation is the one exception), and a forward+backward pass is
 single-threaded with respect to its graph. Values may be handed between
-threads; independent graphs may run in parallel.
+threads; independent graphs may run in parallel. Grad mode is per thread
+(and per asyncio task): ``no_grad()`` in one thread leaves tape recording
+on in every other.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from typing import Iterable, Sequence
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-_GRAD_ENABLED = True
+# a context variable, so each thread starts with recording on
+_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
 
 
 class ShapeError(ValueError):
@@ -40,18 +44,17 @@ class NonFiniteError(ArithmeticError):
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable tape recording inside the block (inference mode), in the
+    calling thread only."""
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_ENABLED.reset(token)
 
 
 def grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
 class Tensor:
@@ -169,7 +172,7 @@ def _make(out_data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str)
     out.grad = None
     out._op = op
     out._backward_done = False
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn

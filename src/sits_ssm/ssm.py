@@ -9,7 +9,8 @@ matrix exponential and inverse reduce to elementwise scalar formulas:
     B_bar = (delta*A)^-1 (exp(delta*A) - 1) * delta * B = phi(delta*A) * delta * B
 
 with phi(z) = (e^z - 1)/z, evaluated by a series for |z| below 1e-6 to
-avoid catastrophic cancellation.
+avoid catastrophic cancellation; its derivative phi'(z) likewise switches
+to its Taylor series below a dtype-dependent |z|.
 
 Three evaluation routes are exposed and cross-checked by the test suite:
 
@@ -18,9 +19,29 @@ Three evaluation routes are exposed and cross-checked by the test suite:
 * ``kernel_convolve`` - the equivalent causal convolution with kernel
   (C B_bar, C A_bar B_bar, ..., C A_bar^(L-1) B_bar), valid only for
   time-invariant parameters (float64 oracle, not differentiable);
-* ``selective_scan`` - the input-selective path where delta, B, C are
-  produced from the input at every step, fusing discretization and scan
-  into one differentiable op for speed.
+* ``selective_scan_fused`` - the input-selective path where delta, B, C
+  are produced from the input at every step, fusing discretization and
+  scan into one differentiable op for speed.
+
+The fused scan is the CPU form of the hardware-aware scan of Mamba (Gu &
+Dao 2023, sec. 3.3): discretization is fused into the recurrence, the
+working state stays in cache, and the backward pass recomputes exp(z),
+phi(z) and phi'(z) instead of storing them. Pixel sequences (the B axis)
+are independent, so they are scanned in chunks of c sequences, with
+
+    c = clamp(_SCAN_VECTOR_BUDGET // (D * N * itemsize), 1, B)
+
+so that one (c, D, N) working array fits the budget (256 KiB: 16 sequences
+at D=256, N=16 in float32). Each chunk is scanned time-major, one step at
+a time, vectorized over (c, D, N), with matmul readouts. Chunks run on a
+module thread pool created at first use, with one worker per CPU the
+process may run on; numpy releases the GIL inside its kernels. Chunk
+boundaries depend only on the budget, every chunk is computed the same
+way whichever thread runs it, and the partial gradients of ``a`` are
+summed in chunk order, so results are bitwise identical for any number
+of workers. When no gradient will be taken (``no_grad``, or no input
+requires grad) only the running (c, D, N) state of each chunk is kept;
+otherwise the state trajectory h_0..h_L is stored for the backward pass.
 
 ``MambaBlock`` wraps the selective scan in the usual gated two-branch
 block: projection -> causal depthwise conv -> SiLU -> selective scan on
@@ -31,6 +52,9 @@ product, output projection.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,17 +64,25 @@ from . import nn
 from .autodiff import ShapeError, Tensor
 
 _PHI_SWITCH = 1e-6
-_SCAN_VECTOR_BUDGET = 512 * 2**20   # bytes; above this the scan streams per step
+# the closed form of phi'(z) loses about 4 eps/|z| of its value to
+# cancellation (2e-6 at the float32 switch, 4e-13 at the float64 one);
+# below the switch four terms of its Taylor series are used instead, which
+# are within 1.5e-6 (float32) and 1.5e-14 (float64) there
+_PHI_PRIME_SWITCH = {np.dtype(np.float32): 0.1, np.dtype(np.float64): 1e-3}
+_PHI_PRIME_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in range(3, -1, -1))
+_SCAN_VECTOR_BUDGET = 256 * 2**10   # bytes of one (chunk, D, N) scan working array
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
 
 
-def _phi(z) -> np.ndarray:
+def _phi(z, out=None) -> np.ndarray:
     """(e^z - 1)/z with series fallback 1 + z/2 near zero."""
     z = np.asarray(z)
     if z.ndim == 0:
         zf = float(z)
         return np.float64(1.0 + 0.5 * zf if abs(zf) < _PHI_SWITCH else np.expm1(zf) / zf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.expm1(z)
+        out = np.expm1(z, out=out)
         out /= z
     small = np.abs(z) < _PHI_SWITCH
     if small.any():
@@ -58,23 +90,35 @@ def _phi(z) -> np.ndarray:
     return out
 
 
-def _phi_prime(z) -> np.ndarray:
-    """d/dz[(e^z - 1)/z] = (e^z (z - 1) + 1)/z^2, series 1/2 + z/3 near zero."""
+def _phi_prime(z, ez=None, phi=None, out=None) -> np.ndarray:
+    """d/dz[(e^z - 1)/z] = (e^z - phi(z))/z, by its Taylor series near zero.
+
+    The difference cancels as z -> 0, so below the dtype's
+    ``_PHI_PRIME_SWITCH`` the series sum_k (k+1) z^k/(k+2)! is used
+    instead. The two are blended by a 0/1 mask rather than selected: a
+    select on a mask without pattern is several times slower in numpy.
+    ``ez`` = exp(z) and ``phi`` = _phi(z) may be passed in by a caller that
+    already has them.
+    """
     z = np.asarray(z)
     if z.ndim == 0:
-        zf = float(z)
-        if abs(zf) < _PHI_SWITCH:
-            return np.float64(0.5 + zf / 3.0)
-        return np.float64((np.exp(zf) * (zf - 1.0) + 1.0) / (zf * zf))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp(z)
-        out *= z - 1.0
-        out += 1.0
-        out /= z
-        out /= z
-    small = np.abs(z) < _PHI_SWITCH
-    if small.any():
-        out[small] = 0.5 + z[small] / 3.0
+        return _phi_prime(z.reshape(1))[0]
+    ez = np.exp(z) if ez is None else ez
+    phi = _phi(z) if phi is None else phi
+    switch = _PHI_PRIME_SWITCH.get(z.dtype, _PHI_PRIME_SWITCH[np.dtype(np.float64)])
+    small = np.abs(z)
+    np.less(small, switch, out=small, casting="unsafe")
+    zs = z * small                      # series argument, 0 outside the switch
+    out = np.multiply(zs, _PHI_PRIME_SERIES[0], out=out)
+    for coef in _PHI_PRIME_SERIES[1:-1]:
+        out += coef
+        out *= zs
+    out += _PHI_PRIME_SERIES[-1]
+    closed = np.subtract(ez, phi)
+    closed /= np.add(z, small, out=zs)  # denominator kept off zero where small
+    out -= closed
+    out *= small
+    out += closed
     return out
 
 
@@ -213,15 +257,130 @@ def kernel_convolve(a_bar: np.ndarray, b_bar: np.ndarray, c: np.ndarray,
     return y[:, 0] if squeeze else y
 
 
+def _chunk_bounds(nb: int, seq_bytes: int) -> list[tuple[int, int]]:
+    """Split B sequences into chunks whose (c, D, N) array fits the budget."""
+    size = min(max(_SCAN_VECTOR_BUDGET // seq_bytes, 1), nb)
+    return [(s, min(s + size, nb)) for s in range(0, nb, size)]
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            _POOL = ThreadPoolExecutor(max_workers=cpus, thread_name_prefix="selective_scan")
+        return _POOL
+
+
+def _forget_pool():
+    # worker threads do not survive fork; a child builds its own pool
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_chunks(fn, n_chunks: int):
+    """fn(0), ..., fn(n_chunks - 1), on the pool when there is more than one."""
+    if n_chunks == 1:
+        fn(0)
+    else:
+        for _ in _pool().map(fn, range(n_chunks)):
+            pass
+
+
+def _time_major(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x.transpose(1, 0, 2))
+
+
+def _scan_chunk(a_t, dt, wt, bt, ct, yt, hs=None):
+    """Forward recurrence of one chunk, time-major.
+
+    a_t: (N, D); dt = delta and wt = delta * u: (L, c, D); bt, ct: (L, c, N).
+    The state is laid out (c, N, D) so that every broadcast runs along D.
+    Writes C_t h_t into yt (L, c, D). Stores h_0..h_L into hs (L+1, c, N, D)
+    when it is given; otherwise only the running state is kept.
+    """
+    h = np.zeros((dt.shape[1],) + a_t.shape, dtype=dt.dtype)
+    z, bx = np.empty_like(h), np.empty_like(h)
+    if hs is not None:
+        hs[0] = h
+    for t in range(dt.shape[0]):
+        np.multiply(dt[t][:, None, :], a_t, out=z)
+        _phi(z, out=bx)
+        bx *= wt[t][:, None, :]
+        bx *= bt[t][:, :, None]
+        np.exp(z, out=z)
+        h_next = h if hs is None else hs[t + 1]
+        np.multiply(z, h, out=h_next)
+        h_next += bx
+        h = h_next
+        np.matmul(ct[t][:, None, :], h, out=yt[t][:, None, :])
+
+
+def _scan_chunk_grad(a_t, ut, dt, wt, bt, ct, hs, gt):
+    """Reverse pass of one chunk; same layout as ``_scan_chunk``.
+
+    exp(z), phi(z) and phi'(z) are recomputed per step from delta and a
+    rather than stored. With h_{t+1} = e^z h_t + phi(z) delta u b and
+    z = delta a, the delta-derivative of phi(z) delta is e^z, so only the
+    gradient of ``a`` needs phi'. Returns the gradients of u (without the
+    skip term), delta, b and c, time-major, and this chunk's part of the
+    gradient of ``a`` as (N, D).
+    """
+    gu, gd = np.empty_like(ut), np.empty_like(ut)
+    gb, gc = np.empty_like(bt), np.empty_like(ct)
+    lam = np.zeros(hs.shape[1:], dtype=ut.dtype)     # dLoss/dh_t
+    ga = np.zeros_like(lam)
+    z, ez, phi, g_z = (np.empty_like(lam) for _ in range(4))
+    reduced = np.empty_like(gu[0])
+    for t in range(dt.shape[0] - 1, -1, -1):
+        gy, d_t = gt[t], dt[t][:, None, :]
+        np.matmul(hs[t + 1], gy[:, :, None], out=gc[t][:, :, None])
+        np.multiply(ct[t][:, :, None], gy[:, None, :], out=z)
+        lam += z
+        np.multiply(d_t, a_t, out=z)
+        np.exp(z, out=ez)
+        _phi(z, out=phi)
+        _phi_prime(z, ez, phi, out=g_z)
+        g_z *= lam
+        lam_phi = np.multiply(lam, phi, out=phi)
+        np.matmul(lam_phi, wt[t][:, :, None], out=gb[t][:, :, None])
+        np.matmul(bt[t][:, None, :], lam_phi, out=gu[t][:, None, :])
+        gu[t] *= dt[t]
+        lam *= ez                                    # now dLoss/dh_{t-1} (before its readout)
+        lam_h = np.multiply(lam, hs[t], out=ez)
+        # sum over n weighted by a[n, d]: no matmul, and einsum beats (x * a).sum(1)
+        np.einsum("cnd,nd->cd", lam_h, a_t, out=gd[t])
+        np.matmul(bt[t][:, None, :], lam, out=reduced[:, None, :])
+        reduced *= ut[t]
+        gd[t] += reduced
+        g_z *= wt[t][:, None, :]
+        g_z *= bt[t][:, :, None]
+        g_z += lam_h
+        g_z *= d_t
+        ga += g_z
+    return gu, gd, gb, gc, ga.sum(axis=0)
+
+
 def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
                          c: Tensor, d_skip: Tensor) -> Tensor:
     """Input-selective scan with per-step ZOH discretization, one fused op.
 
     u, delta: (B, L, D); a: (D, N) diagonal (negative for stability);
-    b, c: (B, L, N); d_skip: (D,). Returns (B, L, D). Small working sets
-    materialize the discretized parameters once and reuse them in the
-    backward pass; large ones stream per step and recompute, keeping the
-    stored footprint at one state trajectory. Both paths are bit-identical.
+    b, c: (B, L, N); d_skip: (D,). Returns (B, L, D) in u's dtype, which
+    is also the dtype the scan computes in.
+
+    The B sequences are split into chunks of
+    clamp(_SCAN_VECTOR_BUDGET // (D * N * itemsize), 1, B) and the chunks
+    run on the module thread pool (inline when there is only one). The
+    result does not depend on the number of workers, bit for bit. Under
+    ``no_grad``, or when no input requires grad, memory beyond the inputs
+    and output is a few (c, D, N) arrays per running chunk; otherwise the
+    (L+1, c, N, D) state trajectory of every chunk is kept until backward.
     """
     u, delta, a = ad.as_tensor(u), ad.as_tensor(delta), ad.as_tensor(a)
     b, c, d_skip = ad.as_tensor(b), ad.as_tensor(c), ad.as_tensor(d_skip)
@@ -234,66 +393,49 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     if np.any(delta.data <= 0):
         raise ValueError("selective_scan: delta must be positive")
 
-    uv, dv, av, bv, cv, skipv = (t.data for t in (u, delta, a, b, c, d_skip))
-    hs = np.zeros((nb, nl + 1, nd, nn_), dtype=uv.dtype)
+    parents = (u, delta, a, b, c, d_skip)
+    uv, dv, av, bv, cv, skipv = (t.data for t in parents)
+    keep = ad.grad_enabled() and any(t.requires_grad for t in parents)
+    # the scan runs in u's dtype; the float32 model hands it a float64 ``a``
+    a_t = np.ascontiguousarray(av.T, dtype=uv.dtype)
+    bounds = _chunk_bounds(nb, nd * nn_ * uv.dtype.itemsize)
     y = np.empty_like(uv)
-    # vectorize discretization over all steps when the (B, L, D, N)
-    # working set fits; otherwise stream per step and recompute in backward
-    full_bytes = hs.nbytes
-    stash = 4 * full_bytes <= _SCAN_VECTOR_BUDGET
-    if stash:
-        z_all = dv[:, :, :, None] * av
-        a_bar_all = np.exp(z_all)
-        phi_all = _phi(z_all)
-        b_bar_all = dv[:, :, :, None] * bv[:, :, None, :]
-        b_bar_all *= phi_all
-        del z_all
-        for t in range(nl):
-            hs[:, t + 1] = a_bar_all[:, t] * hs[:, t]
-            hs[:, t + 1] += b_bar_all[:, t] * uv[:, t, :, None]
-            y[:, t] = np.einsum("bdn,bn->bd", hs[:, t + 1], cv[:, t])
-        y += skipv * uv
-    else:
-        for t in range(nl):
-            z = dv[:, t, :, None] * av
-            a_bar = np.exp(z)
-            b_bar = _phi(z) * (dv[:, t, :, None] * bv[:, t, None, :])
-            hs[:, t + 1] = a_bar * hs[:, t] + b_bar * uv[:, t, :, None]
-            y[:, t] = np.einsum("bdn,bn->bd", hs[:, t + 1], cv[:, t]) + skipv * uv[:, t]
+    states = [None] * len(bounds)
+
+    def forward(i):
+        s, e = bounds[i]
+        ut, dt, bt, ct = (_time_major(x[s:e]) for x in (uv, dv, bv, cv))
+        yt = np.empty_like(ut)
+        if keep:
+            states[i] = np.empty((nl + 1, e - s, nn_, nd), dtype=uv.dtype)
+        _scan_chunk(a_t, dt, dt * ut, bt, ct, yt, states[i])
+        yt += skipv * ut
+        y[s:e] = yt.transpose(1, 0, 2)
+
+    _run_chunks(forward, len(bounds))
 
     def backward_fn(g):
-        lam = np.zeros((nb, nd, nn_), dtype=uv.dtype)
-        gu = np.empty_like(uv)
-        gd = np.empty_like(dv)
-        ga = np.zeros_like(av)
-        gb = np.empty_like(bv)
-        gc = np.empty_like(cv)
-        gskip = np.einsum("bld,bld->d", g, uv)
-        for t in range(nl - 1, -1, -1):
-            gy = g[:, t]
-            d_t = dv[:, t, :, None]
-            z = d_t * av
-            db = d_t * bv[:, t, None, :]
-            if stash:
-                a_bar, phi = a_bar_all[:, t], phi_all[:, t]
-            else:
-                a_bar = np.exp(z)
-                phi = _phi(z)
-            gc[:, t] = np.einsum("bdn,bd->bn", hs[:, t + 1], gy)
-            lam += gy[:, :, None] * cv[:, t][:, None, :]
-            g_abar = lam * hs[:, t]
-            g_bbar = lam * uv[:, t, :, None]
-            gu[:, t] = skipv * gy + np.einsum("bdn,bdn->bd", phi * db, lam)
-            # b_bar = phi(z) * delta * b ; a_bar = exp(z) ; z = delta * a
-            gz = g_abar * a_bar + g_bbar * db * _phi_prime(z)
-            g_db = g_bbar * phi
-            gd[:, t] = np.einsum("bdn,dn->bd", gz, av) + np.einsum("bdn,bn->bd", g_db, bv[:, t])
-            gb[:, t] = np.einsum("bdn,bd->bn", g_db, dv[:, t])
-            ga += np.einsum("bdn,bd->dn", gz, dv[:, t])
-            lam = lam * a_bar
-        return gu, gd, ga, gb, gc, gskip
+        grads = [np.empty_like(x) for x in (uv, dv, bv, cv)]
+        ga_parts = [None] * len(bounds)
 
-    return ad._make(y, (u, delta, a, b, c, d_skip), backward_fn, "selective_scan")
+        def backward(i):
+            s, e = bounds[i]
+            ut, dt, bt, ct, gt = (_time_major(x[s:e]) for x in (uv, dv, bv, cv, g))
+            *parts, ga_parts[i] = _scan_chunk_grad(a_t, ut, dt, dt * ut, bt, ct, states[i], gt)
+            states[i] = None                   # free this chunk's trajectory early
+            parts[0] += skipv * gt
+            for full, part in zip(grads, parts):
+                full[s:e] = part.transpose(1, 0, 2)
+
+        _run_chunks(backward, len(bounds))
+        gu, gd, gb, gc = grads
+        ga = ga_parts[0]
+        for part in ga_parts[1:]:
+            ga += part
+        gskip = np.einsum("bld,bld->d", g, uv)
+        return gu, gd, ga.T, gb, gc, gskip
+
+    return ad._make(y, parents, backward_fn, "selective_scan")
 
 
 def selective_scan_composite(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,

@@ -3,12 +3,14 @@
 Each suite re-derives expected values along a route that shares no code
 with the implementation it checks: central finite differences for
 gradients, the convolutional-kernel form for the recurrence, closed-form
-scalars for the discretization, exact rational arithmetic for the
+scalars for the discretization, the tape-composite scan for the fused
+scan, a long float64 series for phi', exact rational arithmetic for the
 segmentation scores, and plain arithmetic for the loss identities.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,6 +74,43 @@ def gradcheck(f, tensors: list[Tensor], h: float = 1e-5,
         a, n = a[probed], n[probed]
         err = np.abs(a - n) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
         worst = max(worst, float(err.max()))
+    return worst
+
+
+def phi_prime_reference(z) -> np.ndarray:
+    """float64 d/dz[(e^z - 1)/z]: 30 series terms below |z| = 0.5, the closed
+    form (e^z (z - 1) + 1)/z^2 above, where it loses at most one digit."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    near = np.abs(z) < 0.5
+    zn = z[near]
+    acc = np.zeros_like(zn)
+    for k in range(29, -1, -1):
+        acc = acc * zn + (k + 1) / math.factorial(k + 2)
+    out[near] = acc
+    zf = z[~near]
+    out[~near] = (np.exp(zf) * (zf - 1.0) + 1.0) / (zf * zf)
+    return out
+
+
+def scan_vs_composite(args, g, scan_fn=None) -> float:
+    """Largest difference between a fused scan and ``selective_scan_composite``
+    over the output and all six input gradients (loss = sum(y * g)), each
+    relative to the composite array's largest magnitude. float64."""
+    scan = scan_fn or ssm.selective_scan_fused
+
+    def run(fn):
+        ts = [Tensor(np.array(x, dtype=np.float64), requires_grad=True) for x in args]
+        y = fn(*ts)
+        ad.backward(ad.sum_(ad.mul(y, Tensor(g))))
+        return [y.data] + [t.grad for t in ts]
+
+    worst = 0.0
+    for got, ref in zip(run(scan), run(ssm.selective_scan_composite)):
+        if got is None or got.shape != ref.shape:
+            return math.inf
+        scale = max(float(np.abs(ref).max()), np.finfo(np.float64).tiny)
+        worst = max(worst, float(np.abs(got - ref).max()) / scale)
     return worst
 
 
@@ -218,6 +257,31 @@ def suite_scan_kernel(report: VerifyReport, scan_fn=None, n_seeds: int = 10):
     report.add("scan", "lti_scan_vs_kernel_max_abs", worst, 1e-6)
 
 
+def suite_fused_scan(report: VerifyReport, scan_fn=None):
+    """The production scan against the tape-composite route, in float64, on
+    33 sequences: at the default chunk budget that is a full chunk of 32
+    plus a ragged one, at budget 0 one sequence per chunk, and at 2**62 a
+    single chunk. Plus phi' in float32 against the float64 reference."""
+    rng = np.random.default_rng(11)
+    b, l, d, n = 33, 5, 64, 16
+    args = [rng.normal(0, 1, (b, l, d)), rng.uniform(1e-3, 0.5, (b, l, d)),
+            -rng.uniform(0.5, 4.0, (d, n)), rng.normal(0, 1, (b, l, n)),
+            rng.normal(0, 1, (b, l, n)), rng.normal(0, 1, d)]
+    g = rng.normal(0, 1, (b, l, d))
+    default = ssm._SCAN_VECTOR_BUDGET
+    for name, budget in (("budget_0", 0), ("budget_default", default), ("budget_2e62", 2**62)):
+        ssm._SCAN_VECTOR_BUDGET = budget
+        try:
+            err = scan_vs_composite(args, g, scan_fn)
+        finally:
+            ssm._SCAN_VECTOR_BUDGET = default
+        report.add("fused", f"fused_vs_composite_{name}", err, 1e-10)
+    z = -np.logspace(-8, np.log10(20.0), 2001)
+    ref = phi_prime_reference(z)
+    got = ssm._phi_prime(z.astype(np.float32)).astype(np.float64)
+    report.add("fused", "phi_prime_float32_max_rel", float(np.max(np.abs(got - ref) / ref)), 1e-5)
+
+
 def suite_gradients(report: VerifyReport):
     """Spot finite-difference checks on the core differentiable pieces."""
     rng = np.random.default_rng(7)
@@ -271,13 +335,14 @@ def suite_losses(report: VerifyReport):
                abs(total.item() - 1.03 * 0.8) / (1.03 * 0.8), 1e-12)
 
 
-def run_all(zoh_fn=None, scan_fn=None) -> VerifyReport:
+def run_all(zoh_fn=None, scan_fn=None, fused_fn=None) -> VerifyReport:
     """Run every suite; injectable hooks exist so tests can prove the
     suites actually catch defects."""
     report = VerifyReport()
     t0 = time.time()
     suite_zoh(report, zoh_fn=zoh_fn)
     suite_scan_kernel(report, scan_fn=scan_fn)
+    suite_fused_scan(report, scan_fn=fused_fn)
     suite_gradients(report)
     suite_metrics(report)
     suite_losses(report)

@@ -1,5 +1,7 @@
 """Forward semantics and gradient correctness of every tape primitive."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,35 @@ class TestBackwardBasics:
         with ad.no_grad():
             y = ad.sum_(ad.mul(x, x))
         assert not y.requires_grad
+
+    def test_no_grad_is_per_thread(self, rng):
+        x = f64(rng, 3)
+        held, done = threading.Event(), threading.Event()
+        seen = {}
+
+        def inference():
+            with ad.no_grad():
+                held.set()
+                done.wait(timeout=30)
+                seen["inference_grad_enabled"] = ad.grad_enabled()
+
+        def training():
+            assert held.wait(timeout=30)
+            try:
+                ad.backward(ad.sum_(ad.mul(x, x)))
+                seen["grad"] = x.grad.copy()
+            finally:
+                done.set()
+
+        threads = [threading.Thread(target=inference), threading.Thread(target=training)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert seen["inference_grad_enabled"] is False
+        np.testing.assert_array_equal(seen["grad"], 2 * x.data)
+        assert ad.grad_enabled()
 
 
 class TestErrors:

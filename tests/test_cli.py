@@ -225,6 +225,26 @@ class TestVerifyCommand:
         verify.suite_scan_kernel(report, scan_fn=broken_scan)
         assert not report.ok()
 
+    @pytest.mark.parametrize("defect", ["output", "gradient", "one_sequence_chunks"])
+    def test_injected_fused_scan_defect_fails(self, defect):
+        from sits_ssm import autodiff as ad
+        from sits_ssm import ssm, verify
+
+        def broken_scan(*tensors):
+            y = ssm.selective_scan_fused(*tensors)
+            if defect == "gradient":
+                return ad._make(y.data, (y,), lambda g: (g * 1.001,), "perturbed")
+            if defect == "output" or ssm._SCAN_VECTOR_BUDGET == 0:
+                return ad.add(y, 1e-6)
+            return y
+        report = verify.VerifyReport()
+        verify.suite_fused_scan(report, scan_fn=broken_scan)
+        failed = [r.name for r in report.rows if not r.passed]
+        if defect == "one_sequence_chunks":
+            assert failed == ["fused_vs_composite_budget_0"]
+        else:
+            assert len(failed) == 3
+
     def test_verification_failure_exit_code_is_3(self, monkeypatch, capsys):
         from sits_ssm import verify
         bad = verify.VerifyReport()

@@ -1,5 +1,9 @@
-"""Discretization closed forms, scan/kernel equivalence, selectivity, and
-the gated block contracts."""
+"""Discretization closed forms, scan/kernel equivalence, selectivity, the
+chunked fused scan, and the gated block contracts."""
+
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from sits_ssm import autodiff as ad
 from sits_ssm import ssm
 from sits_ssm.autodiff import Tensor
 from sits_ssm.ssm import DiscreteStep, MambaBlock, SsmConfig
-from sits_ssm.verify import gradcheck
+from sits_ssm.verify import gradcheck, phi_prime_reference, scan_vs_composite
 
 TOL = 1e-4
 
@@ -188,6 +192,91 @@ class TestSelectiveScan:
             ssm.selective_scan_fused(u, delta, Tensor(-np.ones((2, 2))),
                                      Tensor(np.zeros((1, 3, 2))),
                                      Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros(2)))
+
+
+def scan_inputs(rng, b_, l, d, n, dtype=np.float64):
+    return [rng.normal(0, 1, (b_, l, d)).astype(dtype),
+            rng.uniform(1e-3, 0.5, (b_, l, d)).astype(dtype),
+            -rng.uniform(0.5, 4.0, (d, n)).astype(dtype),
+            rng.normal(0, 1, (b_, l, n)).astype(dtype),
+            rng.normal(0, 1, (b_, l, n)).astype(dtype),
+            rng.normal(0, 1, d).astype(dtype)]
+
+
+class TestChunkedScan:
+    # 37 float64 sequences of D*N = 1024: the default budget gives chunks of
+    # 32 (last one ragged), a 3-sequence budget 13 chunks (last one ragged)
+    B, L, D, N = 37, 6, 64, 16
+
+    @pytest.mark.parametrize("budget", [0, 3 * 64 * 16 * 8, ssm._SCAN_VECTOR_BUDGET, 2**62])
+    def test_matches_composite_at_every_chunking(self, rng, monkeypatch, budget):
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", budget)
+        args = scan_inputs(rng, self.B, self.L, self.D, self.N)
+        g = rng.normal(0, 1, (self.B, self.L, self.D))
+        assert scan_vs_composite(args, g) < 1e-12
+
+    def test_chunk_bounds(self, monkeypatch):
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 256 * 2**10)
+        assert len(ssm._chunk_bounds(512, 256 * 16 * 4)) == 32      # 16 per chunk
+        assert ssm._chunk_bounds(512, 32 * 8 * 4) == [(0, 256), (256, 512)]
+        assert ssm._chunk_bounds(5, 2**30) == [(i, i + 1) for i in range(5)]
+        assert ssm._chunk_bounds(3, 1) == [(0, 3)]
+
+    def test_float32_bitwise_equal_for_any_worker_count(self, rng, monkeypatch):
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * self.D * self.N * 4)
+        args = scan_inputs(rng, self.B, self.L, self.D, self.N, np.float32)
+        g = rng.normal(0, 1, (self.B, self.L, self.D)).astype(np.float32)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 5):
+                with ThreadPoolExecutor(workers) as pool:
+                    monkeypatch.setattr(ssm, "_POOL", pool)
+                    ts = [Tensor(x, requires_grad=True) for x in args]
+                    y = ssm.selective_scan_fused(*ts)
+                    ad.backward(ad.sum_(ad.mul(y, Tensor(g))))
+                    results.append([y.data] + [t.grad for t in ts])
+        finally:
+            sys.setswitchinterval(interval)
+        for other in results[1:]:
+            for x, ref in zip(other, results[0]):
+                assert x.dtype == np.float32 and np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_inference_keeps_no_state_trajectory(self, rng, tracked):
+        b_, l, d, n = 256, 20, 64, 16
+        ts = [Tensor(x, requires_grad=tracked) for x in scan_inputs(rng, b_, l, d, n, np.float32)]
+        trajectory = b_ * (l + 1) * d * n * 4
+        tracemalloc.start()
+        try:
+            if tracked:
+                with ad.no_grad():
+                    y = ssm.selective_scan_fused(*ts)
+            else:
+                y = ssm.selective_scan_fused(*ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not y.requires_grad
+        assert peak < trajectory / 2
+
+
+class TestPhiPrime:
+    Z = -np.logspace(-8, np.log10(20.0), 4001)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+    def test_relative_error_over_the_scan_range(self, dtype, tol):
+        z = self.Z.astype(dtype)
+        got = ssm._phi_prime(z)
+        assert got.dtype == dtype
+        ref = phi_prime_reference(z.astype(np.float64))
+        assert np.max(np.abs(got.astype(np.float64) - ref) / ref) <= tol
+
+    def test_scalar_zero_and_positive_arguments(self):
+        assert float(ssm._phi_prime(0.0)) == 0.5
+        z = np.array([1e-7, 0.05, 0.5, 3.0])
+        assert np.allclose(ssm._phi_prime(z), phi_prime_reference(z), rtol=1e-12)
 
 
 class TestMambaBlock:
