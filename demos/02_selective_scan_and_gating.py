@@ -10,8 +10,8 @@ import numpy as np
 
 from sits_ssm import autodiff as ad
 from sits_ssm.autodiff import Tensor
-from sits_ssm.ssm import MambaBlock, SsmConfig, discretize_zoh, kernel_convolve, \
-    selective_scan_fused
+from sits_ssm.ssm import CONV_WIDTH, MambaBlock, SsmConfig, discretize_zoh, \
+    kernel_convolve, selective_scan_fused
 
 rng = np.random.default_rng(0)
 
@@ -39,7 +39,7 @@ blk = MambaBlock(cfg, rng, dtype=np.float64)
 x = rng.normal(0, 1, (2, 16, 8))
 out = blk(Tensor(x))
 print(f"  input {x.shape} -> output {out.shape} (shape preserved)")
-print(f"  inner width {cfg.d_inner}, state {cfg.d_state}, conv width {cfg.conv_width}, "
+print(f"  inner width {cfg.d_inner}, state {cfg.d_state}, conv width {CONV_WIDTH}, "
       f"delta rank {cfg.rank}")
 
 print("\n== causality probe ==")

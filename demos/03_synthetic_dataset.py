@@ -14,7 +14,7 @@ import tempfile
 import numpy as np
 
 from sits_ssm.data import (export_legend, export_pgm, generate_synthetic,
-                           load_dataset, pad_batch, sample_30, save_dataset)
+                           load_dataset, pad_batch, sample_timesteps, save_dataset)
 from sits_ssm.verify import centroid_accuracy
 
 ds = generate_synthetic(seed=7, n_samples=12, num_classes=5, timesteps=24,
@@ -47,7 +47,7 @@ print(f"  padded batch: series {batch.series.shape}, mask {batch.valid_mask.shap
       f"all valid: {bool(batch.valid_mask.all())}")
 long = generate_synthetic(seed=9, n_samples=1, num_classes=5, timesteps=45,
                           channels=3, height=8, width=8)
-sampled = sample_30(long[0])
+sampled = sample_timesteps(long[0], 30)
 print(f"  a 45-step series resampled to 30 (evenly spaced): {sampled.series.shape}")
 
 with tempfile.TemporaryDirectory() as tmp:

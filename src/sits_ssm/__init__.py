@@ -4,7 +4,7 @@ self-contained numpy reverse-mode autodiff core."""
 
 from .autodiff import Tensor, backward, forward_primitive, no_grad
 from .data import (SitsBatch, SitsDataset, SitsSample, generate_synthetic,
-                   load_dataset, pad_batch, sample_30, save_dataset)
+                   load_dataset, pad_batch, sample_timesteps, save_dataset)
 from .losses import (LossConfig, LossReport, classification_loss, combined_loss,
                      positional_weights, reconstruction_loss)
 from .metrics import ConfusionMatrix, scores

@@ -7,7 +7,8 @@ order and accumulates gradients into every tracked leaf.
 
 Two precision regimes are supported: float32 (training default) and
 float64 (used by the verification suites). The dtype of an operation
-follows its inputs.
+follows its tensor inputs; a bare Python number takes the dtype of the
+tensor it is combined with, as numpy treats Python scalars.
 
 Every forward op checks its output for NaN/Inf and raises
 ``NonFiniteError`` instead of letting bad values propagate.
@@ -200,7 +201,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise binary ops
 
 def _binary(a, b, fwd, da, db, op):
-    a, b = as_tensor(a), as_tensor(b)
+    # as a 0-d float64 array, a Python number would promote float32 operands
+    if type(b) in (int, float):
+        a = as_tensor(a)
+        b = Tensor(b, dtype=a.dtype)
+    elif type(a) in (int, float):
+        b = as_tensor(b)
+        a = Tensor(a, dtype=b.dtype)
+    else:
+        a, b = as_tensor(a), as_tensor(b)
     try:
         out_data = fwd(a.data, b.data)
     except ValueError as e:
@@ -307,11 +316,6 @@ def silu(x) -> Tensor:
 def relu(x) -> Tensor:
     return _unary(x, lambda v: np.maximum(v, 0.0),
                   lambda g, x_, o: g * (x_ > 0), "relu")
-
-
-def rsqrt(x) -> Tensor:
-    return _unary(x, lambda v: v ** -0.5,
-                  lambda g, x_, o: g * (-0.5) * o ** 3, "rsqrt")
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,19 @@ Layout (all integers u64 little endian):
         f32[prod]     payload, little endian
 
 Values are always stored as float32 regardless of the in-memory dtype.
+A damaged or hostile file raises ``CheckpointFormatError``: each declared
+size is checked against the bytes left in the file before it is read.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 
 import numpy as np
+
+from .data import _read_exact
 
 MAGIC = b"SITSMB01"
 
@@ -39,17 +45,13 @@ def save_checkpoint(arrays: dict[str, np.ndarray], path):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointFormatError(f"truncated checkpoint while reading {what}")
-    return buf
+_read = functools.partial(_read_exact, error=CheckpointFormatError)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
-        if _read_exact(fh, len(MAGIC), "magic") != MAGIC:
+        if _read(fh, len(MAGIC), "magic") != MAGIC:
             raise CheckpointFormatError(f"bad magic, expected {MAGIC!r}")
         while True:
             head = fh.read(8)
@@ -58,11 +60,15 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             if len(head) != 8:
                 raise CheckpointFormatError("truncated entry header")
             (name_len,) = struct.unpack("<Q", head)
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
-            (rank,) = struct.unpack("<Q", _read_exact(fh, 8, "rank"))
-            shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "extents")) if rank else ()
-            n_elem = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read_exact(fh, 4 * n_elem, f"payload of {name}"),
-                                 dtype="<f4").reshape(shape).copy()
-            out[name] = data
+            try:
+                name = _read(fh, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointFormatError(f"entry name is not UTF-8: {e}") from None
+            (rank,) = struct.unpack("<Q", _read(fh, 8, "rank"))
+            shape = struct.unpack(f"<{rank}Q", _read(fh, 8 * rank, "extents"))
+            payload = _read(fh, 4 * math.prod(shape), f"payload of {name}")
+            try:
+                out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+            except ValueError as e:     # e.g. rank > 64, or a huge extent beside a 0
+                raise CheckpointFormatError(f"{name}: extents {shape}: {e}") from None
     return out

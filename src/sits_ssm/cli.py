@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, predict, verify. Options may come
-from a flat ``key=value`` config file (``--config``); explicit flags win.
+from a flat ``key=value`` config file (``--config``) whose keys are the
+flags' destinations (``batch_size``; ``use_pw=false`` for ``--no-pw``).
+Explicit flags win.
 Every command writes the effective configuration to
 ``run_manifest.txt`` next to its outputs.
 
@@ -80,8 +82,6 @@ _SCHEMA = {
     "test_samples": (int, 50),
     "hidden": (int, 128),
     "d_state": (int, 16),
-    "expand": (int, 2),
-    "conv_width": (int, 4),
     "ignore_labels": (str, "auto"),
     "eval_classes": (str, "auto"),
 }
@@ -109,32 +109,11 @@ def _resolve(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         for k, v in _read_config_file(Path(args.config)).items():
             cfg[k] = _coerce(k, v)
-    overrides = {
-        "seed": args.seed, "epochs": getattr(args, "epochs", None),
-        "lr": getattr(args, "lr", None), "batch_size": getattr(args, "batch_size", None),
-        "w0": getattr(args, "w0", None), "mode": getattr(args, "mode", None),
-        "classes": getattr(args, "classes", None), "channels": getattr(args, "channels", None),
-        "timesteps": getattr(args, "timesteps", None), "height": getattr(args, "height", None),
-        "width": getattr(args, "width", None), "noise": getattr(args, "noise", None),
-        "min_length": getattr(args, "min_length", None),
-        "train_samples": getattr(args, "train_samples", None),
-        "valid_samples": getattr(args, "valid_samples", None),
-        "test_samples": getattr(args, "test_samples", None),
-        "hidden": getattr(args, "hidden", None), "d_state": getattr(args, "d_state", None),
-        "ignore_labels": getattr(args, "ignore_labels", None),
-        "eval_classes": getattr(args, "eval_classes", None),
-    }
-    for k, v in overrides.items():
-        if v is not None:
+    for k, v in vars(args).items():
+        if k in _SCHEMA and v is not None:
             cfg[k] = _coerce(k, v)
-    if getattr(args, "no_pw", False):
-        cfg["use_pw"] = False
-    if getattr(args, "no_w1", False):
-        cfg["use_w1"] = False
-    if getattr(args, "no_rbranch", False):
-        cfg["use_rbranch"] = False
-    if cfg["mode"] not in ("pad", "sample30"):
-        raise UsageError(f"mode must be pad or sample30, got {cfg['mode']!r}")
+    if cfg["mode"] not in data_mod.TEMPORAL_MODES:
+        raise UsageError(f"mode must be one of {data_mod.TEMPORAL_MODES}, got {cfg['mode']!r}")
     return cfg
 
 
@@ -165,8 +144,7 @@ def _write_manifest(cfg: dict, out_dir: Path, command: str):
 
 def _model_config(cfg: dict) -> ModelConfig:
     return ModelConfig(input_channels=cfg["channels"], num_classes=cfg["classes"],
-                       hidden=cfg["hidden"], d_state=cfg["d_state"], expand=cfg["expand"],
-                       conv_width=cfg["conv_width"])
+                       hidden=cfg["hidden"], d_state=cfg["d_state"])
 
 
 def _loss_config(cfg: dict) -> LossConfig:
@@ -263,13 +241,8 @@ def cmd_predict(args) -> int:
     _write_manifest(cfg, out, "predict")
     model = SitsClassifier(_model_config(cfg), np.random.default_rng(cfg["seed"]))
     model.load(ckpt)
-    for start in range(0, len(ds), cfg["batch_size"]):
-        chunk = ds.samples[start:start + cfg["batch_size"]]
-        if cfg["mode"] == "sample30":
-            chunk = [data_mod.sample_timesteps(s, 30) for s in chunk]
-        batch = data_mod.pad_batch(chunk)
-        preds = model.predict(batch)
-        for s, pred in zip(chunk, preds):
+    for chunk, batch in data_mod.batches(ds, cfg["batch_size"], cfg["mode"]):
+        for s, pred in zip(chunk, model.predict(batch)):
             data_mod.export_pgm(pred, out / f"pred_{s.sample_id:05d}.pgm")
     data_mod.export_legend(cfg["classes"], out / "legend.csv")
     print(f"wrote {len(ds)} label maps to {out}")
@@ -297,23 +270,22 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="sits-ssm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, data=False, ckpt=False, model_dims=True):
+    def common(sp, data=False, ckpt=False):
         sp.add_argument("--config", help="flat key=value config file")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--mode", choices=["pad", "sample30"])
+        sp.add_argument("--mode", choices=data_mod.TEMPORAL_MODES)
         if data:
             sp.add_argument("--data", required=True)
         if ckpt:
             sp.add_argument("--checkpoint", required=True)
-        if model_dims:
-            sp.add_argument("--classes", type=int)
-            sp.add_argument("--channels", type=int)
-            sp.add_argument("--hidden", type=int)
-            sp.add_argument("--d-state", dest="d_state", type=int)
-            sp.add_argument("--batch-size", dest="batch_size", type=int)
-            sp.add_argument("--ignore-labels", dest="ignore_labels")
-            sp.add_argument("--eval-classes", dest="eval_classes")
+        sp.add_argument("--classes", type=int)
+        sp.add_argument("--channels", type=int)
+        sp.add_argument("--hidden", type=int)
+        sp.add_argument("--d-state", dest="d_state", type=int)
+        sp.add_argument("--batch-size", dest="batch_size", type=int)
+        sp.add_argument("--ignore-labels", dest="ignore_labels")
+        sp.add_argument("--eval-classes", dest="eval_classes")
 
     g = sub.add_parser("gen-data", help="write synthetic train/valid/test containers")
     common(g)
@@ -331,9 +303,9 @@ def _build_parser() -> _Parser:
     t.add_argument("--epochs", type=int)
     t.add_argument("--lr", type=float)
     t.add_argument("--w0", type=float)
-    t.add_argument("--no-pw", action="store_true")
-    t.add_argument("--no-w1", action="store_true")
-    t.add_argument("--no-rbranch", action="store_true")
+    t.add_argument("--no-pw", dest="use_pw", action="store_false", default=None)
+    t.add_argument("--no-w1", dest="use_w1", action="store_false", default=None)
+    t.add_argument("--no-rbranch", dest="use_rbranch", action="store_false", default=None)
 
     e = sub.add_parser("eval", help="score a checkpoint on a dataset file")
     common(e, data=True, ckpt=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -31,6 +32,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 MAGIC = b"SITSDS01"
+TEMPORAL_MODES = ("pad", "sample30")
 
 
 class DatasetFormatError(ValueError):
@@ -198,8 +200,21 @@ def sample_timesteps(sample: SitsSample, count: int = 30,
     return SitsSample(sample.series[idx], sample.label_map, count, sample.sample_id)
 
 
-def sample_30(sample: SitsSample, rng: np.random.Generator | None = None) -> SitsSample:
-    return sample_timesteps(sample, 30, rng)
+def batches(samples, batch_size: int, temporal_mode: str = "pad",
+            rng: np.random.Generator | None = None):
+    """Yield (samples batched, SitsBatch) over ``samples`` in order.
+
+    "sample30" first reduces every series to 30 timesteps with
+    ``sample_timesteps`` (random when ``rng`` is given, evenly spaced
+    otherwise); "pad" batches the series as they are.
+    """
+    if temporal_mode not in TEMPORAL_MODES:
+        raise ValueError(f"temporal_mode must be one of {TEMPORAL_MODES}, got {temporal_mode!r}")
+    for start in range(0, len(samples), batch_size):
+        chunk = samples[start:start + batch_size]
+        if temporal_mode == "sample30":
+            chunk = [sample_timesteps(s, 30, rng) for s in chunk]
+        yield chunk, pad_batch(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +231,13 @@ def save_dataset(dataset: SitsDataset, path):
             fh.write(np.ascontiguousarray(s.label_map, dtype="<u2").tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
+def _read_exact(fh, n: int, what: str, error=DatasetFormatError) -> bytes:
+    """Read exactly ``n`` bytes or raise ``error``; ``n`` is checked against
+    the bytes left first, so a corrupt size cannot cause a huge allocation."""
+    fits = n <= os.fstat(fh.fileno()).st_size - fh.tell()
+    buf = fh.read(n) if fits else b""
     if len(buf) != n:
-        raise DatasetFormatError(f"truncated container while reading {what}")
+        raise error(f"truncated container while reading {what}")
     return buf
 
 

@@ -50,11 +50,6 @@ class ConfusionMatrix:
         self.counts += other.counts
         return self
 
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        out = ConfusionMatrix(self.num_classes, self.eval_class_set)
-        out.counts = self.counts + other.counts
-        return out
-
 
 @dataclass
 class Scores:

@@ -35,10 +35,6 @@ class ModelConfig:
     num_classes: int
     hidden: int = 128
     d_state: int = 16
-    expand: int = 2
-    conv_width: int = 4
-    dt_rank: int | None = None
-    residual_wrapper: bool = False
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -50,9 +46,7 @@ class ModelConfig:
         return {"float32": np.float32, "float64": np.float64}[self.dtype]
 
     def ssm_config(self) -> SsmConfig:
-        return SsmConfig(d_model=self.hidden, d_state=self.d_state, expand=self.expand,
-                         conv_width=self.conv_width, dt_rank=self.dt_rank,
-                         residual_wrapper=self.residual_wrapper)
+        return SsmConfig(d_model=self.hidden, d_state=self.d_state)
 
 
 @dataclass

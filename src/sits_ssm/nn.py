@@ -100,18 +100,3 @@ class CausalDepthwiseConv1d:
         yield f"{prefix}.weight", self.weight
         yield f"{prefix}.bias", self.bias
 
-
-class RMSNorm:
-    """x * rsqrt(mean(x^2) + eps) * g over the last axis."""
-
-    def __init__(self, dim: int, dtype=np.float32, eps: float = 1e-5):
-        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.eps = eps
-
-    def __call__(self, x: Tensor) -> Tensor:
-        ms = ad.mean(ad.mul(x, x), axis=-1, keepdims=True)
-        scale = ad.rsqrt(ad.add(ms, Tensor(np.asarray(self.eps, dtype=x.dtype))))
-        return ad.mul(ad.mul(x, scale), self.gamma)
-
-    def named_params(self, prefix: str):
-        yield f"{prefix}.gamma", self.gamma

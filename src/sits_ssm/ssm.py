@@ -12,16 +12,19 @@ with phi(z) = (e^z - 1)/z, evaluated by a series for |z| below 1e-6 to
 avoid catastrophic cancellation; its derivative phi'(z) likewise switches
 to its Taylor series below a dtype-dependent |z|.
 
-Three evaluation routes are exposed and cross-checked by the test suite:
+``selective_scan_fused`` is the one production route: the input-selective
+scan where delta, B and C are produced from the input at every step,
+fusing discretization and recurrence into one differentiable op. The
+other routes are references that the tests, ``sits-ssm verify`` and the
+benchmark's correctness gate compare it against, not alternatives to it:
 
+* ``selective_scan_composite`` - the same contract built from tape
+  primitives and ``scan_recurrence``;
 * ``scan_recurrence`` - the step-by-step recurrence on pre-discretized
   parameters (differentiable);
 * ``kernel_convolve`` - the equivalent causal convolution with kernel
   (C B_bar, C A_bar B_bar, ..., C A_bar^(L-1) B_bar), valid only for
-  time-invariant parameters (float64 oracle, not differentiable);
-* ``selective_scan_fused`` - the input-selective path where delta, B, C
-  are produced from the input at every step, fusing discretization and
-  scan into one differentiable op for speed.
+  time-invariant parameters (float64 oracle, not differentiable).
 
 The fused scan is the CPU form of the hardware-aware scan of Mamba (Gu &
 Dao 2023, sec. 3.3): discretization is fused into the recurrence, the
@@ -71,6 +74,9 @@ _PHI_SWITCH = 1e-6
 _PHI_PRIME_SWITCH = {np.dtype(np.float32): 0.1, np.dtype(np.float64): 1e-3}
 _PHI_PRIME_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in range(3, -1, -1))
 _SCAN_VECTOR_BUDGET = 256 * 2**10   # bytes of one (chunk, D, N) scan working array
+EXPAND = 2                          # inner width / d_model
+CONV_WIDTH = 4                      # causal depthwise conv taps
+DT_MIN, DT_MAX = 1e-3, 1e-1         # range of the initial step sizes delta
 _POOL: ThreadPoolExecutor | None = None
 _POOL_LOCK = threading.Lock()
 
@@ -396,7 +402,6 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     parents = (u, delta, a, b, c, d_skip)
     uv, dv, av, bv, cv, skipv = (t.data for t in parents)
     keep = ad.grad_enabled() and any(t.requires_grad for t in parents)
-    # the scan runs in u's dtype; the float32 model hands it a float64 ``a``
     a_t = np.ascontiguousarray(av.T, dtype=uv.dtype)
     bounds = _chunk_bounds(nb, nd * nn_ * uv.dtype.itemsize)
     y = np.empty_like(uv)
@@ -470,30 +475,24 @@ def zoh_phi(z: Tensor) -> Tensor:
 
 @dataclass
 class SsmConfig:
-    """Selective-SSM block hyperparameters.
+    """Selective-SSM block sizes.
 
-    Defaults follow the standard Mamba parameterization: state size 16,
-    expansion factor 2, depthwise conv width 4, delta rank d_model/16
-    (rounded up), decay rates initialized to -(1..N) per state column,
-    delta bias chosen so the initial softplus output lands in
-    [dt_min, dt_max].
+    The other hyperparameters are the module constants: expansion
+    ``EXPAND``, depthwise conv width ``CONV_WIDTH``, delta rank
+    d_model/16 (rounded up), decay rates initialized to -(1..N) per state
+    column, and delta bias chosen so the initial softplus output lands in
+    [``DT_MIN``, ``DT_MAX``].
     """
     d_model: int
     d_state: int = 16
-    expand: int = 2
-    conv_width: int = 4
-    dt_rank: int | None = None
-    dt_min: float = 1e-3
-    dt_max: float = 1e-1
-    residual_wrapper: bool = False
 
     @property
     def d_inner(self) -> int:
-        return self.expand * self.d_model
+        return EXPAND * self.d_model
 
     @property
     def rank(self) -> int:
-        return self.dt_rank if self.dt_rank is not None else math.ceil(self.d_model / 16)
+        return math.ceil(self.d_model / 16)
 
 
 class MambaBlock:
@@ -503,20 +502,19 @@ class MambaBlock:
         self.cfg = cfg
         d_in = cfg.d_inner
         self.in_proj = nn.Linear(cfg.d_model, 2 * d_in, rng, bias=False, dtype=dtype)
-        self.conv = nn.CausalDepthwiseConv1d(d_in, cfg.conv_width, rng, dtype=dtype)
+        self.conv = nn.CausalDepthwiseConv1d(d_in, CONV_WIDTH, rng, dtype=dtype)
         self.x_proj = nn.Linear(d_in, cfg.rank + 2 * cfg.d_state, rng, bias=False, dtype=dtype)
         self.dt_proj = nn.Linear(cfg.rank, d_in, rng, bias=True, dtype=dtype)
-        # softplus-inverse bias puts the initial step sizes in [dt_min, dt_max]
-        dt = np.exp(rng.uniform(math.log(cfg.dt_min), math.log(cfg.dt_max), size=d_in))
+        # softplus-inverse bias puts the initial step sizes in [DT_MIN, DT_MAX]
+        dt = np.exp(rng.uniform(math.log(DT_MIN), math.log(DT_MAX), size=d_in))
         self.dt_proj.bias = Tensor(np.log(np.expm1(dt)).astype(dtype), requires_grad=True)
         self.a_log = Tensor(
             np.log(np.tile(np.arange(1, cfg.d_state + 1, dtype=np.float64), (d_in, 1))).astype(dtype),
             requires_grad=True)
         self.d_skip = Tensor(np.ones(d_in, dtype=dtype), requires_grad=True)
         self.out_proj = nn.Linear(d_in, cfg.d_model, rng, bias=True, dtype=dtype)
-        self.norm = nn.RMSNorm(cfg.d_model, dtype=dtype) if cfg.residual_wrapper else None
 
-    def selective_scan(self, u: Tensor, fused: bool = True) -> Tensor:
+    def selective_scan(self, u: Tensor) -> Tensor:
         """Selectivity projections + per-step ZOH + recurrence + skip."""
         cfg = self.cfg
         x_dbl = self.x_proj(u)
@@ -525,24 +523,19 @@ class MambaBlock:
         c = ad.slice_(x_dbl, (slice(None), slice(None), slice(cfg.rank + cfg.d_state, None)))
         delta = ad.softplus(self.dt_proj(dt_low))
         a = ad.mul(ad.exp(self.a_log), -1.0)
-        scan = selective_scan_fused if fused else selective_scan_composite
-        return scan(u, delta, a, b, c, self.d_skip)
+        return selective_scan_fused(u, delta, a, b, c, self.d_skip)
 
-    def __call__(self, x: Tensor, fused: bool = True) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.cfg.d_model:
             raise ShapeError(f"mamba_block: expected (B, L, {self.cfg.d_model}), got {x.shape}")
-        inner = self.norm(x) if self.norm is not None else x
-        xz = self.in_proj(inner)
+        xz = self.in_proj(x)
         d_in = self.cfg.d_inner
         u = ad.slice_(xz, (slice(None), slice(None), slice(0, d_in)))
         z = ad.slice_(xz, (slice(None), slice(None), slice(d_in, None)))
         u = ad.silu(self.conv(u))
-        y = self.selective_scan(u, fused=fused)
+        y = self.selective_scan(u)
         y = ad.mul(y, ad.silu(z))
-        out = self.out_proj(y)
-        if self.norm is not None:
-            out = ad.add(x, out)
-        return out
+        return self.out_proj(y)
 
     def named_params(self, prefix: str):
         yield from self.in_proj.named_params(f"{prefix}.in_proj")
@@ -552,5 +545,3 @@ class MambaBlock:
         yield f"{prefix}.a_log", self.a_log
         yield f"{prefix}.d_skip", self.d_skip
         yield from self.out_proj.named_params(f"{prefix}.out_proj")
-        if self.norm is not None:
-            yield from self.norm.named_params(f"{prefix}.norm")

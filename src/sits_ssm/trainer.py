@@ -43,8 +43,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.temporal_mode not in ("pad", "sample30"):
-            raise ValueError("temporal_mode must be 'pad' or 'sample30'")
+        if self.temporal_mode not in data_mod.TEMPORAL_MODES:
+            raise ValueError(f"temporal_mode must be one of {data_mod.TEMPORAL_MODES}")
 
 
 class Adam:
@@ -91,23 +91,12 @@ class TrainResult:
     history: list[LossReport] = field(default_factory=list)
 
 
-def _make_batches(dataset, order, cfg: TrainConfig, rng: np.random.Generator | None):
-    for start in range(0, len(order), cfg.batch_size):
-        chunk = [dataset[i] for i in order[start:start + cfg.batch_size]]
-        if cfg.temporal_mode == "sample30":
-            chunk = [data_mod.sample_timesteps(s, 30, rng) for s in chunk]
-        yield data_mod.pad_batch(chunk)
-
-
 def evaluate(model: SitsClassifier, dataset, loss_cfg: LossConfig,
              batch_size: int = 8, temporal_mode: str = "pad",
              eval_class_set=None) -> Scores:
     """Inference-mode metrics over a dataset."""
     cm = ConfusionMatrix(model.config.num_classes, eval_class_set)
-    order = list(range(len(dataset)))
-    cfg = TrainConfig(epochs=1, batch_size=batch_size, temporal_mode=temporal_mode,
-                      loss=loss_cfg)
-    for batch in _make_batches(dataset, order, cfg, rng=None):
+    for _, batch in data_mod.batches(dataset, batch_size, temporal_mode):
         preds = model.predict(batch)
         cm.accumulate(batch.labels, preds, ignore_labels=loss_cfg.ignore_labels)
     return scores(cm)
@@ -150,9 +139,8 @@ def train(model: SitsClassifier, train_set, valid_set, cfg: TrainConfig,
         epoch_csv.writerow(["epoch", "val_oa", "val_miou", "val_mf1", "best"])
         step_idx = 0
         for epoch in range(cfg.epochs):
-            order = rng.permutation(len(train_set))
-            for batch in _make_batches(train_set, order, cfg,
-                                       rng if cfg.temporal_mode == "sample30" else None):
+            shuffled = [train_set[i] for i in rng.permutation(len(train_set))]
+            for _, batch in data_mod.batches(shuffled, cfg.batch_size, cfg.temporal_mode, rng):
                 optim.zero_grad()
                 try:
                     report = train_step(model, batch, cfg.loss)

@@ -49,6 +49,18 @@ class TestForwardExamples:
         assert required <= set(ad.OPS)
 
 
+class TestScalarOperandDtype:
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_python_scalar_takes_tensor_dtype(self, op, dtype):
+        fn = getattr(ad, op)
+        x = Tensor(np.array([0.5, -1.5, 2.0], dtype=dtype), requires_grad=True)
+        for out in (fn(x, -1.0), fn(x, 3), fn(0.25, x), fn(2, x)):
+            assert out.dtype == dtype
+        ad.backward(ad.sum_(fn(x, 0.1)))
+        assert x.grad.dtype == dtype
+
+
 class TestBackwardBasics:
     def test_grad_of_sum_is_ones(self, rng):
         x = f64(rng, 3, 4, 5)

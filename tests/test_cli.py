@@ -1,10 +1,15 @@
 """Operator surface: subcommands, flags, config files, manifests, exit codes."""
 
+import struct
+
+import numpy as np
 import pytest
 
 from sits_ssm import cli
+from sits_ssm import checkpoint
 from sits_ssm.cli import checksum, main
-from sits_ssm.data import load_dataset
+from sits_ssm.data import MAGIC, load_dataset, pad_batch, sample_timesteps
+from sits_ssm.model import ModelConfig, SitsClassifier
 
 
 def gen(out, *extra):
@@ -87,6 +92,22 @@ class TestPipeline:
         assert len(pgms) == 3 and (pr / "legend.csv").exists()
         assert pgms[0].read_bytes().startswith(b"P5\n")
 
+    def test_predict_sample30_matches_solo_predictions(self, run, tmp_path):
+        data, out = run
+        pr = tmp_path / "pred30"
+        assert main(["predict", "--data", str(data / "test.sits"), "--mode", "sample30",
+                     "--checkpoint", str(out / "final.ckpt"), "--out", str(pr),
+                     "--seed", "3", *SMALL]) == 0
+        model = SitsClassifier(ModelConfig(input_channels=2, num_classes=3, hidden=8,
+                                           d_state=4))
+        model.load(out / "final.ckpt")
+        test = load_dataset(data / "test.sits")
+        for s in test.samples:
+            want = model.predict(pad_batch([sample_timesteps(s, 30)]))[0]
+            raw = (pr / f"pred_{s.sample_id:05d}.pgm").read_bytes()
+            header = f"P5\n{want.shape[1]} {want.shape[0]}\n255\n".encode()
+            assert raw == header + want.astype(np.uint8).tobytes()
+
     def test_w0_zero_equals_no_rbranch(self, tmp_path):
         data = tmp_path / "d"
         gen(data)
@@ -111,6 +132,19 @@ class TestPipeline:
         manifest = (out / "run_manifest.txt").read_text()
         assert "seed=4" in manifest and "epochs=1" in manifest
 
+
+    def test_config_file_booleans_and_no_flags(self, tmp_path):
+        data = tmp_path / "d"
+        gen(data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("use_rbranch=false\n")
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(data), "--out", str(out), "--config", str(cfg),
+                     "--epochs", "1", "--no-pw", *SMALL]) == 0
+        manifest = (out / "run_manifest.txt").read_text().splitlines()
+        assert "use_rbranch=False" in manifest       # from the file, no flag given
+        assert "use_pw=False" in manifest            # from --no-pw
+        assert "use_w1=True" in manifest             # default
 
 class TestExitCodes:
     def test_usage_error_is_1(self):
@@ -139,9 +173,10 @@ class TestExitCodes:
         data = tmp_path / "d"
         gen(data)
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("not_a_key=1\n")
-        assert main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
-                     "--config", str(cfg), *SMALL]) == 1
+        for line in ("not_a_key=1", "expand=2"):   # expand is fixed, not a setting
+            cfg.write_text(line + "\n")
+            assert main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
+                         "--config", str(cfg), *SMALL]) == 1
 
     def test_corrupt_dataset_is_2(self, tmp_path):
         data = tmp_path / "d"
@@ -152,6 +187,24 @@ class TestExitCodes:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
                      *SMALL]) == 2
 
+
+    @pytest.mark.parametrize("body", [
+        struct.pack("<Q", 1) + b"w" + struct.pack("<3Q", 2, 2**21, 2**21),
+        struct.pack("<Q", 2) + b"\xff\xfe" + struct.pack("<2Q", 1, 1) + b"\0" * 4,
+    ], ids=["huge_extents", "bad_utf8_name"])
+    def test_corrupt_checkpoint_is_2(self, tmp_path, body):
+        data = tmp_path / "d"
+        gen(data)
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(checkpoint.MAGIC + body)
+        assert main(["eval", "--data", str(data / "test.sits"), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "o"), *SMALL]) == 2
+
+    def test_huge_dataset_header_is_2(self, tmp_path):
+        path = tmp_path / "huge.sits"
+        path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<5I", *[4000] * 4, 1))
+        assert main(["eval", "--data", str(path), "--checkpoint", str(tmp_path / "x.ckpt"),
+                     "--out", str(tmp_path / "o"), *SMALL]) == 2
 
 class TestSeparableDataConvergence:
     def test_eval_reports_high_oa_on_noise_free_task(self, tmp_path):

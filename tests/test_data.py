@@ -1,11 +1,17 @@
 """Synthetic generator quality, temporal batching, and container round trips."""
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sits_ssm.data import (DatasetFormatError, SitsDataset, SitsSample, export_legend,
-                           export_pgm, generate_synthetic, load_dataset, pad_batch,
-                           sample_30, sample_timesteps, save_dataset)
+from sits_ssm.data import (MAGIC, DatasetFormatError, SitsDataset, SitsSample, batches,
+                           export_legend, export_pgm, generate_synthetic, load_dataset,
+                           pad_batch, sample_timesteps, save_dataset)
 from sits_ssm.verify import centroid_accuracy
 
 
@@ -100,26 +106,26 @@ class TestSample30:
 
     def test_eval_mode_even_spacing_60(self, rng):
         s = self.sample_of_length(rng, 60)
-        out = sample_30(s)
+        out = sample_timesteps(s, 30)
         assert out.valid_length == 30
         assert np.array_equal(out.series, s.series[np.arange(0, 60, 2)])
 
     def test_train_mode_sorted_without_replacement(self, rng):
         s = self.sample_of_length(rng, 45)
-        out = sample_30(s, rng=np.random.default_rng(3))
+        out = sample_timesteps(s, 30, rng=np.random.default_rng(3))
         assert out.series.shape[0] == 30
 
     def test_short_series_with_replacement_logged(self, rng, caplog):
         import logging
         s = self.sample_of_length(rng, 12)
         with caplog.at_level(logging.WARNING, logger="sits_ssm.data"):
-            out = sample_30(s, rng=np.random.default_rng(3))
+            out = sample_timesteps(s, 30, rng=np.random.default_rng(3))
         assert out.series.shape[0] == 30
         assert any("replacement" in r.message for r in caplog.records)
 
     def test_deterministic_eval_mode(self, rng):
         s = self.sample_of_length(rng, 41)
-        assert np.array_equal(sample_30(s).series, sample_30(s).series)
+        assert np.array_equal(sample_timesteps(s, 30).series, sample_timesteps(s, 30).series)
 
     def test_generic_count(self, rng):
         s = self.sample_of_length(rng, 20)
@@ -168,6 +174,52 @@ class TestContainerIO:
         save_dataset(SitsDataset([], 0), path)
         back = load_dataset(path)
         assert len(back) == 0
+
+
+    def test_huge_declared_extents_rejected_before_allocation(self, tmp_path):
+        # 4000^4 float32 values would be 1 PB; only the header is present
+        path = tmp_path / "huge.sits"
+        path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<5I", *[4000] * 4, 1))
+        with pytest.raises(DatasetFormatError):
+            load_dataset(path)
+
+    @given(cut=st.integers(0, 2**16), flips=st.lists(st.integers(0, 2**16), max_size=4))
+    @settings(deadline=None, max_examples=150)
+    def test_truncated_or_bit_flipped_container(self, cut, flips):
+        """A damaged container loads or raises DatasetFormatError, nothing else."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ds.sits"
+            save_dataset(small_ds(n_samples=2, timesteps=4, channels=1, height=2, width=3,
+                                  min_valid_length=2), path)
+            raw = bytearray(path.read_bytes())
+            for bit in flips:
+                raw[bit // 8 % len(raw)] ^= 1 << bit % 8
+            path.write_bytes(bytes(raw[:cut % (len(raw) + 1)]))
+            try:
+                load_dataset(path)
+            except DatasetFormatError:
+                pass
+
+
+class TestBatches:
+    def test_pad_mode_keeps_order_and_samples(self):
+        ds = small_ds(n_samples=5, min_valid_length=3)
+        out = list(batches(ds, 2))
+        assert [len(chunk) for chunk, _ in out] == [2, 2, 1]
+        for chunk, batch in out:
+            assert np.array_equal(batch.series, pad_batch(chunk).series)
+        assert [s for chunk, _ in out for s in chunk] == ds.samples
+
+    def test_sample30_draws_from_rng_in_sample_order(self):
+        ds = small_ds(n_samples=3, timesteps=45)
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        got = [s for chunk, _ in batches(ds.samples, 2, "sample30", rng_a) for s in chunk]
+        want = [sample_timesteps(s, 30, rng_b) for s in ds.samples]
+        assert all(np.array_equal(g.series, w.series) for g, w in zip(got, want))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            next(batches(small_ds(), 2, "sample31"))
 
 
 class TestExports:

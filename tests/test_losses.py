@@ -179,6 +179,11 @@ class TestCombinedLoss:
         total, _ = combined_loss(l_cls, l_tp, LossConfig(w0=0.03))
         assert abs(total.item() - 1.03 * l_cls.item()) / (1.03 * l_cls.item()) < 1e-12
 
+    def test_total_keeps_float32(self):
+        total, _ = combined_loss(Tensor(np.float32(0.8)), Tensor(np.float32(0.4)),
+                                 LossConfig(w0=0.03))
+        assert total.dtype == np.float32
+
     def test_zero_l_tp_clamped_and_logged(self, caplog):
         import logging
         with caplog.at_level(logging.WARNING, logger="sits_ssm.losses"):

@@ -127,7 +127,7 @@ class TestMerge:
         a_lab, a_pred = rng.integers(0, k, 37), rng.integers(0, k, 37)
         b_lab, b_pred = rng.integers(0, k, 53), rng.integers(0, k, 53)
         sharded = (ConfusionMatrix(k).accumulate(a_lab, a_pred)
-                   + ConfusionMatrix(k).accumulate(b_lab, b_pred))
+                   .merge(ConfusionMatrix(k).accumulate(b_lab, b_pred)))
         merged = ConfusionMatrix(k).accumulate(np.concatenate([a_lab, b_lab]),
                                                np.concatenate([a_pred, b_pred]))
         assert np.array_equal(sharded.counts, merged.counts)
@@ -136,7 +136,9 @@ class TestMerge:
         k = 3
         x = ConfusionMatrix(k).accumulate(rng.integers(0, k, 20), rng.integers(0, k, 20))
         y = ConfusionMatrix(k).accumulate(rng.integers(0, k, 20), rng.integers(0, k, 20))
-        assert np.array_equal((x + y).counts, (y + x).counts)
+        xy = ConfusionMatrix(k).merge(x).merge(y)
+        yx = ConfusionMatrix(k).merge(y).merge(x)
+        assert np.array_equal(xy.counts, yx.counts)
 
     def test_merge_class_count_mismatch(self):
         with pytest.raises(ValueError):

@@ -177,6 +177,23 @@ class TestPredict:
         assert np.array_equal(other.predict_logits(batch), base)
 
 
+class TestPrecision:
+    def test_float32_model_scans_in_float32(self, rng, monkeypatch):
+        from sits_ssm import ssm
+        seen = []
+        scan = ssm.selective_scan_fused
+
+        def spy(*tensors):
+            seen.append([t.dtype for t in tensors])
+            return scan(*tensors)
+
+        monkeypatch.setattr(ssm, "selective_scan_fused", spy)
+        model = tiny_model()
+        out = model.forward(random_batch(rng), training=True)
+        assert seen == [[np.dtype(np.float32)] * 6]      # u, delta, a, b, c, d_skip
+        assert out.class_logits.dtype == np.float32
+
+
 class TestParameterAccounting:
     def test_rbranch_linear_count(self):
         cfg = ModelConfig(input_channels=10, num_classes=20)

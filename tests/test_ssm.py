@@ -320,19 +320,6 @@ class TestMambaBlock:
         f = lambda: ad.sum_(ad.mul(blk(x), blk(x)))
         assert gradcheck(f, params, max_components=16, rng=np.random.default_rng(3)) < TOL
 
-    def test_residual_wrapper_flag(self, rng):
-        blk = MambaBlock(SsmConfig(d_model=4, d_state=4, residual_wrapper=True),
-                         rng, dtype=np.float64)
-        x = Tensor(rng.normal(0, 1, (2, 3, 4)), requires_grad=True)
-        out = blk(x)
-        assert out.shape == (2, 3, 4)
-        assert gradcheck(lambda: ad.sum_(blk(x)), [x, blk.norm.gamma],
-                         max_components=12) < TOL
-
-    def test_bare_block_is_default(self, rng):
-        blk = MambaBlock(SsmConfig(d_model=4), rng)
-        assert blk.norm is None
-
 
 class TestStability:
     def test_a_bar_in_unit_interval_and_bounded_state(self, rng):
