@@ -50,6 +50,6 @@ with tempfile.TemporaryDirectory() as out:
         m = SitsClassifier(cfg, np.random.default_rng(1))
         r = train(m, train_ds, None,
                   TrainConfig(epochs=1, learning_rate=1e-3, batch_size=2, seed=1,
-                              loss=loss_cfg, eval_every_epoch=False), out)
+                              loss=loss_cfg), out)
         print(f"  {name:<22} end loss {r.history[-1].total:.4f} "
               f"(w1 {r.history[-1].w1:.2f})")

@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, eval, predict, verify. Options may come
-from a flat ``key=value`` config file (``--config``) whose keys are the
-flags' destinations (``batch_size``; ``use_pw=false`` for ``--no-pw``).
-Explicit flags win.
+Subcommands: gen-data, train, eval, predict, verify. Every setting is
+declared once, in ``_SCHEMA``, with its type, its default and the
+subcommands that take it as a flag; the parser is built from that table.
+The key ``batch_size`` is the flag ``--batch-size``, and a boolean
+``use_pw`` is the switch ``--no-pw``. Settings may also come from a flat
+``key=value`` config file (``--config``) with the same keys
+(``batch_size=2``, ``use_pw=false``). Explicit flags win.
 Every command writes the effective configuration to
 ``run_manifest.txt`` next to its outputs.
 
@@ -59,38 +62,42 @@ def _read_config_file(path: Path) -> dict[str, str]:
     return out
 
 
-# every settable key: (type, default)
+_ALL = ("gen-data", "train", "eval", "predict")
+_GEN = ("gen-data",)
+_TRAIN = ("train",)
+
+# every settable key: (type, default, subcommands that take it as a flag)
 _SCHEMA = {
-    "seed": (int, 0),
-    "epochs": (int, 100),
-    "lr": (float, 1e-4),
-    "batch_size": (int, 8),
-    "w0": (float, 0.03),
-    "use_pw": (bool, True),
-    "use_w1": (bool, True),
-    "use_rbranch": (bool, True),
-    "mode": (str, "pad"),
-    "classes": (int, 6),
-    "channels": (int, 4),
-    "timesteps": (int, 20),
-    "height": (int, 16),
-    "width": (int, 16),
-    "noise": (float, 0.02),
-    "min_length": (int, 0),
-    "train_samples": (int, 200),
-    "valid_samples": (int, 50),
-    "test_samples": (int, 50),
-    "hidden": (int, 128),
-    "d_state": (int, 16),
-    "ignore_labels": (str, "auto"),
-    "eval_classes": (str, "auto"),
+    "seed": (int, 0, _ALL),
+    "epochs": (int, 100, _TRAIN),
+    "lr": (float, 1e-4, _TRAIN),
+    "batch_size": (int, 8, _ALL),
+    "w0": (float, 0.03, _TRAIN),
+    "use_pw": (bool, True, _TRAIN),
+    "use_w1": (bool, True, _TRAIN),
+    "use_rbranch": (bool, True, _TRAIN),
+    "mode": (str, "pad", _ALL),
+    "classes": (int, 6, _ALL),
+    "channels": (int, 4, _ALL),
+    "timesteps": (int, 20, _GEN),
+    "height": (int, 16, _GEN),
+    "width": (int, 16, _GEN),
+    "noise": (float, 0.02, _GEN),
+    "min_length": (int, 0, _GEN),
+    "train_samples": (int, 200, _GEN),
+    "valid_samples": (int, 50, _GEN),
+    "test_samples": (int, 50, _GEN),
+    "hidden": (int, 128, _ALL),
+    "d_state": (int, 16, _ALL),
+    "ignore_labels": (str, "auto", _ALL),
+    "eval_classes": (str, "auto", _ALL),
 }
 
 
 def _coerce(key: str, raw) -> object:
     if key not in _SCHEMA:
         raise UsageError(f"unknown config key: {key}")
-    typ, _ = _SCHEMA[key]
+    typ = _SCHEMA[key][0]
     if isinstance(raw, str) and typ is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
@@ -105,7 +112,7 @@ def _coerce(key: str, raw) -> object:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Defaults, then config file, then explicit flags."""
-    cfg = {k: d for k, (_, d) in _SCHEMA.items()}
+    cfg = {k: d for k, (_, d, _) in _SCHEMA.items()}
     if getattr(args, "config", None):
         for k, v in _read_config_file(Path(args.config)).items():
             cfg[k] = _coerce(k, v)
@@ -156,10 +163,14 @@ def _loss_config(cfg: dict) -> LossConfig:
 def _check_dataset_fits(ds, cfg: dict, path):
     if len(ds) == 0:
         raise DatasetFormatError(f"{path}: empty dataset")
-    s = ds[0]
-    if s.series.shape[1] != cfg["channels"]:
-        raise ShapeError(f"{path}: dataset has {s.series.shape[1]} channels, "
+    chw = ds[0].series.shape[1:]
+    if chw[0] != cfg["channels"]:
+        raise ShapeError(f"{path}: dataset has {chw[0]} channels, "
                          f"config says {cfg['channels']}")
+    for i, x in enumerate(ds.samples):
+        if x.series.shape[1:] != chw:
+            raise ShapeError(f"{path}: sample {i} has (C, H, W) {x.series.shape[1:]}, "
+                             f"sample 0 has {chw}")
     top = max(int(x.label_map.max()) for x in ds.samples)
     if top >= cfg["classes"]:
         raise ShapeError(f"{path}: label {top} outside [0, {cfg['classes']})")
@@ -266,73 +277,44 @@ def checksum(path) -> str:
 
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {
+    "gen-data": (cmd_gen_data, "write synthetic train/valid/test containers"),
+    "train": (cmd_train, "train a model on a dataset directory"),
+    "eval": (cmd_eval, "score a checkpoint on a dataset file"),
+    "predict": (cmd_predict, "export label maps as PGM"),
+    "verify": (cmd_verify, "run the oracle self-check suites"),
+}
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="sits-ssm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, data=False, ckpt=False):
-        sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--mode", choices=data_mod.TEMPORAL_MODES)
-        if data:
-            sp.add_argument("--data", required=True)
-        if ckpt:
-            sp.add_argument("--checkpoint", required=True)
-        sp.add_argument("--classes", type=int)
-        sp.add_argument("--channels", type=int)
-        sp.add_argument("--hidden", type=int)
-        sp.add_argument("--d-state", dest="d_state", type=int)
-        sp.add_argument("--batch-size", dest="batch_size", type=int)
-        sp.add_argument("--ignore-labels", dest="ignore_labels")
-        sp.add_argument("--eval-classes", dest="eval_classes")
-
-    g = sub.add_parser("gen-data", help="write synthetic train/valid/test containers")
-    common(g)
-    g.add_argument("--timesteps", type=int)
-    g.add_argument("--height", type=int)
-    g.add_argument("--width", type=int)
-    g.add_argument("--noise", type=float)
-    g.add_argument("--min-length", dest="min_length", type=int)
-    g.add_argument("--train-samples", dest="train_samples", type=int)
-    g.add_argument("--valid-samples", dest="valid_samples", type=int)
-    g.add_argument("--test-samples", dest="test_samples", type=int)
-
-    t = sub.add_parser("train", help="train a model on a dataset directory")
-    common(t, data=True)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--w0", type=float)
-    t.add_argument("--no-pw", dest="use_pw", action="store_false", default=None)
-    t.add_argument("--no-w1", dest="use_w1", action="store_false", default=None)
-    t.add_argument("--no-rbranch", dest="use_rbranch", action="store_false", default=None)
-
-    e = sub.add_parser("eval", help="score a checkpoint on a dataset file")
-    common(e, data=True, ckpt=True)
-
-    pr = sub.add_parser("predict", help="export label maps as PGM")
-    common(pr, data=True, ckpt=True)
-
-    v = sub.add_parser("verify", help="run the oracle self-check suites")
-    v.set_defaults(out=None)
-
+    parsers = {name: sub.add_parser(name, help=help_) for name, (_, help_) in _COMMANDS.items()}
+    parsers["verify"].set_defaults(out=None)
+    for name in _ALL:
+        parsers[name].add_argument("--config", help="flat key=value config file")
+        parsers[name].add_argument("--out", required=True, help="output directory")
+    for name in ("train", "eval", "predict"):
+        parsers[name].add_argument("--data", required=True)
+    for name in ("eval", "predict"):
+        parsers[name].add_argument("--checkpoint", required=True)
+    for key, (typ, _, commands) in _SCHEMA.items():
+        for name in commands:
+            if typ is bool:
+                flag = "--no-" + key.removeprefix("use_").replace("_", "-")
+                parsers[name].add_argument(flag, dest=key, action="store_false", default=None)
+            else:
+                choices = data_mod.TEMPORAL_MODES if key == "mode" else None
+                parsers[name].add_argument("--" + key.replace("_", "-"), dest=key, type=typ,
+                                           choices=choices)
     return p
-
-
-_COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "predict": cmd_predict,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

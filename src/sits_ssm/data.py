@@ -33,6 +33,8 @@ log = logging.getLogger(__name__)
 
 MAGIC = b"SITSDS01"
 TEMPORAL_MODES = ("pad", "sample30")
+PARCELS = (4, 9)      # Voronoi parcels per synthetic patch, inclusive range
+JITTER = 0.5          # per-sample temporal shift of the season, in timesteps
 
 
 class DatasetFormatError(ValueError):
@@ -73,10 +75,6 @@ class SitsBatch:
     valid_mask: np.ndarray   # (N, T_max) bool
     labels: np.ndarray       # (N, H, W)
 
-    @property
-    def n(self):
-        return self.series.shape[0]
-
 
 def _double_logistic(tau: np.ndarray, onset: float, offset: float,
                      g_up: float, g_down: float) -> np.ndarray:
@@ -116,8 +114,7 @@ def _voronoi_labels(rng: np.random.Generator, num_classes: int, height: int, wid
 
 def generate_synthetic(seed: int, n_samples: int, num_classes: int, timesteps: int,
                        channels: int, height: int, width: int,
-                       noise_sigma: float = 0.02, jitter: float = 0.5,
-                       parcel_range: tuple[int, int] = (4, 9),
+                       noise_sigma: float = 0.02,
                        min_valid_length: int | None = None,
                        world_seed: int | None = None) -> SitsDataset:
     """Voronoi-parcel patches with class-specific double-logistic phenology.
@@ -137,8 +134,8 @@ def generate_synthetic(seed: int, n_samples: int, num_classes: int, timesteps: i
     for i in range(n_samples):
         labels = _voronoi_labels(rng, num_classes,
                                  height, width,
-                                 int(rng.integers(parcel_range[0], parcel_range[1] + 1)))
-        jit = rng.uniform(-jitter, jitter)
+                                 int(rng.integers(PARCELS[0], PARCELS[1] + 1)))
+        jit = rng.uniform(-JITTER, JITTER)
         tau = (np.arange(timesteps) + 0.5 + jit) / timesteps
         profile = np.empty((num_classes, timesteps, channels), dtype=np.float64)
         for k, (onset, offset, g_up, g_down, base, amp) in enumerate(curves):
@@ -280,9 +277,9 @@ def export_pgm(labels: np.ndarray, path):
         fh.write(labels.astype(np.uint8).tobytes())
 
 
-def export_legend(num_classes: int, path, class_names=None):
+def export_legend(num_classes: int, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["gray_level", "class"])
         for k in range(num_classes):
-            w.writerow([k, class_names[k] if class_names else f"class_{k}"])
+            w.writerow([k, f"class_{k}"])

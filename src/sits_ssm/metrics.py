@@ -60,13 +60,12 @@ class Scores:
     mf1: float
     present: np.ndarray   # bool per class: TP+FP+FN > 0
 
-    def to_csv(self, path, class_names=None):
+    def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["class", "name", "iou", "f1", "present"])
             for k in range(len(self.iou)):
-                name = class_names[k] if class_names else f"class_{k}"
-                w.writerow([k, name,
+                w.writerow([k, f"class_{k}",
                             "" if np.isnan(self.iou[k]) else repr(float(self.iou[k])),
                             "" if np.isnan(self.f1[k]) else repr(float(self.f1[k])),
                             int(self.present[k])])

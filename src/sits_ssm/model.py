@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import ShapeError, Tensor
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .data import SitsBatch
 from .spatial import ClsHead, ConvBlock
 from .ssm import MambaBlock, SsmConfig
@@ -56,7 +56,7 @@ class ModelOutput:
     encoded: Tensor                      # (N, H*W, L, C1)
 
 
-class SitsClassifier:
+class SitsClassifier(nn.Module):
     def __init__(self, config: ModelConfig, rng: np.random.Generator | int = 0):
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(rng)
@@ -69,14 +69,7 @@ class SitsClassifier:
 
     # ------------------------------------------------------------------
     def named_parameters(self):
-        yield from self.spatial.named_params("spatial")
-        yield from self.temporal.named_params("temporal")
-        yield from self.cls_head.named_params("cls_head")
-        yield from self.rbranch.named_params("rbranch")
-
-    def named_buffers(self):
-        yield from self.spatial.named_buffers("spatial")
-        yield from self.cls_head.named_buffers("cls_head")
+        return self.named_params()
 
     def count_parameters(self) -> int:
         return sum(int(t.size) for _, t in self.named_parameters())
@@ -144,33 +137,36 @@ class SitsClassifier:
 
     # ------------------------------------------------------------------
     def state_arrays(self) -> dict[str, np.ndarray]:
-        state = {name: t.data for name, t in self.named_parameters()}
-        state.update({name: buf for name, buf in self.named_buffers()})
+        """Every array the checkpoint holds: parameters, then buffers."""
+        state = {name: t.data for name, t in self.named_params()}
+        state.update(self.named_buffers())
         return state
 
     def save(self, path):
         save_checkpoint(self.state_arrays(), path)
 
     def load_state(self, state: dict[str, np.ndarray], strict: bool = False):
-        dtype = self.config.np_dtype
-        own_params = dict(self.named_parameters())
-        own_buffers = dict(self.named_buffers())
-        missing = (set(own_params) | set(own_buffers)) - set(state)
-        extra = set(state) - (set(own_params) | set(own_buffers))
+        """Copy ``state`` into the model's arrays in place, checking shapes.
+
+        Strict loading wants exactly the model's entries (``KeyError``).
+        Otherwise extra entries are ignored and only the training-only
+        reconstruction branch may be missing; any other missing entry
+        raises ``CheckpointFormatError``.
+        """
+        own = self.state_arrays()
+        missing = sorted(set(own) - set(state))
+        extra = sorted(set(state) - set(own))
         if strict and (missing or extra):
-            raise KeyError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for name, arr in state.items():
-            if name in own_params:
-                tgt = own_params[name]
-                if tuple(arr.shape) != tgt.shape:
-                    raise ShapeError(f"{name}: checkpoint shape {arr.shape} != {tgt.shape}")
-                tgt.data = arr.astype(dtype)
-                tgt.grad = None
-            elif name in own_buffers:
-                buf = own_buffers[name]
-                if tuple(arr.shape) != buf.shape:
-                    raise ShapeError(f"{name}: checkpoint shape {arr.shape} != {buf.shape}")
-                buf[...] = arr.astype(buf.dtype)
+            raise KeyError(f"state mismatch: missing={missing} extra={extra}")
+        required = [name for name in missing if not name.startswith("rbranch.")]
+        if required:
+            raise CheckpointFormatError(f"checkpoint lacks entries {required}")
+        for name, dst in own.items():
+            if name not in state:
+                continue
+            if tuple(state[name].shape) != dst.shape:
+                raise ShapeError(f"{name}: checkpoint shape {state[name].shape} != {dst.shape}")
+            dst[...] = state[name]
 
     def load(self, path, strict: bool = False):
         self.load_state(load_checkpoint(path), strict=strict)
@@ -183,4 +179,4 @@ def count_parameters(config: ModelConfig) -> int:
 
 def spatial_encoder_parameter_count(config: ModelConfig) -> int:
     model = SitsClassifier(config)
-    return sum(int(t.size) for _, t in model.spatial.named_params("spatial"))
+    return sum(int(t.size) for _, t in model.spatial.named_params())

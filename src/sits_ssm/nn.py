@@ -1,9 +1,20 @@
 """Parameterized layers built on the autodiff primitives.
 
-Layers own their parameters as tracked ``Tensor``s plus any non-trainable
-buffers (batchnorm running statistics). ``named_params`` / ``named_buffers``
-expose flat name->array views used by the optimizer and the checkpoint
-writer.
+Every layer is a ``Module``. It names its state by walking its own
+attributes in assignment order, so a layer declares each array once, in
+``__init__``:
+
+* a ``Tensor`` that requires grad is a parameter (trained and saved);
+* a numpy array is a buffer (saved, not trained), e.g. batchnorm
+  running statistics;
+* a ``Module`` is a sublayer, whose names take its attribute path as a
+  prefix (``temporal.dt_proj.bias``);
+* anything else (``None``, configs, numbers, untracked tensors) holds no
+  state.
+
+``named_params`` / ``named_buffers`` give the flat name->array views that
+the optimizer and the checkpoint writer use. Reassigning an attribute
+keeps its place in the order.
 """
 
 from __future__ import annotations
@@ -16,11 +27,35 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
+class Module:
+    """Base layer: names its state by walking its attributes (see above)."""
+
+    def _walk(self, prefix: str):
+        for attr, value in vars(self).items():
+            name = f"{prefix}.{attr}" if prefix else attr
+            if isinstance(value, Module):
+                yield from value._walk(name)
+            else:
+                yield name, value
+
+    def named_params(self, prefix: str = ""):
+        """(name, Tensor) for every tracked tensor, in assignment order."""
+        for name, value in self._walk(prefix):
+            if isinstance(value, Tensor) and value.requires_grad:
+                yield name, value
+
+    def named_buffers(self, prefix: str = ""):
+        """(name, ndarray) for every untrained array, in assignment order."""
+        for name, value in self._walk(prefix):
+            if isinstance(value, np.ndarray):
+                yield name, value
+
+
 def uniform_init(rng: np.random.Generator, shape, bound: float, dtype) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
 
 
-class Linear:
+class Linear(Module):
     """Affine map on the last axis: y = x @ W + b."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
@@ -35,13 +70,8 @@ class Linear:
             y = ad.add(y, self.bias)
         return y
 
-    def named_params(self, prefix: str):
-        yield f"{prefix}.weight", self.weight
-        if self.bias is not None:
-            yield f"{prefix}.bias", self.bias
 
-
-class Conv2d:
+class Conv2d(Module):
     """3x3 (or any odd) same-padding convolution, stride 1, with bias.
 
     He-uniform fan-in initialization; bias starts at zero.
@@ -58,34 +88,20 @@ class Conv2d:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.weight, self.bias)
 
-    def named_params(self, prefix: str):
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
 
-
-class BatchNorm2d:
-    def __init__(self, channels: int, dtype=np.float32, momentum: float = 0.1, eps: float = 1e-5):
+class BatchNorm2d(Module):
+    def __init__(self, channels: int, dtype=np.float32):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return ad.batchnorm(x, self.gamma, self.beta, self.running_mean,
-                            self.running_var, training, self.momentum, self.eps)
-
-    def named_params(self, prefix: str):
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
-
-    def named_buffers(self, prefix: str):
-        yield f"{prefix}.running_mean", self.running_mean
-        yield f"{prefix}.running_var", self.running_var
+                            self.running_var, training)
 
 
-class CausalDepthwiseConv1d:
+class CausalDepthwiseConv1d(Module):
     """Per-channel causal convolution over (B, L, D) sequences."""
 
     def __init__(self, channels: int, width: int, rng: np.random.Generator, dtype=np.float32):
@@ -95,8 +111,3 @@ class CausalDepthwiseConv1d:
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.depthwise_conv1d(x, self.weight, self.bias)
-
-    def named_params(self, prefix: str):
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
-

@@ -16,7 +16,7 @@ from . import nn
 from .autodiff import Tensor
 
 
-class ConvBlock:
+class ConvBlock(nn.Module):
     def __init__(self, in_channels: int, hidden: int, rng: np.random.Generator, dtype=np.float32):
         self.conv1 = nn.Conv2d(in_channels, hidden, 3, rng, dtype=dtype)
         self.bn1 = nn.BatchNorm2d(hidden, dtype=dtype)
@@ -27,18 +27,8 @@ class ConvBlock:
         h = ad.relu(self.bn1(self.conv1(frames), training))
         return ad.relu(self.bn2(self.conv2(h), training))
 
-    def named_params(self, prefix: str):
-        yield from self.conv1.named_params(f"{prefix}.conv1")
-        yield from self.bn1.named_params(f"{prefix}.bn1")
-        yield from self.conv2.named_params(f"{prefix}.conv2")
-        yield from self.bn2.named_params(f"{prefix}.bn2")
 
-    def named_buffers(self, prefix: str):
-        yield from self.bn1.named_buffers(f"{prefix}.bn1")
-        yield from self.bn2.named_buffers(f"{prefix}.bn2")
-
-
-class ClsHead:
+class ClsHead(nn.Module):
     """conv -> BN -> ReLU down to one channel per category.
 
     The trailing ReLU sits directly before the softmax of the
@@ -52,10 +42,3 @@ class ClsHead:
 
     def __call__(self, feature: Tensor, training: bool) -> Tensor:
         return ad.relu(self.bn(self.conv(feature), training))
-
-    def named_params(self, prefix: str):
-        yield from self.conv.named_params(f"{prefix}.conv")
-        yield from self.bn.named_params(f"{prefix}.bn")
-
-    def named_buffers(self, prefix: str):
-        yield from self.bn.named_buffers(f"{prefix}.bn")

@@ -157,10 +157,10 @@ class DiscreteStep:
     c: Tensor
 
 
-def scan_recurrence(steps: DiscreteStep, h0=None, x=None, d_skip=None) -> Tensor:
+def scan_recurrence(steps: DiscreteStep, x=None, d_skip=None) -> Tensor:
     """Run h_t = a_bar_t * h_{t-1} + b_bar_x_t; y_t = c_t . h_t (+ d_skip * x_t).
 
-    Differentiable in all tensor arguments. ``h0`` defaults to zeros.
+    Differentiable in all tensor arguments. The state starts at zero.
     Unbatched (L, D, N) inputs are accepted and return (L, D).
     """
     a_bar = ad.as_tensor(steps.a_bar)
@@ -181,14 +181,6 @@ def scan_recurrence(steps: DiscreteStep, h0=None, x=None, d_skip=None) -> Tensor
         raise ShapeError(f"scan_recurrence: c shape {c.shape}, expected {(nb, nl, nn_)}")
 
     parents = [a_bar, bx, c]
-    h0_t = None
-    if h0 is not None:
-        h0_t = ad.as_tensor(h0)
-        if unbatched and h0_t.ndim == 2:
-            h0_t = ad.reshape(h0_t, (1,) + h0_t.shape)
-        if h0_t.shape != (nb, nd, nn_):
-            raise ShapeError(f"scan_recurrence: h0 shape {h0_t.shape}")
-        parents.append(h0_t)
     if (x is None) != (d_skip is None):
         raise ValueError("scan_recurrence: x and d_skip must be given together")
     if x is not None:
@@ -198,8 +190,6 @@ def scan_recurrence(steps: DiscreteStep, h0=None, x=None, d_skip=None) -> Tensor
 
     av, bv, cv = a_bar.data, bx.data, c.data
     hs = np.zeros((nb, nl + 1, nd, nn_), dtype=av.dtype)
-    if h0_t is not None:
-        hs[:, 0] = h0_t.data
     y = np.empty((nb, nl, nd), dtype=av.dtype)
     for t in range(nl):
         hs[:, t + 1] = av[:, t] * hs[:, t] + bv[:, t]
@@ -220,8 +210,6 @@ def scan_recurrence(steps: DiscreteStep, h0=None, x=None, d_skip=None) -> Tensor
             gbx[:, t] = lam
             lam = lam * av[:, t]
         grads = [ga, gbx, gc]
-        if h0_t is not None:
-            grads.append(lam.copy())
         if x is not None:
             grads.append(g * d_skip.data)
             grads.append(np.einsum("bld,bld->d", g, x.data))
@@ -495,7 +483,7 @@ class SsmConfig:
         return math.ceil(self.d_model / 16)
 
 
-class MambaBlock:
+class MambaBlock(nn.Module):
     """Gated selective-SSM block over (B, L, d_model) sequences."""
 
     def __init__(self, cfg: SsmConfig, rng: np.random.Generator, dtype=np.float32):
@@ -536,12 +524,3 @@ class MambaBlock:
         y = self.selective_scan(u)
         y = ad.mul(y, ad.silu(z))
         return self.out_proj(y)
-
-    def named_params(self, prefix: str):
-        yield from self.in_proj.named_params(f"{prefix}.in_proj")
-        yield from self.conv.named_params(f"{prefix}.conv")
-        yield from self.x_proj.named_params(f"{prefix}.x_proj")
-        yield from self.dt_proj.named_params(f"{prefix}.dt_proj")
-        yield f"{prefix}.a_log", self.a_log
-        yield f"{prefix}.d_skip", self.d_skip
-        yield from self.out_proj.named_params(f"{prefix}.out_proj")

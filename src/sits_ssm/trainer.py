@@ -33,7 +33,6 @@ class TrainConfig:
     batch_size: int = 8
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
-    eval_every_epoch: bool = True
     temporal_mode: str = "pad"   # "pad" | "sample30"
     eval_class_set: tuple | None = None  # classes entering validation mIoU/mF1
     early_stop: Callable | None = None   # callable(Scores) -> bool, checked per epoch
@@ -47,14 +46,15 @@ class TrainConfig:
             raise ValueError(f"temporal_mode must be one of {data_mod.TEMPORAL_MODES}")
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8    # the reference recipe's Adam settings
+
+
 class Adam:
     """Bias-corrected Adam. Steps with non-finite gradients are skipped."""
 
-    def __init__(self, params: list[tuple[str, Tensor]], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[tuple[str, Tensor]], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = [np.zeros_like(t.data, dtype=np.float64) for _, t in params]
         self.v = [np.zeros_like(t.data, dtype=np.float64) for _, t in params]
@@ -68,11 +68,11 @@ class Adam:
         k = self.step_count
         for i, (_, t) in enumerate(self.params):
             g = t.grad if t.grad is not None else np.zeros_like(t.data)
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * (g * g)
-            m_hat = self.m[i] / (1 - self.beta1 ** k)
-            v_hat = self.v[i] / (1 - self.beta2 ** k)
-            t.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(t.data.dtype)
+            self.m[i] = BETA1 * self.m[i] + (1 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1 - BETA2) * (g * g)
+            m_hat = self.m[i] / (1 - BETA1 ** k)
+            v_hat = self.v[i] / (1 - BETA2 ** k)
+            t.data -= (self.lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(t.data.dtype)
         return True
 
     def zero_grad(self):
@@ -160,7 +160,7 @@ def train(model: SitsClassifier, train_set, valid_set, cfg: TrainConfig,
                 step_csv.writerow([epoch, step_idx, repr(report.l_cls), repr(report.l_tp),
                                    repr(report.w1), repr(report.total)])
                 step_idx += 1
-            if cfg.eval_every_epoch and valid_set is not None and len(valid_set):
+            if valid_set is not None and len(valid_set):
                 s = evaluate(model, valid_set, cfg.loss, cfg.batch_size, cfg.temporal_mode,
                              eval_class_set=cfg.eval_class_set)
                 improved = s.mf1 > best_mf1

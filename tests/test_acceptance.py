@@ -331,7 +331,7 @@ class TestCriterion8AblationDirection:
                 cfg = ModelConfig(input_channels=3, num_classes=5, hidden=12, d_state=8)
                 model = SitsClassifier(cfg, np.random.default_rng(seed))
                 tc = TrainConfig(epochs=6, learning_rate=5e-4, batch_size=2, seed=seed,
-                                 loss=loss_cfg, eval_every_epoch=False)
+                                 loss=loss_cfg)
                 train(model, train_ds, None, tc, tmp_path / f"abl_{name}_{seed}")
                 results[name].append(evaluate(model, test_ds, LossConfig()).mf1)
         means = {name: float(np.mean(v)) for name, v in results.items()}

@@ -8,7 +8,8 @@ import pytest
 from sits_ssm import cli
 from sits_ssm import checkpoint
 from sits_ssm.cli import checksum, main
-from sits_ssm.data import MAGIC, load_dataset, pad_batch, sample_timesteps
+from sits_ssm.data import (MAGIC, SitsDataset, SitsSample, load_dataset, pad_batch,
+                            sample_timesteps, save_dataset)
 from sits_ssm.model import ModelConfig, SitsClassifier
 
 
@@ -205,6 +206,42 @@ class TestExitCodes:
         path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<5I", *[4000] * 4, 1))
         assert main(["eval", "--data", str(path), "--checkpoint", str(tmp_path / "x.ckpt"),
                      "--out", str(tmp_path / "o"), *SMALL]) == 2
+
+    @pytest.mark.parametrize("second", [(4, 3, 3, 3), (4, 2, 4, 4)],
+                             ids=["channels_differ", "extent_differs"])
+    def test_mixed_shape_dataset_is_2(self, tmp_path, second):
+        samples = [SitsSample(np.zeros(shape, np.float32), np.zeros(shape[2:], np.int64), 4, i)
+                   for i, shape in enumerate([(4, 2, 3, 3), second])]
+        path = tmp_path / "mixed.sits"
+        save_dataset(SitsDataset(samples, 3), path)
+        ckpt = tmp_path / "m.ckpt"
+        SitsClassifier(ModelConfig(input_channels=2, num_classes=3, hidden=8, d_state=4)).save(ckpt)
+        for command in ("eval", "predict"):
+            assert main([command, "--data", str(path), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / command), *SMALL]) == 2
+
+    def test_checkpoint_cut_at_entry_boundary_is_2(self, tmp_path):
+        data = tmp_path / "d"
+        gen(data)
+        model = SitsClassifier(ModelConfig(input_channels=2, num_classes=3, hidden=8, d_state=4))
+        full, cut = tmp_path / "full.ckpt", tmp_path / "cut.ckpt"
+        model.save(full)
+        checkpoint.save_checkpoint(dict(list(model.state_arrays().items())[:3]), cut)
+        assert full.read_bytes().startswith(cut.read_bytes())    # 3 of the 30 entries
+        assert main(["eval", "--data", str(data / "test.sits"), "--checkpoint", str(cut),
+                     "--out", str(tmp_path / "o"), *SMALL]) == 2
+
+
+class TestParser:
+    def test_each_setting_is_a_flag_on_exactly_its_subcommands(self):
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        for key, (typ, _, commands) in cli._SCHEMA.items():
+            flag = ("--no-" + key.removeprefix("use_") if typ is bool else "--" + key)
+            flag = flag.replace("_", "-")
+            have = {name for name, parser in sub.choices.items()
+                    if any(a.dest == key and a.option_strings == [flag] for a in parser._actions)}
+            assert have == set(commands), key
+
 
 class TestSeparableDataConvergence:
     def test_eval_reports_high_oa_on_noise_free_task(self, tmp_path):

@@ -214,6 +214,22 @@ class TestParameterAccounting:
 
 
 class TestStateRoundTrip:
+    def test_entry_names_and_order(self):
+        # checkpoint entries: every parameter, then every batchnorm buffer
+        names = list(SitsClassifier(ModelConfig(10, 20)).state_arrays())
+        assert names == [
+            "spatial.conv1.weight", "spatial.conv1.bias", "spatial.bn1.gamma",
+            "spatial.bn1.beta", "spatial.conv2.weight", "spatial.conv2.bias",
+            "spatial.bn2.gamma", "spatial.bn2.beta", "temporal.in_proj.weight",
+            "temporal.conv.weight", "temporal.conv.bias", "temporal.x_proj.weight",
+            "temporal.dt_proj.weight", "temporal.dt_proj.bias", "temporal.a_log",
+            "temporal.d_skip", "temporal.out_proj.weight", "temporal.out_proj.bias",
+            "cls_head.conv.weight", "cls_head.conv.bias", "cls_head.bn.gamma",
+            "cls_head.bn.beta", "rbranch.weight", "rbranch.bias",
+            "spatial.bn1.running_mean", "spatial.bn1.running_var",
+            "spatial.bn2.running_mean", "spatial.bn2.running_var",
+            "cls_head.bn.running_mean", "cls_head.bn.running_var"]
+
     def test_save_load_evaluate_bit_exact(self, rng, tmp_path):
         model = tiny_model(seed=11)
         batch = random_batch(rng)

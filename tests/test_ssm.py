@@ -83,15 +83,6 @@ class TestScanRecurrence:
                              Tensor(rng.normal(0, 1, (l, n))))
         assert np.array_equal(ssm.scan_recurrence(steps).data, np.zeros((l, d)))
 
-    def test_h0_default_zero_vs_explicit(self, rng):
-        l, d, n = 4, 2, 2
-        steps = DiscreteStep(Tensor(rng.uniform(0.1, 0.9, (l, d, n))),
-                             Tensor(rng.normal(0, 1, (l, d, n))),
-                             Tensor(rng.normal(0, 1, (l, n))))
-        y0 = ssm.scan_recurrence(steps)
-        y1 = ssm.scan_recurrence(steps, h0=Tensor(np.zeros((d, n))))
-        assert np.array_equal(y0.data, y1.data)
-
     def test_length_mismatch_rejected(self, rng):
         steps = DiscreteStep(Tensor(rng.uniform(0.1, 0.9, (4, 2, 2))),
                              Tensor(rng.normal(0, 1, (5, 2, 2))),
@@ -118,11 +109,10 @@ class TestScanRecurrence:
         steps = DiscreteStep(Tensor(rng.uniform(0.1, 0.9, (l, d, n)), requires_grad=True),
                              Tensor(rng.normal(0, 1, (l, d, n)), requires_grad=True),
                              Tensor(rng.normal(0, 1, (l, n)), requires_grad=True))
-        h0 = Tensor(rng.normal(0, 1, (d, n)), requires_grad=True)
         x = Tensor(rng.normal(0, 1, (l, d)), requires_grad=True)
         d_skip = Tensor(rng.normal(0, 1, d), requires_grad=True)
-        f = lambda: ad.sum_(ssm.scan_recurrence(steps, h0=h0, x=x, d_skip=d_skip))
-        assert gradcheck(f, [steps.a_bar, steps.b_bar_x, steps.c, h0, x, d_skip]) < TOL
+        f = lambda: ad.sum_(ssm.scan_recurrence(steps, x=x, d_skip=d_skip))
+        assert gradcheck(f, [steps.a_bar, steps.b_bar_x, steps.c, x, d_skip]) < TOL
 
 
 class TestKernelConvolve:

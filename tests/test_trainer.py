@@ -117,7 +117,7 @@ class TestTrainingLoop:
         model = SitsClassifier(cfg, np.random.default_rng(0))
         model.spatial.conv1.weight.data[:] = 3e38   # overflows in f32 forward
         tc = TrainConfig(epochs=1, learning_rate=1e-3, batch_size=4, seed=0,
-                         loss=LossConfig(), eval_every_epoch=False)
+                         loss=LossConfig())
         with pytest.raises(RuntimeError, match="diverged"):
             train(model, ds, None, tc, tmp_path / "div")
 
