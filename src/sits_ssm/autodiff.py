@@ -16,9 +16,11 @@ Every forward op checks its output for NaN/Inf and raises
 Threading: tensor values are immutable after creation (gradient
 accumulation is the one exception), and a forward+backward pass is
 single-threaded with respect to its graph. Values may be handed between
-threads; independent graphs may run in parallel. Grad mode is per thread
-(and per asyncio task): ``no_grad()`` in one thread leaves tape recording
-on in every other.
+threads; independent graphs may run in parallel. ``ssm.MambaBlock`` relies
+on that: it runs each pixel chunk as its own sub-graph on a thread pool,
+over parameter copies whose ``grad`` only that chunk touches, and is one
+node of the outer graph. Grad mode is per thread (and per asyncio task):
+``no_grad()`` in one thread leaves tape recording on in every other.
 """
 
 from __future__ import annotations
@@ -255,6 +257,13 @@ def matmul(a, b) -> Tensor:
         out_data = out_data[..., 0] if b_vec else out_data[..., 0, :]
 
     def backward_fn(g):
+        if b.ndim == 2 and a.ndim > 2:
+            # a layer's weight applied along the last axis: two 2-D GEMMs over
+            # the flattened leading axes, no batch of outer products
+            k, n = b.shape
+            g2 = g.reshape(-1, n)
+            gb = a.data.reshape(-1, k).T @ g2
+            return (g2 @ b.data.T).reshape(a.shape), gb
         g2 = g
         if a_vec:
             g2 = np.expand_dims(g2, -1 if b_vec else -2)
@@ -288,29 +297,60 @@ def exp(x) -> Tensor:
     return _unary(x, np.exp, lambda g, x_, o: g * o, "exp")
 
 
+# The activation kernels work in place on one fresh array of x's shape;
+# ``out=np.empty_like(x)`` keeps that an array for 0-d inputs too.
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # stable on both tails: e^{-|x|} never overflows
-    t = np.exp(-np.abs(x))
-    num = np.where(x >= 0, 1.0, t)
-    t += 1.0
-    num /= t
-    return num
+    # 1/(1 + e^-x); where e^-x overflows to inf the result is the limit 0
+    out = np.negative(x, out=np.empty_like(x))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+def _softplus(x: np.ndarray) -> np.ndarray:
+    # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), the formula of logaddexp(0, x)
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    return np.add(out, np.maximum(x, 0.0), out=out)
 
 
 def sigmoid(x) -> Tensor:
     return _unary(x, _sigmoid, lambda g, x_, o: g * o * (1.0 - o), "sigmoid")
 
 
+def _softplus_grad(g, x_, o):
+    s = _sigmoid(x_)
+    s *= g
+    return s
+
+
 def softplus(x) -> Tensor:
-    return _unary(x, lambda v: np.logaddexp(0.0, v),
-                  lambda g, x_, o: g * _sigmoid(x_), "softplus")
+    return _unary(x, _softplus, _softplus_grad, "softplus")
+
+
+def _silu(x: np.ndarray) -> np.ndarray:
+    s = _sigmoid(x)
+    s *= x
+    return s
+
+
+def _silu_grad(g, x_, o):
+    # d/dx x s(x) = s (1 + x (1 - s))
+    s = _sigmoid(x_)
+    t = np.subtract(1.0, s, out=np.empty_like(s))
+    t *= x_
+    t += 1.0
+    t *= s
+    t *= g
+    return t
 
 
 def silu(x) -> Tensor:
-    def dfn(g, x_, o):
-        s = _sigmoid(x_)
-        return g * (s + x_ * s * (1.0 - s))
-    return _unary(x, lambda v: v * _sigmoid(v), dfn, "silu")
+    return _unary(x, _silu, _silu_grad, "silu")
 
 
 def relu(x) -> Tensor:
@@ -697,8 +737,17 @@ def backward(loss: Tensor):
         raise RuntimeError("backward already ran for this result; run a new forward pass")
     if not loss.requires_grad:
         raise RuntimeError("loss is not connected to any tracked tensor")
-    order = _toposort(loss)
-    loss.grad = np.ones_like(loss.data)
+    _backprop(loss, np.ones_like(loss.data))
+
+
+def _backprop(root: Tensor, seed: np.ndarray):
+    """Reverse pass from ``root`` with d(objective)/d(root) = ``seed``.
+
+    The engine under ``backward``; ops that run sub-graphs of their own
+    (``ssm.MambaBlock``) call it for each sub-graph from their backward.
+    """
+    order = _toposort(root)
+    root.grad = seed
     for node in reversed(order):
         if node._backward_fn is None or node.grad is None:
             continue

@@ -63,6 +63,7 @@ def _read_config_file(path: Path) -> dict[str, str]:
 
 
 _ALL = ("gen-data", "train", "eval", "predict")
+_MODEL = ("train", "eval", "predict")    # commands that build a model
 _GEN = ("gen-data",)
 _TRAIN = ("train",)
 
@@ -71,7 +72,7 @@ _SCHEMA = {
     "seed": (int, 0, _ALL),
     "epochs": (int, 100, _TRAIN),
     "lr": (float, 1e-4, _TRAIN),
-    "batch_size": (int, 8, _ALL),
+    "batch_size": (int, 8, _MODEL),
     "w0": (float, 0.03, _TRAIN),
     "use_pw": (bool, True, _TRAIN),
     "use_w1": (bool, True, _TRAIN),
@@ -87,10 +88,10 @@ _SCHEMA = {
     "train_samples": (int, 200, _GEN),
     "valid_samples": (int, 50, _GEN),
     "test_samples": (int, 50, _GEN),
-    "hidden": (int, 128, _ALL),
-    "d_state": (int, 16, _ALL),
-    "ignore_labels": (str, "auto", _ALL),
-    "eval_classes": (str, "auto", _ALL),
+    "hidden": (int, 128, _MODEL),
+    "d_state": (int, 16, _MODEL),
+    "ignore_labels": (str, "auto", _MODEL),
+    "eval_classes": (str, "auto", _MODEL),
 }
 
 

@@ -14,7 +14,9 @@ attributes in assignment order, so a layer declares each array once, in
 
 ``named_params`` / ``named_buffers`` give the flat name->array views that
 the optimizer and the checkpoint writer use. Reassigning an attribute
-keeps its place in the order.
+keeps its place in the order. ``shadow`` copies a layer's structure over
+the same arrays, with parameters of its own, so that concurrent passes
+keep their gradients apart.
 """
 
 from __future__ import annotations
@@ -49,6 +51,19 @@ class Module:
         for name, value in self._walk(prefix):
             if isinstance(value, np.ndarray):
                 yield name, value
+
+    def shadow(self) -> "Module":
+        """A structural copy whose parameters are fresh leaf tensors on the
+        same arrays: gradients taken through it land on the copy's ``grad``,
+        so threads running copies never accumulate into a shared one."""
+        twin = object.__new__(type(self))
+        for attr, value in vars(self).items():
+            if isinstance(value, Module):
+                value = value.shadow()
+            elif isinstance(value, Tensor) and value.requires_grad:
+                value = Tensor(value.data, requires_grad=True)
+            setattr(twin, attr, value)
+        return twin
 
 
 def uniform_init(rng: np.random.Generator, shape, bound: float, dtype) -> Tensor:

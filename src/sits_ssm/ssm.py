@@ -49,11 +49,19 @@ otherwise the state trajectory h_0..h_L is stored for the backward pass.
 ``MambaBlock`` wraps the selective scan in the usual gated two-branch
 block: projection -> causal depthwise conv -> SiLU -> selective scan on
 the main branch, projection -> SiLU on the gate branch, elementwise
-product, output projection.
+product, output projection. Every step of it is per pixel sequence too,
+so the whole block runs on the same chunks and the same pool: it is one
+tape node whose forward runs each chunk's block as a small sub-graph of
+its own, and whose backward replays those sub-graphs and sums their
+parameter gradients in chunk order. Its working arrays stay chunk-sized
+and its results are bitwise identical for any number of workers. Within
+a chunk the scan finds a single chunk, or, if it is asked for more from
+a pool task, runs them inline.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
@@ -79,6 +87,7 @@ CONV_WIDTH = 4                      # causal depthwise conv taps
 DT_MIN, DT_MAX = 1e-3, 1e-1         # range of the initial step sizes delta
 _POOL: ThreadPoolExecutor | None = None
 _POOL_LOCK = threading.Lock()
+_IN_POOL = contextvars.ContextVar("in_pool", default=False)   # set in pool tasks
 
 
 def _phi(z, out=None) -> np.ndarray:
@@ -278,12 +287,21 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_chunks(fn, n_chunks: int):
-    """fn(0), ..., fn(n_chunks - 1), on the pool when there is more than one."""
-    if n_chunks == 1:
-        fn(0)
-    else:
-        for _ in _pool().map(fn, range(n_chunks)):
-            pass
+    """fn(0), ..., fn(n_chunks - 1), on the pool when there is more than one.
+
+    Each task runs in a copy of the caller's context, so it sees the
+    caller's grad mode. Chunks requested from inside a task (the scan
+    inside a block chunk) run inline: a pool worker never waits on the
+    pool, which could deadlock it.
+    """
+    if n_chunks == 1 or _IN_POOL.get():
+        for i in range(n_chunks):
+            fn(i)
+        return
+    ctx = contextvars.copy_context()
+    ctx.run(_IN_POOL.set, True)
+    for _ in _pool().map(lambda i: ctx.copy().run(fn, i), range(n_chunks)):
+        pass
 
 
 def _time_major(x: np.ndarray) -> np.ndarray:
@@ -514,8 +532,57 @@ class MambaBlock(nn.Module):
         return selective_scan_fused(u, delta, a, b, c, self.d_skip)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 3 or x.shape[2] != self.cfg.d_model:
-            raise ShapeError(f"mamba_block: expected (B, L, {self.cfg.d_model}), got {x.shape}")
+        """The block over chunks of pixel sequences, as one tape node.
+
+        The B sequences are split by the scan's chunk rule, and each chunk
+        runs the whole block (``_forward``) as a sub-graph of its own on the
+        module pool, over a ``shadow`` of this block. Backward replays every
+        chunk's sub-graph on the pool and sums the parameter gradients in
+        chunk order, so the results do not depend on the number of workers.
+        A single chunk runs inline, on the block itself.
+        """
+        cfg = self.cfg
+        if x.ndim != 3 or x.shape[2] != cfg.d_model:
+            raise ShapeError(f"mamba_block: expected (B, L, {cfg.d_model}), got {x.shape}")
+        bounds = _chunk_bounds(x.shape[0], cfg.d_inner * cfg.d_state * x.dtype.itemsize)
+        if len(bounds) == 1:
+            return self._forward(x)
+        params = [t for _, t in self.named_params()]
+        chunks = [None] * len(bounds)             # (input leaf, shadow, output)
+
+        def forward(i):
+            s, e = bounds[i]
+            twin = self.shadow()
+            xi = Tensor(x.data[s:e], requires_grad=x.requires_grad)
+            chunks[i] = (xi, twin, twin._forward(xi))
+
+        _run_chunks(forward, len(bounds))
+        y = np.concatenate([out.data for _, _, out in chunks])
+
+        def backward_fn(g):
+            gx = np.empty_like(x.data) if x.requires_grad else None
+            parts = [None] * len(bounds)
+
+            def backward(i):
+                s, e = bounds[i]
+                xi, twin, out = chunks[i]
+                chunks[i] = None                  # free the sub-graph as it is replayed
+                ad._backprop(out, g[s:e])
+                if gx is not None:
+                    gx[s:e] = xi.grad
+                parts[i] = [t.grad for _, t in twin.named_params()]
+
+            _run_chunks(backward, len(bounds))
+            grads = parts[0]
+            for part in parts[1:]:
+                for total, p in zip(grads, part):
+                    total += p
+            return (gx, *grads)
+
+        return ad._make(y, (x, *params), backward_fn, "mamba_block")
+
+    def _forward(self, x: Tensor) -> Tensor:
+        """The block on one chunk of sequences, as ordinary tape ops."""
         xz = self.in_proj(x)
         d_in = self.cfg.d_inner
         u = ad.slice_(xz, (slice(None), slice(None), slice(0, d_in)))

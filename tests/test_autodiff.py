@@ -1,6 +1,7 @@
 """Forward semantics and gradient correctness of every tape primitive."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,53 @@ class TestForwardExamples:
                     "mean", "sum", "reshape", "transpose", "slice", "concat",
                     "softmax", "batchnorm"}
         assert required <= set(ad.OPS)
+
+
+class TestActivationKernels:
+    X = np.linspace(-100.0, 100.0, 20001)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", ["softplus", "sigmoid", "silu"])
+    def test_match_float64_reference(self, op, dtype):
+        """Values and gradients within rounding of float64 references over
+        [-100, 100], tails included, with no RuntimeWarning."""
+        x = Tensor(self.X.astype(dtype), requires_grad=True)
+        x64 = x.data.astype(np.float64)
+        s = 1.0 / (1.0 + np.exp(-x64))
+        value, grad = {"softplus": (np.logaddexp(0.0, x64), s),
+                       "sigmoid": (s, s * (1.0 - s)),
+                       "silu": (x64 * s, s * (1.0 + x64 * (1.0 - s)))}[op]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = getattr(ad, op)(x)
+            ad.backward(ad.sum_(y))
+        info = np.finfo(dtype)
+        assert y.dtype == dtype and x.grad.dtype == dtype
+        # below 128 * tiny a float32 value counts as 0 (e^-x overflows there)
+        assert np.allclose(y.data, value, rtol=4 * info.eps, atol=128 * info.tiny)
+        assert np.allclose(x.grad, grad, rtol=0.0, atol=16 * info.eps)
+
+    @pytest.mark.parametrize("op", ["softplus", "sigmoid", "silu"])
+    def test_zero_dimensional_input(self, op):
+        x = Tensor(np.float32(0.5), requires_grad=True)
+        y = getattr(ad, op)(x)
+        ad.backward(y)
+        assert y.shape == () and np.isfinite(x.grad)
+
+
+class TestLinearBackward:
+    @pytest.mark.parametrize("lead", [(5,), (3, 4)])
+    def test_two_gemms_match_the_batched_form(self, rng, lead):
+        x = Tensor(rng.normal(0, 1, lead + (7,)), requires_grad=True)
+        w = Tensor(rng.normal(0, 1, (7, 6)), requires_grad=True)
+        g = rng.normal(0, 1, lead + (6,))
+        ad.backward(ad.sum_(ad.mul(ad.matmul(x, w), Tensor(g))))
+        gx = np.matmul(g, w.data.T)
+        gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
+        gw = gw.reshape(-1, 7, 6).sum(axis=0)
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        assert np.max(np.abs(x.grad - gx)) < 1e-12
+        assert np.max(np.abs(w.grad - gw)) < 1e-12
 
 
 class TestScalarOperandDtype:

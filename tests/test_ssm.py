@@ -1,16 +1,23 @@
 """Discretization closed forms, scan/kernel equivalence, selectivity, the
 chunked fused scan, and the gated block contracts."""
 
+import os
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sits_ssm import autodiff as ad
-from sits_ssm import ssm
+from sits_ssm import ssm, trainer
 from sits_ssm.autodiff import Tensor
+from sits_ssm.data import SitsSample, pad_batch
+from sits_ssm.losses import LossConfig
+from sits_ssm.model import ModelConfig, SitsClassifier
 from sits_ssm.ssm import DiscreteStep, MambaBlock, SsmConfig
 from sits_ssm.verify import gradcheck, phi_prime_reference, scan_vs_composite
 
@@ -250,6 +257,115 @@ class TestChunkedScan:
             tracemalloc.stop()
         assert not y.requires_grad
         assert peak < trajectory / 2
+
+
+def block_pass(blk, x, g):
+    """Output, input gradient and parameter gradients of one block pass."""
+    xt = Tensor(x, requires_grad=True)
+    params = [t for _, t in blk.named_params()]
+    for t in params:
+        t.zero_grad()
+    y = blk(xt)
+    ad.backward(ad.sum_(ad.mul(y, Tensor(g))))
+    return [y.data, xt.grad] + [t.grad for t in params]
+
+
+class TestBlockNode:
+    # d_inner 16, d_state 4: one sequence's (D, N) array is 256 bytes in
+    # float32, so a 3-sequence budget cuts 200 sequences into 67 chunks
+    CFG, B, L = SsmConfig(d_model=8, d_state=4), 200, 6
+
+    def test_float32_bitwise_equal_for_any_worker_count(self, rng, monkeypatch):
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * 16 * 4 * 4)
+        assert len(ssm._chunk_bounds(self.B, 16 * 4 * 4)) == 67
+        blk = MambaBlock(self.CFG, rng)
+        x = rng.normal(0, 1, (self.B, self.L, 8)).astype(np.float32)
+        g = rng.normal(0, 1, (self.B, self.L, 8)).astype(np.float32)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 5):
+                with ThreadPoolExecutor(workers) as pool:
+                    monkeypatch.setattr(ssm, "_POOL", pool)
+                    results.append(block_pass(blk, x, g))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results[0]) == 2 + 10           # output, input and the 10 parameters
+        for other in results[1:]:
+            for got, ref in zip(other, results[0]):
+                assert got.dtype == np.float32 and np.array_equal(got, ref)
+
+    def test_chunked_matches_one_chunk(self, rng, monkeypatch):
+        blk = MambaBlock(self.CFG, rng, dtype=np.float64)
+        x = rng.normal(0, 1, (13, self.L, 8))
+        g = rng.normal(0, 1, (13, self.L, 8))
+        runs = []
+        for budget in (0, 2**62):
+            monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", budget)
+            runs.append(block_pass(blk, x, g))
+        for got, ref in zip(*runs):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_chunks_follow_the_callers_grad_mode(self, rng, monkeypatch, recording):
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 0)
+        seen = []
+        scan = ssm.selective_scan_fused
+
+        def spy(u, *args):
+            seen.append((ad.grad_enabled(), u.requires_grad))
+            return scan(u, *args)
+
+        monkeypatch.setattr(ssm, "selective_scan_fused", spy)
+        blk = MambaBlock(self.CFG, rng)
+        x = Tensor(rng.normal(0, 1, (4, self.L, 8)).astype(np.float32), requires_grad=True)
+        if recording:
+            y = blk(x)
+        else:
+            with ad.no_grad():
+                y = blk(x)
+        assert y.requires_grad == recording
+        assert seen == [(recording, recording)] * 4
+
+    def test_nested_chunks_on_one_worker_finish(self):
+        """The block and the scan inside each of its chunks both split, on a
+        pool with one worker; a pool task that waited on the pool would hang."""
+        script = textwrap.dedent("""
+            from concurrent.futures import ThreadPoolExecutor
+            import numpy as np
+            from sits_ssm import autodiff as ad, ssm
+            calls = []
+            bounds = ssm._chunk_bounds
+            def halves(nb, seq_bytes):
+                calls.append(nb)
+                return [(0, nb // 2), (nb // 2, nb)] if nb > 1 else bounds(nb, seq_bytes)
+            ssm._chunk_bounds = halves
+            ssm._POOL = ThreadPoolExecutor(1)
+            rng = np.random.default_rng(0)
+            blk = ssm.MambaBlock(ssm.SsmConfig(d_model=8, d_state=4), rng)
+            x = ad.Tensor(rng.normal(0, 1, (8, 5, 8)).astype(np.float32), requires_grad=True)
+            ad.backward(ad.sum_(blk(x)))
+            assert calls == [8, 4, 4], calls
+            print("finished")
+        """)
+        src = Path(ssm.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "finished"
+
+    def test_one_public_backward_per_train_step(self, rng, monkeypatch):
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 0)
+        model = SitsClassifier(ModelConfig(2, 3, hidden=8, d_state=4), rng)
+        series = rng.uniform(0, 1, (2, 4, 2, 3, 3)).astype(np.float32)
+        batch = pad_batch([SitsSample(s, rng.integers(0, 3, (3, 3)), 4) for s in series])
+        calls = []
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward", lambda loss: (calls.append(loss), backward(loss)))
+        trainer.train_step(model, batch, LossConfig())
+        assert len(calls) == 1
+        assert all(t.grad is not None for _, t in model.temporal.named_params())
 
 
 class TestPhiPrime:
