@@ -17,9 +17,11 @@ Threading: tensor values are immutable after creation (gradient
 accumulation is the one exception), and a forward+backward pass is
 single-threaded with respect to its graph. Values may be handed between
 threads; independent graphs may run in parallel. ``ssm.MambaBlock`` relies
-on that: it runs each pixel chunk as its own sub-graph on a thread pool,
-over parameter copies whose ``grad`` only that chunk touches, and is one
-node of the outer graph. Grad mode is per thread (and per asyncio task):
+on that: it is the one place that splits pixel sequences, and runs each
+chunk as its own sub-graph on a thread pool, over parameter copies whose
+``grad`` only that chunk touches; the selective scan inside a chunk is a
+single pass on that chunk's thread. The block is one node of the outer
+graph. Grad mode is per thread (and per asyncio task):
 ``no_grad()`` in one thread leaves tape recording on in every other.
 """
 

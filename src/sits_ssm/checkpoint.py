@@ -12,7 +12,8 @@ Layout (all integers u64 little endian):
 
 Values are always stored as float32 regardless of the in-memory dtype.
 A damaged or hostile file raises ``CheckpointFormatError``: each declared
-size is checked against the bytes left in the file before it is read.
+size is checked against the bytes left in the file before it is read, and
+an entry name may appear only once.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 name = _read(fh, name_len, "name").decode("utf-8")
             except UnicodeDecodeError as e:
                 raise CheckpointFormatError(f"entry name is not UTF-8: {e}") from None
+            if name in out:
+                raise CheckpointFormatError(f"entry {name!r} appears twice")
             (rank,) = struct.unpack("<Q", _read(fh, 8, "rank"))
             shape = struct.unpack(f"<{rank}Q", _read(fh, 8 * rank, "extents"))
             payload = _read(fh, 4 * math.prod(shape), f"payload of {name}")

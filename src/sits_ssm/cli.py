@@ -150,15 +150,19 @@ def _write_manifest(cfg: dict, out_dir: Path, command: str):
     (out_dir / "run_manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(input_channels=cfg["channels"], num_classes=cfg["classes"],
-                       hidden=cfg["hidden"], d_state=cfg["d_state"])
-
-
-def _loss_config(cfg: dict) -> LossConfig:
-    ignore, _ = _class_sets(cfg)
-    return LossConfig(w0=cfg["w0"], use_pw=cfg["use_pw"], use_w1=cfg["use_w1"],
-                      use_rbranch=cfg["use_rbranch"], ignore_labels=ignore)
+def _configs(cfg: dict) -> tuple[ModelConfig, TrainConfig]:
+    """The model and run settings; a value their validators refuse is a usage error."""
+    try:
+        ignore, eval_set = _class_sets(cfg)
+        loss = LossConfig(w0=cfg["w0"], use_pw=cfg["use_pw"], use_w1=cfg["use_w1"],
+                          use_rbranch=cfg["use_rbranch"], ignore_labels=ignore)
+        return (ModelConfig(input_channels=cfg["channels"], num_classes=cfg["classes"],
+                            hidden=cfg["hidden"], d_state=cfg["d_state"]),
+                TrainConfig(epochs=cfg["epochs"], learning_rate=cfg["lr"],
+                            batch_size=cfg["batch_size"], seed=cfg["seed"], loss=loss,
+                            temporal_mode=cfg["mode"], eval_class_set=eval_set))
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _check_dataset_fits(ds, cfg: dict, path):
@@ -182,25 +186,28 @@ def _check_dataset_fits(ds, cfg: dict, path):
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve(args)
-    out = Path(args.out)
-    _write_manifest(cfg, out, "gen-data")
     min_len = cfg["min_length"] or None
-    for split, count, offset in (("train", cfg["train_samples"], 0),
-                                 ("valid", cfg["valid_samples"], 1),
-                                 ("test", cfg["test_samples"], 2)):
-        ds = data_mod.generate_synthetic(
-            seed=cfg["seed"] + offset, n_samples=count, num_classes=cfg["classes"],
-            timesteps=cfg["timesteps"], channels=cfg["channels"],
+    try:    # every split is made before anything is written
+        splits = {split: data_mod.generate_synthetic(
+            seed=cfg["seed"] + offset, n_samples=cfg[f"{split}_samples"],
+            num_classes=cfg["classes"], timesteps=cfg["timesteps"], channels=cfg["channels"],
             height=cfg["height"], width=cfg["width"], noise_sigma=cfg["noise"],
             min_valid_length=min_len, world_seed=cfg["seed"])
+            for offset, split in enumerate(("train", "valid", "test"))}
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    out = Path(args.out)
+    _write_manifest(cfg, out, "gen-data")
+    for split, ds in splits.items():
         data_mod.save_dataset(ds, out / f"{split}.sits")
-        print(f"wrote {out / (split + '.sits')}  ({count} samples, "
+        print(f"wrote {out / (split + '.sits')}  ({len(ds)} samples, "
               f"K={cfg['classes']}, C={cfg['channels']}, T={cfg['timesteps']})")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
+    model_cfg, run_cfg = _configs(cfg)
     data_dir = Path(args.data)
     train_ds = data_mod.load_dataset(data_dir / "train.sits")
     valid_path = data_dir / "valid.sits"
@@ -210,53 +217,47 @@ def cmd_train(args) -> int:
         _check_dataset_fits(valid_ds, cfg, valid_path)
     out = Path(args.out)
     _write_manifest(cfg, out, "train")
-    model = SitsClassifier(_model_config(cfg), np.random.default_rng(cfg["seed"]))
-    _, eval_set = _class_sets(cfg)
-    tcfg = TrainConfig(epochs=cfg["epochs"], learning_rate=cfg["lr"],
-                       batch_size=cfg["batch_size"], seed=cfg["seed"],
-                       loss=_loss_config(cfg), temporal_mode=cfg["mode"],
-                       eval_class_set=eval_set)
-    result = train(model, train_ds, valid_ds, tcfg, out)
+    model = SitsClassifier(model_cfg, np.random.default_rng(cfg["seed"]))
+    result = train(model, train_ds, valid_ds, run_cfg, out)
     print(f"trained {cfg['epochs']} epochs; best val mF1={result.best_mf1:.4f} "
           f"at epoch {result.best_epoch}")
     print(f"checkpoints: {result.best_checkpoint}, {result.final_checkpoint}")
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def _load_model(args, command: str) -> tuple[TrainConfig, data_mod.SitsDataset,
+                                              SitsClassifier, Path]:
+    """Run settings, dataset, checkpointed model and output directory of
+    eval and predict, checked in that order before any compute."""
     cfg = _resolve(args)
+    model_cfg, run_cfg = _configs(cfg)
     ds = data_mod.load_dataset(Path(args.data))
     _check_dataset_fits(ds, cfg, args.data)
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     out = Path(args.out)
-    _write_manifest(cfg, out, "eval")
-    model = SitsClassifier(_model_config(cfg), np.random.default_rng(cfg["seed"]))
+    _write_manifest(cfg, out, command)
+    model = SitsClassifier(model_cfg, np.random.default_rng(cfg["seed"]))
     model.load(ckpt)
-    ignore, eval_set = _class_sets(cfg)
-    s = evaluate(model, ds, _loss_config(cfg), cfg["batch_size"], cfg["mode"],
-                 eval_class_set=eval_set)
+    return run_cfg, ds, model, out
+
+
+def cmd_eval(args) -> int:
+    run_cfg, ds, model, out = _load_model(args, "eval")
+    s = evaluate(model, ds, run_cfg.loss, run_cfg.batch_size, run_cfg.temporal_mode,
+                 eval_class_set=run_cfg.eval_class_set)
     s.to_csv(out / "metrics.csv")
-    print(s.render(eval_class_set=eval_set))
+    print(s.render(eval_class_set=run_cfg.eval_class_set))
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    cfg = _resolve(args)
-    ds = data_mod.load_dataset(Path(args.data))
-    _check_dataset_fits(ds, cfg, args.data)
-    ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    out = Path(args.out)
-    _write_manifest(cfg, out, "predict")
-    model = SitsClassifier(_model_config(cfg), np.random.default_rng(cfg["seed"]))
-    model.load(ckpt)
-    for chunk, batch in data_mod.batches(ds, cfg["batch_size"], cfg["mode"]):
+    run_cfg, ds, model, out = _load_model(args, "predict")
+    for chunk, batch in data_mod.batches(ds, run_cfg.batch_size, run_cfg.temporal_mode):
         for s, pred in zip(chunk, model.predict(batch)):
             data_mod.export_pgm(pred, out / f"pred_{s.sample_id:05d}.pgm")
-    data_mod.export_legend(cfg["classes"], out / "legend.csv")
+    data_mod.export_legend(model.config.num_classes, out / "legend.csv")
     print(f"wrote {len(ds)} label maps to {out}")
     return EXIT_OK
 

@@ -38,8 +38,10 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if min(self.input_channels, self.num_classes, self.hidden) < 1:
-            raise ValueError("all extents must be positive")
+        if min(self.input_channels, self.num_classes, self.hidden, self.d_state) < 1:
+            raise ValueError(f"extents must be positive: input_channels={self.input_channels}, "
+                             f"num_classes={self.num_classes}, hidden={self.hidden}, "
+                             f"d_state={self.d_state}")
 
     @property
     def np_dtype(self):

@@ -27,36 +27,32 @@ benchmark's correctness gate compare it against, not alternatives to it:
   time-invariant parameters (float64 oracle, not differentiable).
 
 The fused scan is the CPU form of the hardware-aware scan of Mamba (Gu &
-Dao 2023, sec. 3.3): discretization is fused into the recurrence, the
-working state stays in cache, and the backward pass recomputes exp(z),
-phi(z) and phi'(z) instead of storing them. Pixel sequences (the B axis)
-are independent, so they are scanned in chunks of c sequences, with
-
-    c = clamp(_SCAN_VECTOR_BUDGET // (D * N * itemsize), 1, B)
-
-so that one (c, D, N) working array fits the budget (256 KiB: 16 sequences
-at D=256, N=16 in float32). Each chunk is scanned time-major, one step at
-a time, vectorized over (c, D, N), with matmul readouts. Chunks run on a
-module thread pool created at first use, with one worker per CPU the
-process may run on; numpy releases the GIL inside its kernels. Chunk
-boundaries depend only on the budget, every chunk is computed the same
-way whichever thread runs it, and the partial gradients of ``a`` are
-summed in chunk order, so results are bitwise identical for any number
-of workers. When no gradient will be taken (``no_grad``, or no input
-requires grad) only the running (c, D, N) state of each chunk is kept;
-otherwise the state trajectory h_0..h_L is stored for the backward pass.
+Dao 2023, sec. 3.3): discretization is fused into the recurrence, and the
+backward pass recomputes exp(z), phi(z) and phi'(z) instead of storing
+them. It is a single pass over all the sequences it is given: time-major,
+one step at a time, vectorized over (B, D, N), with matmul readouts. When
+no gradient will be taken (``no_grad``, or no input requires grad) only
+the running (B, D, N) state is kept; otherwise the state trajectory
+h_0..h_L is stored for the backward pass.
 
 ``MambaBlock`` wraps the selective scan in the usual gated two-branch
 block: projection -> causal depthwise conv -> SiLU -> selective scan on
 the main branch, projection -> SiLU on the gate branch, elementwise
-product, output projection. Every step of it is per pixel sequence too,
-so the whole block runs on the same chunks and the same pool: it is one
-tape node whose forward runs each chunk's block as a small sub-graph of
-its own, and whose backward replays those sub-graphs and sums their
-parameter gradients in chunk order. Its working arrays stay chunk-sized
-and its results are bitwise identical for any number of workers. Within
-a chunk the scan finds a single chunk, or, if it is asked for more from
-a pool task, runs them inline.
+product, output projection. Every step of it is per pixel sequence, and
+the block is the one place that splits the sequences: into chunks of
+
+    c = clamp(_SCAN_VECTOR_BUDGET // (D * N * itemsize), 1, B)
+
+sequences, so that the scan's (c, D, N) working arrays fit the budget
+(256 KiB: 16 sequences at D=256, N=16 in float32). The chunks run on a
+module thread pool created at first use, with one worker per CPU the
+process may run on; numpy releases the GIL inside its kernels. The block
+is one tape node whose forward runs each chunk's block as a small
+sub-graph of its own, and whose backward replays those sub-graphs and
+sums their parameter gradients in chunk order. Chunk boundaries depend
+only on the budget and every chunk is computed the same way whichever
+thread runs it, so results are bitwise identical for any number of
+workers, and the working arrays stay chunk-sized.
 """
 
 from __future__ import annotations
@@ -81,13 +77,12 @@ _PHI_SWITCH = 1e-6
 # are within 1.5e-6 (float32) and 1.5e-14 (float64) there
 _PHI_PRIME_SWITCH = {np.dtype(np.float32): 0.1, np.dtype(np.float64): 1e-3}
 _PHI_PRIME_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in range(3, -1, -1))
-_SCAN_VECTOR_BUDGET = 256 * 2**10   # bytes of one (chunk, D, N) scan working array
+_SCAN_VECTOR_BUDGET = 256 * 2**10   # bytes of one block chunk's (c, D, N) scan array
 EXPAND = 2                          # inner width / d_model
 CONV_WIDTH = 4                      # causal depthwise conv taps
 DT_MIN, DT_MAX = 1e-3, 1e-1         # range of the initial step sizes delta
 _POOL: ThreadPoolExecutor | None = None
 _POOL_LOCK = threading.Lock()
-_IN_POOL = contextvars.ContextVar("in_pool", default=False)   # set in pool tasks
 
 
 def _phi(z, out=None) -> np.ndarray:
@@ -287,19 +282,13 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_chunks(fn, n_chunks: int):
-    """fn(0), ..., fn(n_chunks - 1), on the pool when there is more than one.
+    """fn(0), ..., fn(n_chunks - 1) on the pool.
 
     Each task runs in a copy of the caller's context, so it sees the
-    caller's grad mode. Chunks requested from inside a task (the scan
-    inside a block chunk) run inline: a pool worker never waits on the
-    pool, which could deadlock it.
+    caller's grad mode. A task must not wait on the pool itself: nothing
+    below the block's chunks asks the pool for work.
     """
-    if n_chunks == 1 or _IN_POOL.get():
-        for i in range(n_chunks):
-            fn(i)
-        return
     ctx = contextvars.copy_context()
-    ctx.run(_IN_POOL.set, True)
     for _ in _pool().map(lambda i: ctx.copy().run(fn, i), range(n_chunks)):
         pass
 
@@ -386,13 +375,11 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     b, c: (B, L, N); d_skip: (D,). Returns (B, L, D) in u's dtype, which
     is also the dtype the scan computes in.
 
-    The B sequences are split into chunks of
-    clamp(_SCAN_VECTOR_BUDGET // (D * N * itemsize), 1, B) and the chunks
-    run on the module thread pool (inline when there is only one). The
-    result does not depend on the number of workers, bit for bit. Under
+    One pass over all B sequences on the calling thread; splitting them
+    into chunks is the caller's business (``MambaBlock``). Under
     ``no_grad``, or when no input requires grad, memory beyond the inputs
-    and output is a few (c, D, N) arrays per running chunk; otherwise the
-    (L+1, c, N, D) state trajectory of every chunk is kept until backward.
+    and output is a few (B, L, D) and (B, D, N) arrays; otherwise the
+    (L+1, B, N, D) state trajectory is kept until backward.
     """
     u, delta, a = ad.as_tensor(u), ad.as_tensor(delta), ad.as_tensor(a)
     b, c, d_skip = ad.as_tensor(b), ad.as_tensor(c), ad.as_tensor(d_skip)
@@ -409,40 +396,24 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     uv, dv, av, bv, cv, skipv = (t.data for t in parents)
     keep = ad.grad_enabled() and any(t.requires_grad for t in parents)
     a_t = np.ascontiguousarray(av.T, dtype=uv.dtype)
-    bounds = _chunk_bounds(nb, nd * nn_ * uv.dtype.itemsize)
-    y = np.empty_like(uv)
-    states = [None] * len(bounds)
-
-    def forward(i):
-        s, e = bounds[i]
-        ut, dt, bt, ct = (_time_major(x[s:e]) for x in (uv, dv, bv, cv))
-        yt = np.empty_like(ut)
-        if keep:
-            states[i] = np.empty((nl + 1, e - s, nn_, nd), dtype=uv.dtype)
-        _scan_chunk(a_t, dt, dt * ut, bt, ct, yt, states[i])
-        yt += skipv * ut
-        y[s:e] = yt.transpose(1, 0, 2)
-
-    _run_chunks(forward, len(bounds))
+    hs = np.empty((nl + 1, nb, nn_, nd), dtype=uv.dtype) if keep else None
+    dt = _time_major(dv)
+    wt = _time_major(uv) * dt                  # delta * u; u itself is read from uv below
+    bt, ct = _time_major(bv), _time_major(cv)
+    yt = np.empty_like(wt)
+    _scan_chunk(a_t, dt, wt, bt, ct, yt, hs)
+    del dt, wt, bt, ct                         # free the time-major copies early
+    y = np.ascontiguousarray(yt.transpose(1, 0, 2))
+    del yt
+    y += skipv * uv
 
     def backward_fn(g):
-        grads = [np.empty_like(x) for x in (uv, dv, bv, cv)]
-        ga_parts = [None] * len(bounds)
-
-        def backward(i):
-            s, e = bounds[i]
-            ut, dt, bt, ct, gt = (_time_major(x[s:e]) for x in (uv, dv, bv, cv, g))
-            *parts, ga_parts[i] = _scan_chunk_grad(a_t, ut, dt, dt * ut, bt, ct, states[i], gt)
-            states[i] = None                   # free this chunk's trajectory early
-            parts[0] += skipv * gt
-            for full, part in zip(grads, parts):
-                full[s:e] = part.transpose(1, 0, 2)
-
-        _run_chunks(backward, len(bounds))
-        gu, gd, gb, gc = grads
-        ga = ga_parts[0]
-        for part in ga_parts[1:]:
-            ga += part
+        nonlocal hs
+        ut, dt, bt, ct, gt = (_time_major(x) for x in (uv, dv, bv, cv, g))
+        *grads, ga = _scan_chunk_grad(a_t, ut, dt, dt * ut, bt, ct, hs, gt)
+        hs = None                              # free the trajectory early
+        grads[0] += skipv * gt
+        gu, gd, gb, gc = (np.ascontiguousarray(x.transpose(1, 0, 2)) for x in grads)
         gskip = np.einsum("bld,bld->d", g, uv)
         return gu, gd, ga.T, gb, gc, gskip
 
@@ -534,12 +505,14 @@ class MambaBlock(nn.Module):
     def __call__(self, x: Tensor) -> Tensor:
         """The block over chunks of pixel sequences, as one tape node.
 
-        The B sequences are split by the scan's chunk rule, and each chunk
-        runs the whole block (``_forward``) as a sub-graph of its own on the
-        module pool, over a ``shadow`` of this block. Backward replays every
-        chunk's sub-graph on the pool and sums the parameter gradients in
-        chunk order, so the results do not depend on the number of workers.
-        A single chunk runs inline, on the block itself.
+        This is the one place that splits pixel sequences: ``_chunk_bounds``
+        cuts the B sequences into chunks whose scan state fits
+        ``_SCAN_VECTOR_BUDGET``, and each chunk runs the whole block
+        (``_forward``, whose scan is a single pass) as a sub-graph of its own
+        on the module pool, over a ``shadow`` of this block. Backward replays
+        every chunk's sub-graph on the pool and sums the parameter gradients
+        in chunk order, so the results do not depend on the number of
+        workers. A single chunk runs inline, on the block itself.
         """
         cfg = self.cfg
         if x.ndim != 3 or x.shape[2] != cfg.d_model:

@@ -42,6 +42,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.temporal_mode not in data_mod.TEMPORAL_MODES:
             raise ValueError(f"temporal_mode must be one of {data_mod.TEMPORAL_MODES}")
 

@@ -36,8 +36,9 @@ def test_round_trip(tmp_path):
     struct.pack("<Q", 2**62) + b"w",                # name longer than the file
     struct.pack("<Q", 1) + b"w" + struct.pack("<Q", 2**61),  # rank longer than the file
     entry(b"\xff\xfe", (1,), b"\0" * 4),            # name is not UTF-8
+    entry(b"w", (1,), b"\0" * 4) + entry(b"w", (1,), b"\1" * 4),   # one name twice
 ], ids=["huge_extents", "huge_extent_beside_zero", "rank_65", "huge_name", "huge_rank",
-        "bad_utf8"])
+        "bad_utf8", "repeated_name"])
 def test_hostile_header_raises_format_error(tmp_path, body):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(MAGIC + body)

@@ -179,6 +179,24 @@ class TestExitCodes:
             assert main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
                          "--config", str(cfg), *SMALL]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--d-state", "0"], ["train", "--d-state", "-2"], ["train", "--hidden", "0"],
+        ["train", "--batch-size", "0"], ["train", "--epochs", "0"], ["train", "--lr", "-1"],
+        ["eval", "--d-state", "0"], ["predict", "--batch-size", "0"],
+        ["gen-data", "--timesteps", "2"], ["gen-data", "--train-samples", "0"],
+    ], ids=lambda argv: f"{argv[0]}:{argv[1][2:]}={argv[2]}")
+    def test_out_of_range_setting_is_1_before_any_io(self, tmp_path, capsys, argv):
+        """Checked before the data is read (it does not exist here) and
+        before anything is written into --out."""
+        command, *setting = argv
+        out = tmp_path / "o"
+        io = {"gen-data": [], "train": ["--data", str(tmp_path / "none")]}.get(
+            command, ["--data", str(tmp_path / "none.sits"),
+                      "--checkpoint", str(tmp_path / "none.ckpt")])
+        assert main([command, "--out", str(out), *io, *setting]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
     def test_corrupt_dataset_is_2(self, tmp_path):
         data = tmp_path / "d"
         gen(data)
@@ -315,7 +333,7 @@ class TestVerifyCommand:
         verify.suite_scan_kernel(report, scan_fn=broken_scan)
         assert not report.ok()
 
-    @pytest.mark.parametrize("defect", ["output", "gradient", "one_sequence_chunks"])
+    @pytest.mark.parametrize("defect", ["output", "gradient"])
     def test_injected_fused_scan_defect_fails(self, defect):
         from sits_ssm import autodiff as ad
         from sits_ssm import ssm, verify
@@ -324,16 +342,11 @@ class TestVerifyCommand:
             y = ssm.selective_scan_fused(*tensors)
             if defect == "gradient":
                 return ad._make(y.data, (y,), lambda g: (g * 1.001,), "perturbed")
-            if defect == "output" or ssm._SCAN_VECTOR_BUDGET == 0:
-                return ad.add(y, 1e-6)
-            return y
+            return ad.add(y, 1e-6)
         report = verify.VerifyReport()
         verify.suite_fused_scan(report, scan_fn=broken_scan)
         failed = [r.name for r in report.rows if not r.passed]
-        if defect == "one_sequence_chunks":
-            assert failed == ["fused_vs_composite_budget_0"]
-        else:
-            assert len(failed) == 3
+        assert failed == ["fused_vs_composite"]
 
     def test_verification_failure_exit_code_is_3(self, monkeypatch, capsys):
         from sits_ssm import verify

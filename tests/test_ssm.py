@@ -1,13 +1,9 @@
 """Discretization closed forms, scan/kernel equivalence, selectivity, the
-chunked fused scan, and the gated block contracts."""
+single-pass fused scan, and the chunked gated block contracts."""
 
-import os
-import subprocess
 import sys
-import textwrap
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,8 +197,8 @@ def scan_inputs(rng, b_, l, d, n, dtype=np.float64):
 
 
 class TestChunkedScan:
-    # 37 float64 sequences of D*N = 1024: the default budget gives chunks of
-    # 32 (last one ragged), a 3-sequence budget 13 chunks (last one ragged)
+    # 37 sequences of D*N = 1024; the scan is one pass, so no budget may
+    # change its result
     B, L, D, N = 37, 6, 64, 16
 
     @pytest.mark.parametrize("budget", [0, 3 * 64 * 16 * 8, ssm._SCAN_VECTOR_BUDGET, 2**62])
@@ -257,6 +253,23 @@ class TestChunkedScan:
             tracemalloc.stop()
         assert not y.requires_grad
         assert peak < trajectory / 2
+
+    def test_single_pass_without_the_pool(self, rng, monkeypatch):
+        """Only the block splits sequences: even at a one-sequence budget the
+        scan runs forward and backward without asking the pool for work."""
+        class NoPool:
+            def map(self, *args, **kwargs):
+                raise AssertionError("selective_scan_fused used the pool")
+            submit = map
+
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 0)
+        monkeypatch.setattr(ssm, "_POOL", NoPool())
+        ts = [Tensor(x, requires_grad=True)
+              for x in scan_inputs(rng, self.B, self.L, self.D, self.N, np.float32)]
+        y = ssm.selective_scan_fused(*ts)
+        ad.backward(ad.sum_(y))
+        assert y.shape == (self.B, self.L, self.D)
+        assert all(t.grad is not None and t.grad.dtype == np.float32 for t in ts)
 
 
 def block_pass(blk, x, g):
@@ -327,33 +340,6 @@ class TestBlockNode:
                 y = blk(x)
         assert y.requires_grad == recording
         assert seen == [(recording, recording)] * 4
-
-    def test_nested_chunks_on_one_worker_finish(self):
-        """The block and the scan inside each of its chunks both split, on a
-        pool with one worker; a pool task that waited on the pool would hang."""
-        script = textwrap.dedent("""
-            from concurrent.futures import ThreadPoolExecutor
-            import numpy as np
-            from sits_ssm import autodiff as ad, ssm
-            calls = []
-            bounds = ssm._chunk_bounds
-            def halves(nb, seq_bytes):
-                calls.append(nb)
-                return [(0, nb // 2), (nb // 2, nb)] if nb > 1 else bounds(nb, seq_bytes)
-            ssm._chunk_bounds = halves
-            ssm._POOL = ThreadPoolExecutor(1)
-            rng = np.random.default_rng(0)
-            blk = ssm.MambaBlock(ssm.SsmConfig(d_model=8, d_state=4), rng)
-            x = ad.Tensor(rng.normal(0, 1, (8, 5, 8)).astype(np.float32), requires_grad=True)
-            ad.backward(ad.sum_(blk(x)))
-            assert calls == [8, 4, 4], calls
-            print("finished")
-        """)
-        src = Path(ssm.__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "finished"
 
     def test_one_public_backward_per_train_step(self, rng, monkeypatch):
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 0)
