@@ -16,13 +16,16 @@ Every forward op checks its output for NaN/Inf and raises
 Threading: tensor values are immutable after creation (gradient
 accumulation is the one exception), and a forward+backward pass is
 single-threaded with respect to its graph. Values may be handed between
-threads; independent graphs may run in parallel. ``ssm.MambaBlock`` relies
-on that: it is the one place that splits pixel sequences, and runs each
-chunk as its own sub-graph on a thread pool, over parameter copies whose
+threads; independent graphs may run in parallel. Two ops use the package's
+one thread pool (``pool``), each as one node of the outer graph.
+``ssm.MambaBlock`` is the one place that splits pixel sequences, and runs
+each chunk as its own sub-graph on the pool, over parameter copies whose
 ``grad`` only that chunk touches; the selective scan inside a chunk is a
-single pass on that chunk's thread. The block is one node of the outer
-graph. Grad mode is per thread (and per asyncio task):
-``no_grad()`` in one thread leaves tape recording on in every other.
+single pass on that chunk's thread. ``conv2d`` splits the frames of its
+(B, C, H, W) stack: each chunk's im2col + GEMM writes its slice of the
+output, and backward recomputes the chunk's columns on the pool. No pool
+task asks the pool for work. Grad mode is per thread (and per asyncio
+task): ``no_grad()`` in one thread leaves tape recording on in every other.
 """
 
 from __future__ import annotations
@@ -33,7 +36,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import pool
+
 DEFAULT_DTYPE = np.float32
+# bytes of one conv2d frame chunk's im2col columns (C_in*kh*kw*H*W each):
+# 7 frames of the paper's 128-channel 3x3 conv on 16x16
+_CONV_FRAME_BUDGET = 8 * 2**20
 
 # a context variable, so each thread starts with recording on
 _GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
@@ -557,6 +565,15 @@ def conv2d(x, weight, bias=None) -> Tensor:
 
     x: (B, C_in, H, W); weight: (C_out, C_in, kh, kw); bias: (C_out,).
     Spatial extent is preserved.
+
+    Every frame is convolved on its own, so the B frames run as chunks on
+    the shared pool, each chunk's im2col columns fitting
+    ``_CONV_FRAME_BUDGET``. A chunk writes its GEMM straight into its slice
+    of the output; backward recomputes its columns instead of keeping them,
+    writes its slice of the input gradient, and returns its part of the
+    weight gradient, which the parts sum in chunk order. Output and input
+    gradient equal the whole-batch op bitwise; the weight gradient is
+    bitwise the same for any worker count.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     c_out, c_in, kh, kw = weight.shape
@@ -565,26 +582,46 @@ def conv2d(x, weight, bias=None) -> Tensor:
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError("conv2d: kernel extents must be odd")
     b, _, h, w = x.shape
-    cols = _im2col(x.data, kh, kw)
+    xv = x.data
     wmat = weight.data.reshape(c_out, c_in * kh * kw)
-    out = np.matmul(wmat, cols)  # (B, C_out, H*W) via broadcast
+    bounds = pool._chunk_bounds(b, wmat.shape[1] * h * w * xv.dtype.itemsize,
+                                _CONV_FRAME_BUDGET)
     parents = [x, weight]
     if bias is not None:
         bias = as_tensor(bias)
-        out = out + bias.data[:, None]
         parents.append(bias)
-    out_data = out.reshape(b, c_out, h, w)
+    out = np.empty((b, c_out, h * w), dtype=np.result_type(*(p.data for p in parents)))
+
+    def forward(i):
+        s, e = bounds[i]
+        np.matmul(wmat, _im2col(xv[s:e], kh, kw), out=out[s:e])
+        if bias is not None:
+            out[s:e] += bias.data[:, None]
+
+    pool._run_chunks(forward, len(bounds))
 
     def backward_fn(g):
         gmat = g.reshape(b, c_out, h * w)
-        gw = np.einsum("bop,bkp->ok", gmat, cols, optimize=True).reshape(weight.shape)
-        gcols = np.matmul(wmat.T, gmat)
-        gx = _col2im(gcols, x.shape, kh, kw)
+        gx = np.empty_like(xv) if x.requires_grad else None
+        parts = [None] * len(bounds)
+
+        def backward(i):
+            s, e = bounds[i]
+            cols = _im2col(xv[s:e], kh, kw)
+            parts[i] = np.einsum("bop,bkp->ok", gmat[s:e], cols, optimize=True)
+            if gx is not None:
+                gx[s:e] = _col2im(np.matmul(wmat.T, gmat[s:e]), gx[s:e].shape, kh, kw)
+
+        pool._run_chunks(backward, len(bounds))
+        gw = parts[0]
+        for part in parts[1:]:
+            gw += part
+        gw = gw.reshape(weight.shape)
         if bias is not None:
             return gx, gw, gmat.sum(axis=(0, 2))
         return gx, gw
 
-    return _make(out_data, parents, backward_fn, "conv2d")
+    return _make(out.reshape(b, c_out, h, w), parents, backward_fn, "conv2d")
 
 
 def depthwise_conv1d(x, weight, bias=None) -> Tensor:

@@ -29,6 +29,7 @@ from .autodiff import NonFiniteError, ShapeError
 from .checkpoint import CheckpointFormatError
 from .data import DatasetFormatError
 from .losses import LossConfig
+from .metrics import eval_classes
 from .model import ModelConfig, SitsClassifier
 from .trainer import TrainConfig, evaluate, train
 
@@ -130,7 +131,8 @@ def _class_sets(cfg: dict) -> tuple[frozenset, tuple]:
 
     The 20-class layout keeps the void label (19) out of every score and
     averages over the crop classes 1..18 only; any other class count
-    scores everything. Both are overridable.
+    scores everything. Both are overridable; an explicit eval set must be
+    a non-empty subset of the classes.
     """
     k = cfg["classes"]
     if cfg["ignore_labels"] == "auto":
@@ -141,6 +143,7 @@ def _class_sets(cfg: dict) -> tuple[frozenset, tuple]:
         eval_set = tuple(range(1, 19)) if k == 20 else tuple(range(k))
     else:
         eval_set = tuple(int(s) for s in str(cfg["eval_classes"]).split(",") if s != "")
+        eval_classes(k, eval_set)
     return ignore, eval_set
 
 

@@ -16,14 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def eval_classes(num_classes: int, classes=None) -> tuple:
+    """The sorted class set entering mIoU/mF1, every class when ``classes``
+    is None. An empty set, or a class outside [0, num_classes), raises
+    ``ValueError``."""
+    chosen = tuple(range(num_classes)) if classes is None else tuple(sorted(classes))
+    if not chosen or chosen[0] < 0 or chosen[-1] >= num_classes:
+        raise ValueError(f"eval classes {list(chosen)} are not a non-empty subset of "
+                         f"[0, {num_classes})")
+    return chosen
+
+
 class ConfusionMatrix:
     def __init__(self, num_classes: int, eval_class_set=None):
         if num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-        self.eval_class_set = (tuple(range(num_classes)) if eval_class_set is None
-                               else tuple(sorted(eval_class_set)))
+        self.eval_class_set = eval_classes(num_classes, eval_class_set)
 
     def accumulate(self, labels: np.ndarray, predictions: np.ndarray, ignore_labels=()):
         """Count each non-ignored pixel into cm[true][pred]. Returns self."""

@@ -44,30 +44,27 @@ the block is the one place that splits the sequences: into chunks of
     c = clamp(_SCAN_VECTOR_BUDGET // (D * N * itemsize), 1, B)
 
 sequences, so that the scan's (c, D, N) working arrays fit the budget
-(256 KiB: 16 sequences at D=256, N=16 in float32). The chunks run on a
-module thread pool created at first use, with one worker per CPU the
-process may run on; numpy releases the GIL inside its kernels. The block
-is one tape node whose forward runs each chunk's block as a small
-sub-graph of its own, and whose backward replays those sub-graphs and
-sums their parameter gradients in chunk order. Chunk boundaries depend
-only on the budget and every chunk is computed the same way whichever
-thread runs it, so results are bitwise identical for any number of
-workers, and the working arrays stay chunk-sized.
+(256 KiB: 16 sequences at D=256, N=16 in float32). The chunks run on the
+package's one thread pool (``pool``), which ``autodiff.conv2d`` shares
+for its frame chunks; it has one worker per CPU the process may run on,
+and numpy releases the GIL inside its kernels. The block is one tape
+node whose forward runs each chunk's block as a small sub-graph of its
+own, and whose backward replays those sub-graphs and sums their
+parameter gradients in chunk order. Chunk boundaries depend only on the
+budget and every chunk is computed the same way whichever thread runs
+it, so results are bitwise identical for any number of workers, and the
+working arrays stay chunk-sized.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from . import nn
+from . import nn, pool
 from .autodiff import ShapeError, Tensor
 
 _PHI_SWITCH = 1e-6
@@ -81,8 +78,6 @@ _SCAN_VECTOR_BUDGET = 256 * 2**10   # bytes of one block chunk's (c, D, N) scan 
 EXPAND = 2                          # inner width / d_model
 CONV_WIDTH = 4                      # causal depthwise conv taps
 DT_MIN, DT_MAX = 1e-3, 1e-1         # range of the initial step sizes delta
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
 
 
 def _phi(z, out=None) -> np.ndarray:
@@ -253,44 +248,6 @@ def kernel_convolve(a_bar: np.ndarray, b_bar: np.ndarray, c: np.ndarray,
     for t in range(l):
         y[t] = np.einsum("jd,jd->d", kernel[: t + 1], x[t::-1][: t + 1])
     return y[:, 0] if squeeze else y
-
-
-def _chunk_bounds(nb: int, seq_bytes: int) -> list[tuple[int, int]]:
-    """Split B sequences into chunks whose (c, D, N) array fits the budget."""
-    size = min(max(_SCAN_VECTOR_BUDGET // seq_bytes, 1), nb)
-    return [(s, min(s + size, nb)) for s in range(0, nb, size)]
-
-
-def _pool() -> ThreadPoolExecutor:
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            _POOL = ThreadPoolExecutor(max_workers=cpus, thread_name_prefix="selective_scan")
-        return _POOL
-
-
-def _forget_pool():
-    # worker threads do not survive fork; a child builds its own pool
-    global _POOL
-    _POOL = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _run_chunks(fn, n_chunks: int):
-    """fn(0), ..., fn(n_chunks - 1) on the pool.
-
-    Each task runs in a copy of the caller's context, so it sees the
-    caller's grad mode. A task must not wait on the pool itself: nothing
-    below the block's chunks asks the pool for work.
-    """
-    ctx = contextvars.copy_context()
-    for _ in _pool().map(lambda i: ctx.copy().run(fn, i), range(n_chunks)):
-        pass
 
 
 def _time_major(x: np.ndarray) -> np.ndarray:
@@ -505,19 +462,21 @@ class MambaBlock(nn.Module):
     def __call__(self, x: Tensor) -> Tensor:
         """The block over chunks of pixel sequences, as one tape node.
 
-        This is the one place that splits pixel sequences: ``_chunk_bounds``
-        cuts the B sequences into chunks whose scan state fits
-        ``_SCAN_VECTOR_BUDGET``, and each chunk runs the whole block
-        (``_forward``, whose scan is a single pass) as a sub-graph of its own
-        on the module pool, over a ``shadow`` of this block. Backward replays
-        every chunk's sub-graph on the pool and sums the parameter gradients
-        in chunk order, so the results do not depend on the number of
-        workers. A single chunk runs inline, on the block itself.
+        This is the one place that splits pixel sequences:
+        ``pool._chunk_bounds`` cuts the B sequences into chunks whose scan
+        state fits ``_SCAN_VECTOR_BUDGET`` (read at call time), and each chunk
+        runs the whole block (``_forward``, whose scan is a single pass) as a
+        sub-graph of its own on the shared pool, over a ``shadow`` of this
+        block. Backward replays every chunk's sub-graph on the pool and sums
+        the parameter gradients in chunk order, so the results do not depend
+        on the number of workers. A single chunk runs inline, on the block
+        itself.
         """
         cfg = self.cfg
         if x.ndim != 3 or x.shape[2] != cfg.d_model:
             raise ShapeError(f"mamba_block: expected (B, L, {cfg.d_model}), got {x.shape}")
-        bounds = _chunk_bounds(x.shape[0], cfg.d_inner * cfg.d_state * x.dtype.itemsize)
+        bounds = pool._chunk_bounds(x.shape[0], cfg.d_inner * cfg.d_state * x.dtype.itemsize,
+                                    _SCAN_VECTOR_BUDGET)
         if len(bounds) == 1:
             return self._forward(x)
         params = [t for _, t in self.named_params()]
@@ -529,7 +488,7 @@ class MambaBlock(nn.Module):
             xi = Tensor(x.data[s:e], requires_grad=x.requires_grad)
             chunks[i] = (xi, twin, twin._forward(xi))
 
-        _run_chunks(forward, len(bounds))
+        pool._run_chunks(forward, len(bounds))
         y = np.concatenate([out.data for _, _, out in chunks])
 
         def backward_fn(g):
@@ -545,7 +504,7 @@ class MambaBlock(nn.Module):
                     gx[s:e] = xi.grad
                 parts[i] = [t.grad for _, t in twin.named_params()]
 
-            _run_chunks(backward, len(bounds))
+            pool._run_chunks(backward, len(bounds))
             grads = parts[0]
             for part in parts[1:]:
                 for total, p in zip(grads, part):

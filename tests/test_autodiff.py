@@ -1,12 +1,16 @@
 """Forward semantics and gradient correctness of every tape primitive."""
 
+import sys
 import threading
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from sits_ssm import autodiff as ad
+from sits_ssm import pool as pool_mod
 from sits_ssm.autodiff import NonFiniteError, ShapeError, Tensor
 from sits_ssm.verify import gradcheck
 
@@ -341,3 +345,68 @@ class TestStructuralInvariants:
         x64 = Tensor(np.ones(3, dtype=np.float64))
         assert ad.add(x32, x32).dtype == np.float32
         assert ad.add(x64, x64).dtype == np.float64
+
+
+def conv_pass(x, w, b, g):
+    """Output and the input, weight and bias gradients of one conv2d pass."""
+    ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+    y = ad.conv2d(*ts)
+    ad.backward(ad.sum_(ad.mul(y, Tensor(g))))
+    return [y.data] + [t.grad for t in ts]
+
+
+class TestChunkedConv2d:
+    # one (3, 5, 5) frame's 3x3 columns are 27 * 25 * 4 = 2700 bytes in
+    # float32, so a 2-frame budget cuts 23 frames into 12 chunks, the last
+    # of one frame
+    B, C_IN, C_OUT, HW = 23, 3, 4, 5
+
+    def inputs(self, rng, dtype):
+        return [rng.normal(0, 1, shape).astype(dtype) for shape in (
+            (self.B, self.C_IN, self.HW, self.HW), (self.C_OUT, self.C_IN, 3, 3),
+            (self.C_OUT,), (self.B, self.C_OUT, self.HW, self.HW))]
+
+    def test_float32_bitwise_equal_for_any_worker_count(self, rng, monkeypatch):
+        monkeypatch.setattr(ad, "_CONV_FRAME_BUDGET", 2 * 2700)
+        assert len(pool_mod._chunk_bounds(self.B, 2700, ad._CONV_FRAME_BUDGET)) == 12
+        args = self.inputs(rng, np.float32)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 5):
+                with ThreadPoolExecutor(workers) as pool:
+                    monkeypatch.setattr(pool_mod, "_POOL", pool)
+                    results.append(conv_pass(*args))
+        finally:
+            sys.setswitchinterval(interval)
+        for other in results[1:]:
+            for got, ref in zip(other, results[0]):
+                assert got.dtype == np.float32 and np.array_equal(got, ref)
+
+    def test_chunked_matches_one_chunk(self, rng, monkeypatch):
+        args = self.inputs(rng, np.float64)
+        runs = []
+        for budget in (0, 2**62):
+            monkeypatch.setattr(ad, "_CONV_FRAME_BUDGET", budget)
+            runs.append(conv_pass(*args))
+        for got, ref in zip(*runs):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+
+    def test_inference_keeps_no_whole_batch_columns(self, rng, monkeypatch):
+        """The paper's second conv on 240 frames: its whole-batch im2col
+        array would be 240 x 1152 x 256 float32 = 283 MB."""
+        x = Tensor(rng.normal(0, 1, (240, 128, 16, 16)).astype(np.float32))
+        w = Tensor(rng.normal(0, 0.03, (128, 128, 3, 3)).astype(np.float32))
+        columns = 240 * 128 * 9 * 256 * 4
+        with ThreadPoolExecutor(2) as pool:
+            monkeypatch.setattr(pool_mod, "_POOL", pool)
+            tracemalloc.start()
+            try:
+                with ad.no_grad():
+                    y = ad.conv2d(x, w)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert y.shape == (240, 128, 16, 16)
+        assert peak < columns / 4

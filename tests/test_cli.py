@@ -184,6 +184,9 @@ class TestExitCodes:
         ["train", "--batch-size", "0"], ["train", "--epochs", "0"], ["train", "--lr", "-1"],
         ["eval", "--d-state", "0"], ["predict", "--batch-size", "0"],
         ["gen-data", "--timesteps", "2"], ["gen-data", "--train-samples", "0"],
+        ["train", "--eval-classes", "7"], ["train", "--eval-classes", "6"],
+        ["train", "--eval-classes", "-1"], ["train", "--eval-classes", ","],
+        ["eval", "--eval-classes", "25"], ["predict", "--eval-classes", ","],
     ], ids=lambda argv: f"{argv[0]}:{argv[1][2:]}={argv[2]}")
     def test_out_of_range_setting_is_1_before_any_io(self, tmp_path, capsys, argv):
         """Checked before the data is read (it does not exist here) and

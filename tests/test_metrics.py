@@ -83,6 +83,11 @@ class TestScores:
         iou1, iou2 = 4 / (4 + 2 + 0), 3 / (3 + 0 + 1)
         assert s.miou == pytest.approx((iou1 + iou2) / 2, abs=1e-12)
 
+    @pytest.mark.parametrize("eval_set", [(), (4,), (0, 7), (-1, 2)])
+    def test_eval_class_set_outside_the_classes_rejected(self, eval_set):
+        with pytest.raises(ValueError):
+            ConfusionMatrix(4, eval_class_set=eval_set)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_f1_dominates_iou(self, seed):
         rng = np.random.default_rng(seed)

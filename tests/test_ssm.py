@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sits_ssm import autodiff as ad
+from sits_ssm import pool as pool_mod
 from sits_ssm import ssm, trainer
 from sits_ssm.autodiff import Tensor
 from sits_ssm.data import SitsSample, pad_batch
@@ -208,12 +209,12 @@ class TestChunkedScan:
         g = rng.normal(0, 1, (self.B, self.L, self.D))
         assert scan_vs_composite(args, g) < 1e-12
 
-    def test_chunk_bounds(self, monkeypatch):
-        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 256 * 2**10)
-        assert len(ssm._chunk_bounds(512, 256 * 16 * 4)) == 32      # 16 per chunk
-        assert ssm._chunk_bounds(512, 32 * 8 * 4) == [(0, 256), (256, 512)]
-        assert ssm._chunk_bounds(5, 2**30) == [(i, i + 1) for i in range(5)]
-        assert ssm._chunk_bounds(3, 1) == [(0, 3)]
+    def test_chunk_bounds(self):
+        budget = 256 * 2**10
+        assert len(pool_mod._chunk_bounds(512, 256 * 16 * 4, budget)) == 32      # 16 per chunk
+        assert pool_mod._chunk_bounds(512, 32 * 8 * 4, budget) == [(0, 256), (256, 512)]
+        assert pool_mod._chunk_bounds(5, 2**30, budget) == [(i, i + 1) for i in range(5)]
+        assert pool_mod._chunk_bounds(3, 1, budget) == [(0, 3)]
 
     def test_float32_bitwise_equal_for_any_worker_count(self, rng, monkeypatch):
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * self.D * self.N * 4)
@@ -225,7 +226,7 @@ class TestChunkedScan:
         try:
             for workers in (1, 2, 5):
                 with ThreadPoolExecutor(workers) as pool:
-                    monkeypatch.setattr(ssm, "_POOL", pool)
+                    monkeypatch.setattr(pool_mod, "_POOL", pool)
                     ts = [Tensor(x, requires_grad=True) for x in args]
                     y = ssm.selective_scan_fused(*ts)
                     ad.backward(ad.sum_(ad.mul(y, Tensor(g))))
@@ -263,7 +264,7 @@ class TestChunkedScan:
             submit = map
 
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 0)
-        monkeypatch.setattr(ssm, "_POOL", NoPool())
+        monkeypatch.setattr(pool_mod, "_POOL", NoPool())
         ts = [Tensor(x, requires_grad=True)
               for x in scan_inputs(rng, self.B, self.L, self.D, self.N, np.float32)]
         y = ssm.selective_scan_fused(*ts)
@@ -290,7 +291,7 @@ class TestBlockNode:
 
     def test_float32_bitwise_equal_for_any_worker_count(self, rng, monkeypatch):
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * 16 * 4 * 4)
-        assert len(ssm._chunk_bounds(self.B, 16 * 4 * 4)) == 67
+        assert len(pool_mod._chunk_bounds(self.B, 16 * 4 * 4, ssm._SCAN_VECTOR_BUDGET)) == 67
         blk = MambaBlock(self.CFG, rng)
         x = rng.normal(0, 1, (self.B, self.L, 8)).astype(np.float32)
         g = rng.normal(0, 1, (self.B, self.L, 8)).astype(np.float32)
@@ -300,7 +301,7 @@ class TestBlockNode:
         try:
             for workers in (1, 2, 5):
                 with ThreadPoolExecutor(workers) as pool:
-                    monkeypatch.setattr(ssm, "_POOL", pool)
+                    monkeypatch.setattr(pool_mod, "_POOL", pool)
                     results.append(block_pass(blk, x, g))
         finally:
             sys.setswitchinterval(interval)
