@@ -470,6 +470,47 @@ def slice_(x, key) -> Tensor:
     return _make(out_data, (x,), backward_fn, "slice")
 
 
+def _check_rows(rows, n: int, op: str) -> np.ndarray:
+    rows = np.asarray(rows)
+    if (rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
+            or (rows.size and (rows[0] < 0 or rows[-1] >= n or np.any(np.diff(rows) <= 0)))):
+        raise ShapeError(f"{op}: rows must be strictly increasing indices into {n} rows")
+    return rows
+
+
+def _scatter(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
+    out[rows] = values
+    return out
+
+
+def gather_rows(x, rows) -> Tensor:
+    """x[rows] along the leading axis. ``rows`` is a plain, strictly
+    increasing integer array (not differentiated); the backward is
+    ``scatter_rows``."""
+    x = as_tensor(x)
+    rows = _check_rows(rows, x.shape[0], "gather_rows")
+
+    def backward_fn(g):
+        return (_scatter(g, rows, x.shape[0]),)
+
+    return _make(x.data[rows], (x,), backward_fn, "gather_rows")
+
+
+def scatter_rows(x, rows, n: int) -> Tensor:
+    """n rows of zeros with x's rows written at ``rows`` (strictly
+    increasing, one per row of x); the backward is ``gather_rows``."""
+    x = as_tensor(x)
+    rows = _check_rows(rows, n, "scatter_rows")
+    if rows.size != x.shape[0]:
+        raise ShapeError(f"scatter_rows: {rows.size} rows for an input of {x.shape[0]}")
+
+    def backward_fn(g):
+        return (g[rows],)
+
+    return _make(_scatter(x.data, rows, n), (x,), backward_fn, "scatter_rows")
+
+
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in ts], axis=axis)
@@ -729,6 +770,8 @@ OPS = {
     "reshape": reshape,
     "transpose": transpose,
     "slice": slice_,
+    "gather_rows": gather_rows,
+    "scatter_rows": scatter_rows,
     "concat": concat,
     "softmax": softmax,
     "batchnorm": batchnorm,

@@ -8,7 +8,11 @@ The key ``batch_size`` is the flag ``--batch-size``, and a boolean
 ``key=value`` config file (``--config``) with the same keys
 (``batch_size=2``, ``use_pw=false``). Explicit flags win.
 Every command writes the effective configuration to
-``run_manifest.txt`` next to its outputs.
+``run_manifest.txt`` next to its outputs, with the package and numpy
+versions, the thread pool's worker count and the BLAS thread variables
+``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` as given (``unset`` when
+absent). Checkpoints, logs and metrics hold none of these, so two runs
+on different machines can still be compared byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 data/shape error,
 3 verification failure.
@@ -18,11 +22,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__, pool
 from . import data as data_mod
 from . import verify as verify_mod
 from .autodiff import NonFiniteError, ShapeError
@@ -148,8 +154,13 @@ def _class_sets(cfg: dict) -> tuple[frozenset, tuple]:
 
 
 def _write_manifest(cfg: dict, out_dir: Path, command: str):
+    """The effective settings, then the software and threads the run had."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"command={command}"] + [f"{k}={cfg[k]}" for k in sorted(cfg)]
+    lines += [f"sits_ssm_version={__version__}", f"numpy_version={np.__version__}",
+              f"pool_workers={pool.worker_count()}"]
+    lines += [f"{var}={os.environ.get(var, 'unset')}"
+              for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
     (out_dir / "run_manifest.txt").write_text("\n".join(lines) + "\n")
 
 

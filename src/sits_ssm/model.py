@@ -1,17 +1,23 @@
 """End-to-end model: spatial conv encoder, selective-SSM temporal encoder,
 and the two decoding branches.
 
-Forward data flow for a batch (N, T, C, H, W):
+Forward data flow for a batch (N, T, C, H, W) whose valid mask marks
+V of the N*T frames, each sample's a non-empty prefix (``pad_batch``):
 
-    frames (N*T, C, H, W) -> ConvBlock -> (N*T, C1, H, W)
-    -> pixel sequences (N*H*W, T, C1) -> Mamba block (same shape)
+    valid frames (V, C, H, W) -> ConvBlock -> (V, C1, H, W)
+    -> scattered back, zeros at padded steps -> (N*T, C1, H, W)
+    -> pixel sequences (N*H*W, T, C1) -> Mamba block (same shape), each
+       sequence run up to its valid length, zeros after it
     classification branch: valid-masked max over T -> (N, C1, H, W)
                            -> ClsHead -> logits (N, K, H, W)
     reconstruction branch: shared affine map C1 -> C per timestep
                            -> (N, T, C, H, W)
 
-The reconstruction branch exists only for training supervision;
-``predict`` runs the classification branch alone.
+Padded frames are never computed: the spatial stage (and its training-mode
+batchnorm statistics) sees the valid frames only, and the block is causal,
+so a valid output does not depend on how its batch is padded. The
+reconstruction branch exists only for training supervision; ``predict``
+runs the classification branch alone.
 """
 
 from __future__ import annotations
@@ -82,20 +88,24 @@ class SitsClassifier(nn.Module):
         series = np.asarray(batch.series)
         if series.ndim != 5 or series.shape[2] != self.config.input_channels:
             raise ShapeError(f"forward: series shape {series.shape}")
-        if not np.isfinite(series).all():
-            raise ad.NonFiniteError("forward: input series contains non-finite values")
         n, t, c, h, w = series.shape
         mask = np.asarray(batch.valid_mask, dtype=bool)
         if mask.shape != (n, t):
             raise ShapeError(f"forward: valid mask shape {mask.shape} != {(n, t)}")
+        lengths = mask.sum(axis=1)
+        if not lengths.all() or not np.array_equal(mask, np.arange(t) < lengths[:, None]):
+            raise ShapeError("forward: each valid mask row must be a non-empty prefix")
+        if not np.isfinite(series).all():
+            raise ad.NonFiniteError("forward: input series contains non-finite values")
 
         x = Tensor(series.astype(self.config.np_dtype, copy=False))
-        frames = ad.reshape(x, (n * t, c, h, w))
-        feat = self.spatial(frames, training)                       # (N*T, C1, H, W)
+        rows = np.flatnonzero(mask)                                 # valid frames of N*T
+        frames = ad.gather_rows(ad.reshape(x, (n * t, c, h, w)), rows)
+        feat = self.spatial(frames, training)                       # (V, C1, H, W)
         c1 = self.config.hidden
-        feat = ad.reshape(feat, (n, t, c1, h, w))
+        feat = ad.reshape(ad.scatter_rows(feat, rows, n * t), (n, t, c1, h, w))
         seq = ad.reshape(ad.transpose(feat, (0, 3, 4, 1, 2)), (n * h * w, t, c1))
-        encoded = self.temporal(seq)                                # (N*H*W, T, C1)
+        encoded = self.temporal(seq, np.repeat(lengths, h * w))    # (N*H*W, T, C1)
 
         pooled = self.temporal_maxpool(encoded, mask, (h, w))       # (N*H*W, C1)
         grid = ad.transpose(ad.reshape(pooled, (n, h, w, c1)), (0, 3, 1, 2))

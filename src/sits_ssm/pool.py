@@ -31,13 +31,18 @@ def _chunk_bounds(n: int, item_bytes: int, budget: int) -> list[tuple[int, int]]
     return [(s, min(s + size, n)) for s in range(0, n, size)]
 
 
+def worker_count() -> int:
+    """Workers of the pool: one per CPU the process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool() -> ThreadPoolExecutor:
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            _POOL = ThreadPoolExecutor(max_workers=cpus, thread_name_prefix="sits_ssm")
+            _POOL = ThreadPoolExecutor(max_workers=worker_count(), thread_name_prefix="sits_ssm")
         return _POOL
 
 

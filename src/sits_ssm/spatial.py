@@ -4,7 +4,9 @@
 stages with 128 filters (spatial extent preserved). ``ClsHead`` is the
 single conv/BN/ReLU stage that maps pooled features to one logit plane
 per class. Both operate on (frames, channels, H, W) stacks; batchnorm
-statistics are taken over every frame in the stack.
+statistics are taken over every frame in the stack. The model hands
+``ConvBlock`` the valid frames of a batch only, so padded frames never
+enter its statistics.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ matrix exponential and inverse reduce to elementwise scalar formulas:
     B_bar = (delta*A)^-1 (exp(delta*A) - 1) * delta * B = phi(delta*A) * delta * B
 
 with phi(z) = (e^z - 1)/z, evaluated by a series for |z| below 1e-6 to
-avoid catastrophic cancellation; its derivative phi'(z) likewise switches
-to its Taylor series below a dtype-dependent |z|.
+avoid catastrophic cancellation (the fused scan searches for such z only
+when its bound min(delta * min_n |a|) says one can occur); its
+derivative phi'(z) likewise switches to its Taylor series below a
+dtype-dependent |z|.
 
 ``selective_scan_fused`` is the one production route: the input-selective
 scan where delta, B and C are produced from the input at every step,
@@ -53,7 +55,9 @@ own, and whose backward replays those sub-graphs and sums their
 parameter gradients in chunk order. Chunk boundaries depend only on the
 budget and every chunk is computed the same way whichever thread runs
 it, so results are bitwise identical for any number of workers, and the
-working arrays stay chunk-sized.
+working arrays stay chunk-sized. Given each sequence's valid length, a
+chunk runs only up to the longest one among its sequences; the block is
+causal, so the steps it skips could not have changed a valid output.
 """
 
 from __future__ import annotations
@@ -80,8 +84,12 @@ CONV_WIDTH = 4                      # causal depthwise conv taps
 DT_MIN, DT_MAX = 1e-3, 1e-1         # range of the initial step sizes delta
 
 
-def _phi(z, out=None) -> np.ndarray:
-    """(e^z - 1)/z with series fallback 1 + z/2 near zero."""
+def _phi(z, out=None, near_zero=True) -> np.ndarray:
+    """(e^z - 1)/z with series fallback 1 + z/2 near zero.
+
+    A caller that has shown no |z| falls below ``_PHI_SWITCH`` passes
+    ``near_zero=False`` to skip the search for such z.
+    """
     z = np.asarray(z)
     if z.ndim == 0:
         zf = float(z)
@@ -89,10 +97,21 @@ def _phi(z, out=None) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.expm1(z, out=out)
         out /= z
-    small = np.abs(z) < _PHI_SWITCH
-    if small.any():
-        out[small] = 1.0 + 0.5 * z[small]
+    if near_zero:
+        small = np.abs(z) < _PHI_SWITCH
+        if small.any():
+            out[small] = 1.0 + 0.5 * z[small]
     return out
+
+
+def _near_zero(delta: np.ndarray, a_t: np.ndarray) -> bool:
+    """Whether some z = delta * a of a scan can fall below ``_PHI_SWITCH``.
+
+    delta: (B, L, D); a_t: (N, D). |z| = delta |a| is at least
+    delta min_n |a| for every n, and rounding is monotone, so the bound
+    holds for the computed products too.
+    """
+    return bool((delta * np.abs(a_t).min(axis=0)).min() < _PHI_SWITCH)
 
 
 def _phi_prime(z, ez=None, phi=None, out=None) -> np.ndarray:
@@ -254,13 +273,14 @@ def _time_major(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
-def _scan_chunk(a_t, dt, wt, bt, ct, yt, hs=None):
+def _scan_chunk(a_t, dt, wt, bt, ct, yt, hs, near_zero):
     """Forward recurrence of one chunk, time-major.
 
     a_t: (N, D); dt = delta and wt = delta * u: (L, c, D); bt, ct: (L, c, N).
     The state is laid out (c, N, D) so that every broadcast runs along D.
     Writes C_t h_t into yt (L, c, D). Stores h_0..h_L into hs (L+1, c, N, D)
-    when it is given; otherwise only the running state is kept.
+    when it is not None; otherwise only the running state is kept.
+    ``near_zero`` is passed on to ``_phi``.
     """
     h = np.zeros((dt.shape[1],) + a_t.shape, dtype=dt.dtype)
     z, bx = np.empty_like(h), np.empty_like(h)
@@ -268,7 +288,7 @@ def _scan_chunk(a_t, dt, wt, bt, ct, yt, hs=None):
         hs[0] = h
     for t in range(dt.shape[0]):
         np.multiply(dt[t][:, None, :], a_t, out=z)
-        _phi(z, out=bx)
+        _phi(z, out=bx, near_zero=near_zero)
         bx *= wt[t][:, None, :]
         bx *= bt[t][:, :, None]
         np.exp(z, out=z)
@@ -279,7 +299,7 @@ def _scan_chunk(a_t, dt, wt, bt, ct, yt, hs=None):
         np.matmul(ct[t][:, None, :], h, out=yt[t][:, None, :])
 
 
-def _scan_chunk_grad(a_t, ut, dt, wt, bt, ct, hs, gt):
+def _scan_chunk_grad(a_t, ut, dt, wt, bt, ct, hs, gt, near_zero):
     """Reverse pass of one chunk; same layout as ``_scan_chunk``.
 
     exp(z), phi(z) and phi'(z) are recomputed per step from delta and a
@@ -302,7 +322,7 @@ def _scan_chunk_grad(a_t, ut, dt, wt, bt, ct, hs, gt):
         lam += z
         np.multiply(d_t, a_t, out=z)
         np.exp(z, out=ez)
-        _phi(z, out=phi)
+        _phi(z, out=phi, near_zero=near_zero)
         _phi_prime(z, ez, phi, out=g_z)
         g_z *= lam
         lam_phi = np.multiply(lam, phi, out=phi)
@@ -353,12 +373,13 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     uv, dv, av, bv, cv, skipv = (t.data for t in parents)
     keep = ad.grad_enabled() and any(t.requires_grad for t in parents)
     a_t = np.ascontiguousarray(av.T, dtype=uv.dtype)
+    near_zero = _near_zero(dv, a_t)
     hs = np.empty((nl + 1, nb, nn_, nd), dtype=uv.dtype) if keep else None
     dt = _time_major(dv)
     wt = _time_major(uv) * dt                  # delta * u; u itself is read from uv below
     bt, ct = _time_major(bv), _time_major(cv)
     yt = np.empty_like(wt)
-    _scan_chunk(a_t, dt, wt, bt, ct, yt, hs)
+    _scan_chunk(a_t, dt, wt, bt, ct, yt, hs, near_zero)
     del dt, wt, bt, ct                         # free the time-major copies early
     y = np.ascontiguousarray(yt.transpose(1, 0, 2))
     del yt
@@ -367,7 +388,7 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     def backward_fn(g):
         nonlocal hs
         ut, dt, bt, ct, gt = (_time_major(x) for x in (uv, dv, bv, cv, g))
-        *grads, ga = _scan_chunk_grad(a_t, ut, dt, dt * ut, bt, ct, hs, gt)
+        *grads, ga = _scan_chunk_grad(a_t, ut, dt, dt * ut, bt, ct, hs, gt, near_zero)
         hs = None                              # free the trajectory early
         grads[0] += skipv * gt
         gu, gd, gb, gc = (np.ascontiguousarray(x.transpose(1, 0, 2)) for x in grads)
@@ -459,49 +480,63 @@ class MambaBlock(nn.Module):
         a = ad.mul(ad.exp(self.a_log), -1.0)
         return selective_scan_fused(u, delta, a, b, c, self.d_skip)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, lengths=None) -> Tensor:
         """The block over chunks of pixel sequences, as one tape node.
 
-        This is the one place that splits pixel sequences:
+        ``lengths`` gives each sequence's valid length (default: all L
+        steps). This is the one place that splits pixel sequences:
         ``pool._chunk_bounds`` cuts the B sequences into chunks whose scan
         state fits ``_SCAN_VECTOR_BUDGET`` (read at call time), and each chunk
         runs the whole block (``_forward``, whose scan is a single pass) as a
         sub-graph of its own on the shared pool, over a ``shadow`` of this
-        block. Backward replays every chunk's sub-graph on the pool and sums
-        the parameter gradients in chunk order, so the results do not depend
-        on the number of workers. A single chunk runs inline, on the block
-        itself.
+        block and over the chunk's first Lc steps only, Lc being the longest
+        valid length in the chunk. The block is causal, so a step never sees
+        the steps after it; the output is zero at every step beyond a
+        sequence's length, and backward drops the gradient there. Backward
+        replays every chunk's sub-graph on the pool and sums the parameter
+        gradients in chunk order, so the results do not depend on the number
+        of workers. A single chunk takes the same route, inline.
         """
         cfg = self.cfg
         if x.ndim != 3 or x.shape[2] != cfg.d_model:
             raise ShapeError(f"mamba_block: expected (B, L, {cfg.d_model}), got {x.shape}")
-        bounds = pool._chunk_bounds(x.shape[0], cfg.d_inner * cfg.d_state * x.dtype.itemsize,
+        nb, nl = x.shape[:2]
+        lengths = np.full(nb, nl) if lengths is None else np.asarray(lengths)
+        if lengths.shape != (nb,) or lengths.min() < 1 or lengths.max() > nl:
+            raise ShapeError(f"mamba_block: lengths must be {nb} values in [1, {nl}]")
+        padded = np.arange(nl) >= lengths[:, None]            # (B, L) steps beyond a length
+        bounds = pool._chunk_bounds(nb, cfg.d_inner * cfg.d_state * x.dtype.itemsize,
                                     _SCAN_VECTOR_BUDGET)
-        if len(bounds) == 1:
-            return self._forward(x)
+        steps = [int(lengths[s:e].max()) for s, e in bounds]
         params = [t for _, t in self.named_params()]
-        chunks = [None] * len(bounds)             # (input leaf, shadow, output)
+        dtype = np.result_type(x.dtype, *(p.dtype for p in params))
+        y = np.zeros((nb, nl, cfg.d_model), dtype=dtype)
+        chunks = [None] * len(bounds)             # (input leaf, shadow, output) when taped
 
         def forward(i):
-            s, e = bounds[i]
+            (s, e), lc = bounds[i], steps[i]
             twin = self.shadow()
-            xi = Tensor(x.data[s:e], requires_grad=x.requires_grad)
-            chunks[i] = (xi, twin, twin._forward(xi))
+            xi = Tensor(np.ascontiguousarray(x.data[s:e, :lc]), requires_grad=x.requires_grad)
+            out = twin._forward(xi)
+            y[s:e, :lc] = out.data
+            y[s:e, :lc][padded[s:e, :lc]] = 0.0
+            if out.requires_grad:
+                chunks[i] = (xi, twin, out)
 
         pool._run_chunks(forward, len(bounds))
-        y = np.concatenate([out.data for _, _, out in chunks])
 
         def backward_fn(g):
-            gx = np.empty_like(x.data) if x.requires_grad else None
+            g = np.where(padded[:, :, None], 0.0, g) if padded.any() else g
+            gx = np.zeros_like(x.data) if x.requires_grad else None
             parts = [None] * len(bounds)
 
             def backward(i):
-                s, e = bounds[i]
+                (s, e), lc = bounds[i], steps[i]
                 xi, twin, out = chunks[i]
                 chunks[i] = None                  # free the sub-graph as it is replayed
-                ad._backprop(out, g[s:e])
+                ad._backprop(out, np.ascontiguousarray(g[s:e, :lc]))
                 if gx is not None:
-                    gx[s:e] = xi.grad
+                    gx[s:e, :lc] = xi.grad
                 parts[i] = [t.grad for _, t in twin.named_params()]
 
             pool._run_chunks(backward, len(bounds))

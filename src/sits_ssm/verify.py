@@ -5,7 +5,8 @@ with the implementation it checks: central finite differences for
 gradients, the convolutional-kernel form for the recurrence, closed-form
 scalars for the discretization, the tape-composite scan for the fused
 scan, a long float64 series for phi', exact rational arithmetic for the
-segmentation scores, and plain arithmetic for the loss identities.
+segmentation scores, plain arithmetic for the loss identities, and the
+unpadded batch for the same batch with padded timesteps appended.
 """
 
 from __future__ import annotations
@@ -108,6 +109,37 @@ def scan_vs_composite(args, g, scan_fn=None) -> float:
     worst = 0.0
     for got, ref in zip(run(scan), run(ssm.selective_scan_composite)):
         if got is None or got.shape != ref.shape:
+            return math.inf
+        scale = max(float(np.abs(ref).max()), np.finfo(np.float64).tiny)
+        worst = max(worst, float(np.abs(got - ref).max()) / scale)
+    return worst
+
+
+def padding_shift(config, batch, extra: int) -> float:
+    """Largest change that appending ``extra`` padded timesteps to ``batch``
+    makes to a training step: over the logits, the loss and every parameter
+    gradient, each relative to its unpadded array's largest magnitude. Both
+    steps run on a fresh model from the same seed."""
+    from .data import SitsBatch
+    from .losses import LossConfig, classification_loss, combined_loss, reconstruction_loss
+    from .model import SitsClassifier
+    n, t = batch.valid_mask.shape
+    tail = np.zeros((n, extra) + batch.series.shape[2:], dtype=batch.series.dtype)
+    padded = SitsBatch(np.concatenate([batch.series, tail], axis=1),
+                       np.pad(batch.valid_mask, ((0, 0), (0, extra))), batch.labels)
+
+    def step(b):
+        model = SitsClassifier(config, 0)
+        out = model.forward(b, training=True)
+        l_tp = reconstruction_loss(b.series, out.reconstruction, b.valid_mask)
+        total, _ = combined_loss(classification_loss(out.class_logits, b.labels), l_tp,
+                                 LossConfig())
+        ad.backward(total)
+        return [out.class_logits.data, total.data] + [p.grad for _, p in model.named_params()]
+
+    worst = 0.0
+    for got, ref in zip(step(padded), step(batch)):
+        if got is None or ref is None:
             return math.inf
         scale = max(float(np.abs(ref).max()), np.finfo(np.float64).tiny)
         worst = max(worst, float(np.abs(got - ref).max()) / scale)
@@ -287,6 +319,20 @@ def suite_gradients(report: VerifyReport):
                          rng=np.random.default_rng(1)), 1e-4)
 
 
+def suite_padding(report: VerifyReport):
+    """A training step on a tiny float64 model is unchanged by padding
+    appended to its ragged batch: padded frames are never computed."""
+    from .data import SitsBatch
+    from .model import ModelConfig
+    rng = np.random.default_rng(5)
+    config = ModelConfig(input_channels=2, num_classes=3, hidden=8, d_state=4, dtype="float64")
+    mask = np.arange(5) < np.array([[5], [3], [2]])
+    batch = SitsBatch(rng.uniform(0, 1, (3, 5, 2, 4, 4)) * mask[:, :, None, None, None], mask,
+                      rng.integers(0, 3, (3, 4, 4)))
+    report.add("padding", "train_step_append_padding_max_rel", padding_shift(config, batch, 3),
+               1e-10)
+
+
 def suite_metrics(report: VerifyReport):
     """Vectorized scores vs the rational brute-force oracle."""
     from . import metrics
@@ -335,6 +381,7 @@ def run_all(zoh_fn=None, scan_fn=None, fused_fn=None) -> VerifyReport:
     suite_scan_kernel(report, scan_fn=scan_fn)
     suite_fused_scan(report, scan_fn=fused_fn)
     suite_gradients(report)
+    suite_padding(report)
     suite_metrics(report)
     suite_losses(report)
     report.elapsed = time.time() - t0

@@ -295,6 +295,16 @@ class TestPrimitiveGradients:
         assert gradcheck(f, [x, gamma, beta]) < TOL
 
     @pytest.mark.parametrize("seed", range(10))
+    def test_gather_and_scatter_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        x = f64(rng, 7, 2, 3)
+        v = f64(rng, 4, 2, 3)
+        w = f64(rng, 7, 2, 3, requires_grad=False)        # weights make every row count
+        rows = np.sort(rng.choice(7, size=4, replace=False))
+        assert gradcheck(lambda: ad.sum_(ad.mul(ad.gather_rows(x, rows), v)), [x, v]) < TOL
+        assert gradcheck(lambda: ad.sum_(ad.mul(ad.scatter_rows(v, rows, 7), w)), [v]) < TOL
+
+    @pytest.mark.parametrize("seed", range(10))
     def test_cross_entropy_logits(self, seed):
         rng = np.random.default_rng(seed)
         logits = f64(rng, 6, 4)
@@ -318,6 +328,35 @@ class TestPrimitiveGradients:
             h = ad.reshape(ad.transpose(h, (1, 0)), (3, 4))
             return ad.mean(ad.mul(h, h))
         assert gradcheck(f, [x, w]) < TOL
+
+
+class TestRowOps:
+    ROWS = np.array([0, 2, 3, 6])
+
+    def test_each_op_is_the_others_backward(self, rng):
+        x = f64(rng, 7, 3)
+        v = f64(rng, 4, 3)
+        gathered = ad.gather_rows(x, self.ROWS)
+        scattered = ad.scatter_rows(v, self.ROWS, 7)
+        assert np.array_equal(gathered.data, x.data[self.ROWS])
+        assert np.array_equal(scattered.data[self.ROWS], v.data)
+        assert not np.delete(scattered.data, self.ROWS, axis=0).any()
+        g7, g4 = rng.normal(0, 1, (7, 3)), rng.normal(0, 1, (4, 3))
+        ad.backward(ad.sum_(ad.mul(gathered, Tensor(g4))))
+        ad.backward(ad.sum_(ad.mul(scattered, Tensor(g7))))
+        assert np.array_equal(x.grad, ad.scatter_rows(Tensor(g4), self.ROWS, 7).data)
+        assert np.array_equal(v.grad, ad.gather_rows(Tensor(g7), self.ROWS).data)
+
+    @pytest.mark.parametrize("rows", [[0, 0, 1], [2, 1], [-1, 3], [0, 7], [[0, 1]], [0.0, 1.0]])
+    def test_rows_must_be_increasing_indices(self, rng, rows):
+        with pytest.raises(ShapeError):
+            ad.gather_rows(f64(rng, 7, 3), np.array(rows))
+        with pytest.raises(ShapeError):
+            ad.scatter_rows(f64(rng, np.size(rows), 3), np.array(rows), 7)
+
+    def test_scatter_wants_one_index_per_row(self, rng):
+        with pytest.raises(ShapeError):
+            ad.scatter_rows(f64(rng, 3, 3), self.ROWS, 7)
 
 
 class TestStructuralInvariants:

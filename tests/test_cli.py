@@ -61,6 +61,18 @@ class TestGenData:
             assert key in manifest
 
 
+    def test_manifest_describes_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        gen(tmp_path)
+        lines = (tmp_path / "run_manifest.txt").read_text().splitlines()
+        from sits_ssm import __version__, pool
+        for line in (f"sits_ssm_version={__version__}", f"numpy_version={np.__version__}",
+                     f"pool_workers={pool.worker_count()}", "OMP_NUM_THREADS=3",
+                     "OPENBLAS_NUM_THREADS=unset"):
+            assert line in lines
+
+
 class TestPipeline:
     @pytest.fixture
     def run(self, tmp_path):
@@ -313,6 +325,7 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
         assert "lti_scan_vs_kernel_max_abs" in out
+        assert "train_step_append_padding_max_rel" in out
 
     def test_injected_zoh_sign_error_fails_loudly(self):
         from sits_ssm import ssm, verify

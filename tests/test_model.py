@@ -8,7 +8,7 @@ from sits_ssm import autodiff as ad
 from sits_ssm.autodiff import Tensor
 from sits_ssm.data import SitsBatch
 from sits_ssm.model import ModelConfig, SitsClassifier, count_parameters
-from sits_ssm.verify import gradcheck
+from sits_ssm.verify import gradcheck, padding_shift
 
 
 def tiny_model(channels=3, classes=4, hidden=8, seed=0, **kw):
@@ -99,6 +99,28 @@ class TestMasking:
         alone = model.predict_logits(short)
         together = model.predict_logits(batch)
         assert np.array_equal(together[0], alone[0])
+
+    def test_train_mode_padding_invariance(self, rng):
+        """Padded frames are never computed, so appending padded timesteps
+        changes no logit, loss or gradient of a training step, batchnorm
+        statistics included."""
+        config = ModelConfig(input_channels=3, num_classes=4, hidden=8, d_state=4,
+                             dtype="float64")
+        mask = np.arange(6) < np.array([[6], [4], [1]])
+        batch = SitsBatch(rng.uniform(0, 1, (3, 6, 3, 5, 5)) * mask[:, :, None, None, None],
+                          mask, rng.integers(0, 4, (3, 5, 5)))
+        assert padding_shift(config, batch, 4) <= 1e-10
+
+    @pytest.mark.parametrize("row", [[True, False, True, True, False],
+                                     [False, True, True, True, True],
+                                     [False] * 5])
+    def test_mask_rows_must_be_non_empty_prefixes(self, rng, monkeypatch, row):
+        model = tiny_model()
+        batch = random_batch(rng, n=2, t=5)
+        batch.valid_mask[1] = row
+        monkeypatch.setattr(model, "spatial", lambda *args: pytest.fail("computed"))
+        with pytest.raises(ad.ShapeError):
+            model.forward(batch, training=True)
 
     def test_temporal_maxpool_examples(self, rng):
         model = tiny_model(hidden=4)

@@ -273,13 +273,57 @@ class TestChunkedScan:
         assert all(t.grad is not None and t.grad.dtype == np.float32 for t in ts)
 
 
-def block_pass(blk, x, g):
+class TestPhiSearch:
+    """The scan lets ``_phi`` look for |z| below the switch only when
+    min(delta * min_n |a|) says that some z can lie there."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        seen = []                                  # (near_zero, some |z| below the switch)
+        phi = ssm._phi
+
+        def spy(z, out=None, near_zero=True):
+            seen.append((near_zero, bool((np.abs(z) < ssm._PHI_SWITCH).any())))
+            return phi(z, out=out, near_zero=near_zero)
+
+        monkeypatch.setattr(ssm, "_phi", spy)
+        return seen
+
+    def test_tiny_delta_takes_the_series_branch(self, rng, monkeypatch):
+        args = scan_inputs(rng, 5, 6, 8, 4)
+        args[1][2, 3, 5] = 1e-8
+        g = rng.normal(0, 1, (5, 6, 8))
+        seen = self.spy(monkeypatch)
+        assert scan_vs_composite(args, g) < 1e-12
+        assert any(small for _, small in seen)
+        assert all(near_zero for near_zero, small in seen if small)
+
+    def test_search_skipped_bitwise_when_no_z_is_small(self, rng, monkeypatch):
+        args = scan_inputs(rng, 5, 6, 8, 4, np.float32)
+        g = rng.normal(0, 1, (5, 6, 8)).astype(np.float32)
+
+        def run():
+            ts = [Tensor(x, requires_grad=True) for x in args]
+            y = ssm.selective_scan_fused(*ts)
+            ad.backward(ad.sum_(ad.mul(y, Tensor(g))))
+            return [y.data] + [t.grad for t in ts]
+
+        seen = self.spy(monkeypatch)
+        skipped = run()
+        assert seen and not any(near_zero for near_zero, _ in seen)
+        monkeypatch.setattr(ssm, "_near_zero", lambda delta, a_t: True)
+        searched = run()
+        for got, ref in zip(skipped, searched):
+            assert np.array_equal(got, ref)
+
+
+def block_pass(blk, x, g, lengths=None):
     """Output, input gradient and parameter gradients of one block pass."""
     xt = Tensor(x, requires_grad=True)
     params = [t for _, t in blk.named_params()]
     for t in params:
         t.zero_grad()
-    y = blk(xt)
+    y = blk(xt, lengths)
     ad.backward(ad.sum_(ad.mul(y, Tensor(g))))
     return [y.data, xt.grad] + [t.grad for t in params]
 
@@ -309,6 +353,39 @@ class TestBlockNode:
         for other in results[1:]:
             for got, ref in zip(other, results[0]):
                 assert got.dtype == np.float32 and np.array_equal(got, ref)
+
+    def test_ragged_lengths_bitwise_for_any_worker_count(self, rng, monkeypatch):
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * 16 * 4 * 4)
+        blk = MambaBlock(self.CFG, rng)
+        x = rng.normal(0, 1, (self.B, self.L, 8)).astype(np.float32)
+        g = rng.normal(0, 1, (self.B, self.L, 8)).astype(np.float32)
+        lengths = rng.integers(1, self.L + 1, self.B)
+        lengths[:3] = 2                            # a whole chunk stops at step 2
+        full = block_pass(blk, x, g)[0]
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 5):
+                with ThreadPoolExecutor(workers) as pool:
+                    monkeypatch.setattr(pool_mod, "_POOL", pool)
+                    results.append(block_pass(blk, x, g, lengths))
+        finally:
+            sys.setswitchinterval(interval)
+        for other in results[1:]:
+            for got, ref in zip(other, results[0]):
+                assert got.dtype == np.float32 and np.array_equal(got, ref)
+        y, gx = results[0][:2]
+        padded = np.arange(self.L) >= lengths[:, None]
+        assert not y[padded].any() and not gx[padded].any()
+        # causal: the valid steps are the full-length pass's
+        assert np.allclose(y[~padded], full[~padded], rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("lengths", [[0, 3], [4, 7], [3]])
+    def test_lengths_outside_the_sequence_rejected(self, rng, lengths):
+        blk = MambaBlock(self.CFG, rng)
+        with pytest.raises(ad.ShapeError):
+            blk(Tensor(rng.normal(0, 1, (2, self.L, 8)).astype(np.float32)), np.array(lengths))
 
     def test_chunked_matches_one_chunk(self, rng, monkeypatch):
         blk = MambaBlock(self.CFG, rng, dtype=np.float64)
