@@ -17,15 +17,18 @@ Threading: tensor values are immutable after creation (gradient
 accumulation is the one exception), and a forward+backward pass is
 single-threaded with respect to its graph. Values may be handed between
 threads; independent graphs may run in parallel. Two ops use the package's
-one thread pool (``pool``), each as one node of the outer graph.
-``ssm.MambaBlock`` is the one place that splits pixel sequences, and runs
-each chunk as its own sub-graph on the pool, over parameter copies whose
-``grad`` only that chunk touches; the selective scan inside a chunk is a
-single pass on that chunk's thread. ``conv2d`` splits the frames of its
-(B, C, H, W) stack: each chunk's im2col + GEMM writes its slice of the
-output, and backward recomputes the chunk's columns on the pool. No pool
-task asks the pool for work. Grad mode is per thread (and per asyncio
-task): ``no_grad()`` in one thread leaves tape recording on in every other.
+one thread pool (``pool``), each as one node of the outer graph, and both
+follow its one protocol: cut the leading axis with ``pool._chunk_bounds``,
+run one task per chunk with ``pool._map``, and add the chunks' partial
+gradients with ``pool._sum_in_order``. ``ssm.MambaBlock`` is the one
+place that splits pixel sequences, and runs each chunk as its own
+sub-graph, over parameter copies whose ``grad`` only that chunk touches;
+the selective scan inside a chunk is a single pass on that chunk's
+thread. ``conv2d`` splits the frames of its (B, C, H, W) stack: each
+chunk's im2col + GEMM writes its slice of the output, and backward
+recomputes the chunk's columns. No pool task asks the pool for work.
+Grad mode is per thread (and per asyncio task): ``no_grad()`` in one
+thread leaves tape recording on in every other.
 """
 
 from __future__ import annotations
@@ -107,9 +110,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -612,7 +612,7 @@ def conv2d(x, weight, bias=None) -> Tensor:
     ``_CONV_FRAME_BUDGET``. A chunk writes its GEMM straight into its slice
     of the output; backward recomputes its columns instead of keeping them,
     writes its slice of the input gradient, and returns its part of the
-    weight gradient, which the parts sum in chunk order. Output and input
+    weight gradient, which ``pool._sum_in_order`` adds up. Output and input
     gradient equal the whole-batch op bitwise; the weight gradient is
     bitwise the same for any worker count.
     """
@@ -633,31 +633,26 @@ def conv2d(x, weight, bias=None) -> Tensor:
         parents.append(bias)
     out = np.empty((b, c_out, h * w), dtype=np.result_type(*(p.data for p in parents)))
 
-    def forward(i):
-        s, e = bounds[i]
+    def forward(bound):
+        s, e = bound
         np.matmul(wmat, _im2col(xv[s:e], kh, kw), out=out[s:e])
         if bias is not None:
             out[s:e] += bias.data[:, None]
 
-    pool._run_chunks(forward, len(bounds))
+    pool._map(forward, bounds)
 
     def backward_fn(g):
         gmat = g.reshape(b, c_out, h * w)
         gx = np.empty_like(xv) if x.requires_grad else None
-        parts = [None] * len(bounds)
 
-        def backward(i):
-            s, e = bounds[i]
-            cols = _im2col(xv[s:e], kh, kw)
-            parts[i] = np.einsum("bop,bkp->ok", gmat[s:e], cols, optimize=True)
+        def backward(bound):
+            s, e = bound
+            part = np.einsum("bop,bkp->ok", gmat[s:e], _im2col(xv[s:e], kh, kw), optimize=True)
             if gx is not None:
                 gx[s:e] = _col2im(np.matmul(wmat.T, gmat[s:e]), gx[s:e].shape, kh, kw)
+            return part
 
-        pool._run_chunks(backward, len(bounds))
-        gw = parts[0]
-        for part in parts[1:]:
-            gw += part
-        gw = gw.reshape(weight.shape)
+        gw = pool._sum_in_order(pool._map(backward, bounds)).reshape(weight.shape)
         if bias is not None:
             return gx, gw, gmat.sum(axis=(0, 2))
         return gx, gw

@@ -14,8 +14,8 @@ versions, the thread pool's worker count and the BLAS thread variables
 absent). Checkpoints, logs and metrics hold none of these, so two runs
 on different machines can still be compared byte for byte.
 
-Exit codes: 0 success, 1 usage error, 2 data/shape error,
-3 verification failure.
+Exit codes: 0 success, 1 usage error, 2 data/shape error (a path that
+cannot be read included), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -57,8 +57,12 @@ class _Parser(argparse.ArgumentParser):
 def _read_config_file(path: Path) -> dict[str, str]:
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise UsageError(f"config file is not UTF-8 text: {path} ({e.reason})") from None
     out = {}
-    for raw in path.read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -245,6 +249,9 @@ def _load_model(args, command: str) -> tuple[TrainConfig, data_mod.SitsDataset,
     eval and predict, checked in that order before any compute."""
     cfg = _resolve(args)
     model_cfg, run_cfg = _configs(cfg)
+    if command == "predict" and cfg["classes"] > 256:
+        raise UsageError(f"predict writes 8-bit PGM label maps: classes must be at most 256, "
+                         f"got {cfg['classes']}")
     ds = data_mod.load_dataset(Path(args.data))
     _check_dataset_fits(ds, cfg, args.data)
     ckpt = Path(args.checkpoint)
@@ -334,7 +341,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, DatasetFormatError, CheckpointFormatError,
+    except (OSError, DatasetFormatError, CheckpointFormatError,
             ShapeError, NonFiniteError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

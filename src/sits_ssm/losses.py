@@ -98,10 +98,9 @@ def reconstruction_loss(target, reconstruction: Tensor, valid_mask: np.ndarray |
     if np.any(counts == 0):
         raise ValueError("reconstruction_loss: sample with no valid timestep")
 
-    weights = np.zeros((n, l), dtype=np.float64)
-    for i, cnt in enumerate(counts):
-        idx = np.flatnonzero(valid_mask[i])
-        weights[i, idx] = positional_weights(int(cnt)) if use_pw else 1.0
+    # the positional ramp 1/cnt, ..., cnt/cnt over each sample's valid steps
+    ramp = np.cumsum(valid_mask, axis=1) / counts[:, None] if use_pw else 1.0
+    weights = np.where(valid_mask, ramp, 0.0)
 
     diff = ad.sub(reconstruction, target)
     per_step = ad.mean(ad.mul(diff, diff), axis=(2, 3, 4))  # (N, L)

@@ -1,13 +1,13 @@
-"""The package's one thread pool, and the rule that cuts work into chunks.
+"""The package's one thread pool, and the chunk protocol on it.
 
 ``ssm.MambaBlock`` splits pixel sequences and ``autodiff.conv2d`` splits
-frames; both cut their leading axis with ``_chunk_bounds`` under a byte
-budget of their own and run the chunks with ``_run_chunks`` on the same
-pool. The pool is created at first use, with one worker per CPU the
-process may run on; numpy releases the GIL inside its kernels. Chunk
-boundaries depend only on the item count and the budget, never on the
-number of workers, so a caller that computes every chunk the same way and
-reduces the chunks in order gets bitwise identical results for any
+frames: each cuts its leading axis with ``_chunk_bounds`` under a byte
+budget of its own, runs one task per chunk with ``_map``, and adds the
+chunks' partial gradients with ``_sum_in_order``. The pool is created at
+first use, with one worker per CPU the process may run on; numpy releases
+the GIL inside its kernels. Chunk boundaries depend only on the item
+count and the budget, never on the number of workers, and the partials
+are added in chunk order, so results are bitwise identical for any
 worker count.
 
 This module imports nothing from the package.
@@ -56,16 +56,23 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_chunks(fn, n_chunks: int):
-    """fn(0), ..., fn(n_chunks - 1) on the pool; a single chunk runs inline.
+def _map(fn, items: list) -> list:
+    """[fn(item) for item in items], run on the pool; a single item runs inline.
 
     Each pool task runs in a copy of the caller's context, so it sees the
     caller's grad mode. A task must not wait on the pool itself: nothing
     below a block chunk or a conv2d frame chunk asks the pool for work.
     """
-    if n_chunks == 1:
-        fn(0)
-        return
+    if len(items) == 1:
+        return [fn(items[0])]
     ctx = contextvars.copy_context()
-    for _ in _pool().map(lambda i: ctx.copy().run(fn, i), range(n_chunks)):
-        pass
+    return list(_pool().map(lambda item: ctx.copy().run(fn, item), items))
+
+
+def _sum_in_order(parts):
+    """The sum of the chunks' partial results, added in chunk order into
+    the first one, so that it does not depend on which thread made which."""
+    total, *rest = parts
+    for part in rest:
+        total += part
+    return total

@@ -46,16 +46,17 @@ the block is the one place that splits the sequences: into chunks of
     c = clamp(_SCAN_VECTOR_BUDGET // (D * N * itemsize), 1, B)
 
 sequences, so that the scan's (c, D, N) working arrays fit the budget
-(256 KiB: 16 sequences at D=256, N=16 in float32). The chunks run on the
-package's one thread pool (``pool``), which ``autodiff.conv2d`` shares
-for its frame chunks; it has one worker per CPU the process may run on,
-and numpy releases the GIL inside its kernels. The block is one tape
-node whose forward runs each chunk's block as a small sub-graph of its
-own, and whose backward replays those sub-graphs and sums their
-parameter gradients in chunk order. Chunk boundaries depend only on the
-budget and every chunk is computed the same way whichever thread runs
-it, so results are bitwise identical for any number of workers, and the
-working arrays stay chunk-sized. Given each sequence's valid length, a
+(256 KiB: 16 sequences at D=256, N=16 in float32). The chunks run with
+``pool._map`` on the package's one thread pool, which ``autodiff.conv2d``
+shares for its frame chunks; it has one worker per CPU the process may
+run on, and numpy releases the GIL inside its kernels. The block is one
+tape node whose forward runs each chunk's block as a small sub-graph of
+its own and returns the chunk's record, and whose backward replays those
+sub-graphs and adds their parameter gradients with
+``pool._sum_in_order``. Chunk boundaries depend only on the budget and
+every chunk is computed the same way whichever thread runs it, so
+results are bitwise identical for any number of workers, and the working
+arrays stay chunk-sized. Given each sequence's valid length, a
 chunk runs only up to the longest one among its sequences; the block is
 causal, so the steps it skips could not have changed a valid output.
 """
@@ -273,77 +274,6 @@ def _time_major(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
-def _scan_chunk(a_t, dt, wt, bt, ct, yt, hs, near_zero):
-    """Forward recurrence of one chunk, time-major.
-
-    a_t: (N, D); dt = delta and wt = delta * u: (L, c, D); bt, ct: (L, c, N).
-    The state is laid out (c, N, D) so that every broadcast runs along D.
-    Writes C_t h_t into yt (L, c, D). Stores h_0..h_L into hs (L+1, c, N, D)
-    when it is not None; otherwise only the running state is kept.
-    ``near_zero`` is passed on to ``_phi``.
-    """
-    h = np.zeros((dt.shape[1],) + a_t.shape, dtype=dt.dtype)
-    z, bx = np.empty_like(h), np.empty_like(h)
-    if hs is not None:
-        hs[0] = h
-    for t in range(dt.shape[0]):
-        np.multiply(dt[t][:, None, :], a_t, out=z)
-        _phi(z, out=bx, near_zero=near_zero)
-        bx *= wt[t][:, None, :]
-        bx *= bt[t][:, :, None]
-        np.exp(z, out=z)
-        h_next = h if hs is None else hs[t + 1]
-        np.multiply(z, h, out=h_next)
-        h_next += bx
-        h = h_next
-        np.matmul(ct[t][:, None, :], h, out=yt[t][:, None, :])
-
-
-def _scan_chunk_grad(a_t, ut, dt, wt, bt, ct, hs, gt, near_zero):
-    """Reverse pass of one chunk; same layout as ``_scan_chunk``.
-
-    exp(z), phi(z) and phi'(z) are recomputed per step from delta and a
-    rather than stored. With h_{t+1} = e^z h_t + phi(z) delta u b and
-    z = delta a, the delta-derivative of phi(z) delta is e^z, so only the
-    gradient of ``a`` needs phi'. Returns the gradients of u (without the
-    skip term), delta, b and c, time-major, and this chunk's part of the
-    gradient of ``a`` as (N, D).
-    """
-    gu, gd = np.empty_like(ut), np.empty_like(ut)
-    gb, gc = np.empty_like(bt), np.empty_like(ct)
-    lam = np.zeros(hs.shape[1:], dtype=ut.dtype)     # dLoss/dh_t
-    ga = np.zeros_like(lam)
-    z, ez, phi, g_z = (np.empty_like(lam) for _ in range(4))
-    reduced = np.empty_like(gu[0])
-    for t in range(dt.shape[0] - 1, -1, -1):
-        gy, d_t = gt[t], dt[t][:, None, :]
-        np.matmul(hs[t + 1], gy[:, :, None], out=gc[t][:, :, None])
-        np.multiply(ct[t][:, :, None], gy[:, None, :], out=z)
-        lam += z
-        np.multiply(d_t, a_t, out=z)
-        np.exp(z, out=ez)
-        _phi(z, out=phi, near_zero=near_zero)
-        _phi_prime(z, ez, phi, out=g_z)
-        g_z *= lam
-        lam_phi = np.multiply(lam, phi, out=phi)
-        np.matmul(lam_phi, wt[t][:, :, None], out=gb[t][:, :, None])
-        np.matmul(bt[t][:, None, :], lam_phi, out=gu[t][:, None, :])
-        gu[t] *= dt[t]
-        lam *= ez                                    # now dLoss/dh_{t-1} (before its readout)
-        lam_h = np.multiply(lam, hs[t], out=ez)
-        # sum over n weighted by a[n, d]: no matmul, and einsum beats (x * a).sum(1)
-        np.einsum("cnd,nd->cd", lam_h, a_t, out=gd[t])
-        np.matmul(bt[t][:, None, :], lam, out=reduced[:, None, :])
-        reduced *= ut[t]
-        gd[t] += reduced
-        g_z *= wt[t][:, None, :]
-        g_z *= bt[t][:, :, None]
-        g_z += lam_h
-        g_z *= d_t
-        ga += g_z
-    return gu, gd, gb, gc, ga.sum(axis=0)
-
-
 def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
                          c: Tensor, d_skip: Tensor) -> Tensor:
     """Input-selective scan with per-step ZOH discretization, one fused op.
@@ -379,21 +309,74 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     wt = _time_major(uv) * dt                  # delta * u; u itself is read from uv below
     bt, ct = _time_major(bv), _time_major(cv)
     yt = np.empty_like(wt)
-    _scan_chunk(a_t, dt, wt, bt, ct, yt, hs, near_zero)
-    del dt, wt, bt, ct                         # free the time-major copies early
+    # time-major recurrence; the state is laid out (B, N, D) so that every
+    # broadcast runs along D
+    h = np.zeros((nb,) + a_t.shape, dtype=dt.dtype)
+    z, bx = np.empty_like(h), np.empty_like(h)
+    if hs is not None:
+        hs[0] = h
+    for t in range(nl):
+        np.multiply(dt[t][:, None, :], a_t, out=z)
+        _phi(z, out=bx, near_zero=near_zero)
+        bx *= wt[t][:, None, :]
+        bx *= bt[t][:, :, None]
+        np.exp(z, out=z)
+        h_next = h if hs is None else hs[t + 1]
+        np.multiply(z, h, out=h_next)
+        h_next += bx
+        h = h_next
+        np.matmul(ct[t][:, None, :], h, out=yt[t][:, None, :])
+    del dt, wt, bt, ct, h, h_next, z, bx       # free the time-major copies and buffers early
     y = np.ascontiguousarray(yt.transpose(1, 0, 2))
     del yt
     y += skipv * uv
 
     def backward_fn(g):
+        # exp(z), phi(z) and phi'(z) are recomputed per step, not stored.
+        # With h_{t+1} = e^z h_t + phi(z) delta u b and z = delta a, the
+        # delta-derivative of phi(z) delta is e^z: only ``a``'s needs phi'.
         nonlocal hs
         ut, dt, bt, ct, gt = (_time_major(x) for x in (uv, dv, bv, cv, g))
-        *grads, ga = _scan_chunk_grad(a_t, ut, dt, dt * ut, bt, ct, hs, gt, near_zero)
-        hs = None                              # free the trajectory early
-        grads[0] += skipv * gt
-        gu, gd, gb, gc = (np.ascontiguousarray(x.transpose(1, 0, 2)) for x in grads)
+        wt = dt * ut
+        gu, gd = np.empty_like(ut), np.empty_like(ut)
+        gb, gc = np.empty_like(bt), np.empty_like(ct)
+        lam = np.zeros(hs.shape[1:], dtype=ut.dtype)     # dLoss/dh_t
+        ga = np.zeros_like(lam)
+        z, ez, phi, g_z = (np.empty_like(lam) for _ in range(4))
+        reduced = np.empty_like(gu[0])
+        for t in range(nl - 1, -1, -1):
+            gy, d_t = gt[t], dt[t][:, None, :]
+            np.matmul(hs[t + 1], gy[:, :, None], out=gc[t][:, :, None])
+            np.multiply(ct[t][:, :, None], gy[:, None, :], out=z)
+            lam += z
+            np.multiply(d_t, a_t, out=z)
+            np.exp(z, out=ez)
+            _phi(z, out=phi, near_zero=near_zero)
+            _phi_prime(z, ez, phi, out=g_z)
+            g_z *= lam
+            lam_phi = np.multiply(lam, phi, out=phi)
+            np.matmul(lam_phi, wt[t][:, :, None], out=gb[t][:, :, None])
+            np.matmul(bt[t][:, None, :], lam_phi, out=gu[t][:, None, :])
+            gu[t] *= dt[t]
+            lam *= ez                                    # now dLoss/dh_{t-1} (before its readout)
+            lam_h = np.multiply(lam, hs[t], out=ez)
+            # sum over n weighted by a[n, d]: no matmul, and einsum beats (x * a).sum(1)
+            np.einsum("cnd,nd->cd", lam_h, a_t, out=gd[t])
+            np.matmul(bt[t][:, None, :], lam, out=reduced[:, None, :])
+            reduced *= ut[t]
+            gd[t] += reduced
+            g_z *= wt[t][:, None, :]
+            g_z *= bt[t][:, :, None]
+            g_z += lam_h
+            g_z *= d_t
+            ga += g_z
+        hs = None                              # free the trajectory and the step buffers early
+        del wt, lam, z, ez, phi, g_z, lam_h, lam_phi, reduced
+        ga = ga.sum(axis=0).T
+        gu += skipv * gt
+        gu, gd, gb, gc = (np.ascontiguousarray(x.transpose(1, 0, 2)) for x in (gu, gd, gb, gc))
         gskip = np.einsum("bld,bld->d", g, uv)
-        return gu, gd, ga.T, gb, gc, gskip
+        return gu, gd, ga, gb, gc, gskip
 
     return ad._make(y, parents, backward_fn, "selective_scan")
 
@@ -488,14 +471,17 @@ class MambaBlock(nn.Module):
         ``pool._chunk_bounds`` cuts the B sequences into chunks whose scan
         state fits ``_SCAN_VECTOR_BUDGET`` (read at call time), and each chunk
         runs the whole block (``_forward``, whose scan is a single pass) as a
-        sub-graph of its own on the shared pool, over a ``shadow`` of this
-        block and over the chunk's first Lc steps only, Lc being the longest
-        valid length in the chunk. The block is causal, so a step never sees
-        the steps after it; the output is zero at every step beyond a
-        sequence's length, and backward drops the gradient there. Backward
-        replays every chunk's sub-graph on the pool and sums the parameter
-        gradients in chunk order, so the results do not depend on the number
-        of workers. A single chunk takes the same route, inline.
+        sub-graph of its own on the shared pool (``pool._map``), over a
+        ``shadow`` of this block and over the chunk's first Lc steps only, Lc
+        being the longest valid length in the chunk. The block is causal, so
+        a step never sees the steps after it; the output is zero at every
+        step beyond a sequence's length, and backward drops the gradient
+        there. Each chunk's forward returns its record (bounds, input leaf,
+        shadow, output), or None when no tape is kept. Backward replays every
+        record's sub-graph on the pool, frees it as soon as it is replayed,
+        and adds the parameter gradients with ``pool._sum_in_order``, so the
+        results do not depend on the number of workers. A single chunk takes
+        the same route, inline.
         """
         cfg = self.cfg
         if x.ndim != 3 or x.shape[2] != cfg.d_model:
@@ -507,44 +493,37 @@ class MambaBlock(nn.Module):
         padded = np.arange(nl) >= lengths[:, None]            # (B, L) steps beyond a length
         bounds = pool._chunk_bounds(nb, cfg.d_inner * cfg.d_state * x.dtype.itemsize,
                                     _SCAN_VECTOR_BUDGET)
-        steps = [int(lengths[s:e].max()) for s, e in bounds]
         params = [t for _, t in self.named_params()]
         dtype = np.result_type(x.dtype, *(p.dtype for p in params))
         y = np.zeros((nb, nl, cfg.d_model), dtype=dtype)
-        chunks = [None] * len(bounds)             # (input leaf, shadow, output) when taped
 
-        def forward(i):
-            (s, e), lc = bounds[i], steps[i]
+        def forward(bound):
+            s, e = bound
+            lc = int(lengths[s:e].max())
             twin = self.shadow()
             xi = Tensor(np.ascontiguousarray(x.data[s:e, :lc]), requires_grad=x.requires_grad)
             out = twin._forward(xi)
             y[s:e, :lc] = out.data
             y[s:e, :lc][padded[s:e, :lc]] = 0.0
-            if out.requires_grad:
-                chunks[i] = (xi, twin, out)
+            return [bound, xi, twin, out] if out.requires_grad else None
 
-        pool._run_chunks(forward, len(bounds))
+        records = pool._map(forward, bounds)
 
         def backward_fn(g):
             g = np.where(padded[:, :, None], 0.0, g) if padded.any() else g
             gx = np.zeros_like(x.data) if x.requires_grad else None
-            parts = [None] * len(bounds)
 
-            def backward(i):
-                (s, e), lc = bounds[i], steps[i]
-                xi, twin, out = chunks[i]
-                chunks[i] = None                  # free the sub-graph as it is replayed
+            def backward(record):
+                (s, e), xi, twin, out = record
+                record.clear()                    # free the sub-graph as it is replayed
+                lc = xi.shape[1]
                 ad._backprop(out, np.ascontiguousarray(g[s:e, :lc]))
                 if gx is not None:
                     gx[s:e, :lc] = xi.grad
-                parts[i] = [t.grad for _, t in twin.named_params()]
+                return [t.grad for _, t in twin.named_params()]
 
-            pool._run_chunks(backward, len(bounds))
-            grads = parts[0]
-            for part in parts[1:]:
-                for total, p in zip(grads, part):
-                    total += p
-            return (gx, *grads)
+            parts = pool._map(backward, records)
+            return (gx, *(pool._sum_in_order(p) for p in zip(*parts)))
 
         return ad._make(y, (x, *params), backward_fn, "mamba_block")
 

@@ -1,6 +1,5 @@
 """Forward semantics and gradient correctness of every tape primitive."""
 
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -14,7 +13,7 @@ from sits_ssm import pool as pool_mod
 from sits_ssm.autodiff import NonFiniteError, ShapeError, Tensor
 from sits_ssm.verify import gradcheck
 
-from conftest import f64
+from conftest import bitwise_for_any_worker_count, f64
 
 TOL = 1e-4
 
@@ -409,19 +408,7 @@ class TestChunkedConv2d:
         monkeypatch.setattr(ad, "_CONV_FRAME_BUDGET", 2 * 2700)
         assert len(pool_mod._chunk_bounds(self.B, 2700, ad._CONV_FRAME_BUDGET)) == 12
         args = self.inputs(rng, np.float32)
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for workers in (1, 2, 5):
-                with ThreadPoolExecutor(workers) as pool:
-                    monkeypatch.setattr(pool_mod, "_POOL", pool)
-                    results.append(conv_pass(*args))
-        finally:
-            sys.setswitchinterval(interval)
-        for other in results[1:]:
-            for got, ref in zip(other, results[0]):
-                assert got.dtype == np.float32 and np.array_equal(got, ref)
+        bitwise_for_any_worker_count(monkeypatch, lambda: conv_pass(*args))
 
     def test_chunked_matches_one_chunk(self, rng, monkeypatch):
         args = self.inputs(rng, np.float64)

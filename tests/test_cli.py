@@ -199,6 +199,7 @@ class TestExitCodes:
         ["train", "--eval-classes", "7"], ["train", "--eval-classes", "6"],
         ["train", "--eval-classes", "-1"], ["train", "--eval-classes", ","],
         ["eval", "--eval-classes", "25"], ["predict", "--eval-classes", ","],
+        ["predict", "--classes", "300"],          # PGM gray levels end at 255
     ], ids=lambda argv: f"{argv[0]}:{argv[1][2:]}={argv[2]}")
     def test_out_of_range_setting_is_1_before_any_io(self, tmp_path, capsys, argv):
         """Checked before the data is read (it does not exist here) and
@@ -211,6 +212,25 @@ class TestExitCodes:
         assert main([command, "--out", str(out), *io, *setting]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["data", "checkpoint", "config"])
+    def test_directory_given_as_a_file_is_2(self, tmp_path, capsys, flag):
+        data = tmp_path / "d"
+        gen(data)
+        paths = {"data": data / "test.sits", "checkpoint": tmp_path / "none.ckpt", flag: data}
+        argv = ["eval", "--out", str(tmp_path / "o"), *SMALL]
+        for key, path in paths.items():
+            argv += ["--" + key, str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_config_that_is_not_utf8_is_1(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("seed=1  # d\xe9faut\n".encode("latin-1"))
+        assert main(["train", "--data", str(tmp_path / "none"), "--out", str(tmp_path / "o"),
+                     "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "o").exists()
 
     def test_corrupt_dataset_is_2(self, tmp_path):
         data = tmp_path / "d"

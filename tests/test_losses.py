@@ -73,6 +73,21 @@ class TestReconstructionLoss:
         loss = reconstruction_loss(target, Tensor(rec), valid_mask=mask, use_pw=True)
         assert loss.item() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("use_pw", [True, False])
+    def test_matches_the_per_sample_weight_loop(self, rng, use_pw):
+        n, l = 5, 7
+        target = rng.uniform(0, 1, (n, l, 2, 3, 3))
+        rec = rng.uniform(0, 1, (n, l, 2, 3, 3))
+        mask = rng.random((n, l)) < 0.6
+        mask[:, 3] = True                     # every row keeps a step; rows may have holes
+        weights = np.zeros((n, l))
+        for i in range(n):
+            idx = np.flatnonzero(mask[i])
+            weights[i, idx] = positional_weights(len(idx)) if use_pw else 1.0
+        expected = (((rec - target) ** 2).mean(axis=(2, 3, 4)) * weights).sum(axis=1).mean()
+        loss = reconstruction_loss(target, Tensor(rec), valid_mask=mask, use_pw=use_pw)
+        assert loss.item() == pytest.approx(expected, rel=1e-12)
+
     def test_pixel_permutation_invariance(self, rng):
         target = rng.uniform(0, 1, (2, 3, 2, 4, 4))
         rec = rng.uniform(0, 1, (2, 3, 2, 4, 4))

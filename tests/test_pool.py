@@ -1,4 +1,4 @@
-"""The package's shared thread pool across fork."""
+"""The package's shared thread pool: chunk boundaries, and the pool across fork."""
 
 import os
 import subprocess
@@ -8,7 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from sits_ssm import pool
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_chunk_bounds():
+    budget = 256 * 2**10
+    assert len(pool._chunk_bounds(512, 256 * 16 * 4, budget)) == 32      # 16 per chunk
+    assert pool._chunk_bounds(512, 32 * 8 * 4, budget) == [(0, 256), (256, 512)]
+    assert pool._chunk_bounds(5, 2**30, budget) == [(i, i + 1) for i in range(5)]
+    assert pool._chunk_bounds(3, 1, budget) == [(0, 3)]
 
 # The parent runs a chunked conv2d, so its pool has live workers, then
 # forks. Worker threads do not survive fork: a child that reused the

@@ -1,9 +1,7 @@
 """Discretization closed forms, scan/kernel equivalence, selectivity, the
 single-pass fused scan, and the chunked gated block contracts."""
 
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +15,8 @@ from sits_ssm.losses import LossConfig
 from sits_ssm.model import ModelConfig, SitsClassifier
 from sits_ssm.ssm import DiscreteStep, MambaBlock, SsmConfig
 from sits_ssm.verify import gradcheck, phi_prime_reference, scan_vs_composite
+
+from conftest import bitwise_for_any_worker_count
 
 TOL = 1e-4
 
@@ -198,44 +198,13 @@ def scan_inputs(rng, b_, l, d, n, dtype=np.float64):
 
 
 class TestChunkedScan:
-    # 37 sequences of D*N = 1024; the scan is one pass, so no budget may
-    # change its result
+    # 37 sequences of D*N = 1024, scanned in one pass
     B, L, D, N = 37, 6, 64, 16
 
-    @pytest.mark.parametrize("budget", [0, 3 * 64 * 16 * 8, ssm._SCAN_VECTOR_BUDGET, 2**62])
-    def test_matches_composite_at_every_chunking(self, rng, monkeypatch, budget):
-        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", budget)
+    def test_matches_composite(self, rng):
         args = scan_inputs(rng, self.B, self.L, self.D, self.N)
         g = rng.normal(0, 1, (self.B, self.L, self.D))
         assert scan_vs_composite(args, g) < 1e-12
-
-    def test_chunk_bounds(self):
-        budget = 256 * 2**10
-        assert len(pool_mod._chunk_bounds(512, 256 * 16 * 4, budget)) == 32      # 16 per chunk
-        assert pool_mod._chunk_bounds(512, 32 * 8 * 4, budget) == [(0, 256), (256, 512)]
-        assert pool_mod._chunk_bounds(5, 2**30, budget) == [(i, i + 1) for i in range(5)]
-        assert pool_mod._chunk_bounds(3, 1, budget) == [(0, 3)]
-
-    def test_float32_bitwise_equal_for_any_worker_count(self, rng, monkeypatch):
-        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * self.D * self.N * 4)
-        args = scan_inputs(rng, self.B, self.L, self.D, self.N, np.float32)
-        g = rng.normal(0, 1, (self.B, self.L, self.D)).astype(np.float32)
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for workers in (1, 2, 5):
-                with ThreadPoolExecutor(workers) as pool:
-                    monkeypatch.setattr(pool_mod, "_POOL", pool)
-                    ts = [Tensor(x, requires_grad=True) for x in args]
-                    y = ssm.selective_scan_fused(*ts)
-                    ad.backward(ad.sum_(ad.mul(y, Tensor(g))))
-                    results.append([y.data] + [t.grad for t in ts])
-        finally:
-            sys.setswitchinterval(interval)
-        for other in results[1:]:
-            for x, ref in zip(other, results[0]):
-                assert x.dtype == np.float32 and np.array_equal(x, ref)
 
     @pytest.mark.parametrize("tracked", [False, True])
     def test_inference_keeps_no_state_trajectory(self, rng, tracked):
@@ -269,7 +238,7 @@ class TestChunkedScan:
               for x in scan_inputs(rng, self.B, self.L, self.D, self.N, np.float32)]
         y = ssm.selective_scan_fused(*ts)
         ad.backward(ad.sum_(y))
-        assert y.shape == (self.B, self.L, self.D)
+        assert y.shape == (self.B, self.L, self.D) and y.dtype == np.float32
         assert all(t.grad is not None and t.grad.dtype == np.float32 for t in ts)
 
 
@@ -339,20 +308,8 @@ class TestBlockNode:
         blk = MambaBlock(self.CFG, rng)
         x = rng.normal(0, 1, (self.B, self.L, 8)).astype(np.float32)
         g = rng.normal(0, 1, (self.B, self.L, 8)).astype(np.float32)
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for workers in (1, 2, 5):
-                with ThreadPoolExecutor(workers) as pool:
-                    monkeypatch.setattr(pool_mod, "_POOL", pool)
-                    results.append(block_pass(blk, x, g))
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(results[0]) == 2 + 10           # output, input and the 10 parameters
-        for other in results[1:]:
-            for got, ref in zip(other, results[0]):
-                assert got.dtype == np.float32 and np.array_equal(got, ref)
+        result = bitwise_for_any_worker_count(monkeypatch, lambda: block_pass(blk, x, g))
+        assert len(result) == 2 + 10               # output, input and the 10 parameters
 
     def test_ragged_lengths_bitwise_for_any_worker_count(self, rng, monkeypatch):
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * 16 * 4 * 4)
@@ -362,20 +319,8 @@ class TestBlockNode:
         lengths = rng.integers(1, self.L + 1, self.B)
         lengths[:3] = 2                            # a whole chunk stops at step 2
         full = block_pass(blk, x, g)[0]
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for workers in (1, 2, 5):
-                with ThreadPoolExecutor(workers) as pool:
-                    monkeypatch.setattr(pool_mod, "_POOL", pool)
-                    results.append(block_pass(blk, x, g, lengths))
-        finally:
-            sys.setswitchinterval(interval)
-        for other in results[1:]:
-            for got, ref in zip(other, results[0]):
-                assert got.dtype == np.float32 and np.array_equal(got, ref)
-        y, gx = results[0][:2]
+        y, gx = bitwise_for_any_worker_count(
+            monkeypatch, lambda: block_pass(blk, x, g, lengths))[:2]
         padded = np.arange(self.L) >= lengths[:, None]
         assert not y[padded].any() and not gx[padded].any()
         # causal: the valid steps are the full-length pass's
