@@ -198,10 +198,13 @@ def scan_inputs(rng, b_, l, d, n, dtype=np.float64):
 
 
 class TestChunkedScan:
-    # 37 sequences of D*N = 1024, scanned in one pass
+    # 37 sequences of D*N = 1024; the scan is one pass, so no budget may
+    # change its result
     B, L, D, N = 37, 6, 64, 16
 
-    def test_matches_composite(self, rng):
+    @pytest.mark.parametrize("budget", [0, 3 * 64 * 16 * 8, ssm._SCAN_VECTOR_BUDGET, 2**62])
+    def test_matches_composite_at_every_chunking(self, rng, monkeypatch, budget):
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", budget)
         args = scan_inputs(rng, self.B, self.L, self.D, self.N)
         g = rng.normal(0, 1, (self.B, self.L, self.D))
         assert scan_vs_composite(args, g) < 1e-12
