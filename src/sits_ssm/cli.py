@@ -246,7 +246,8 @@ def cmd_train(args) -> int:
 def _load_model(args, command: str) -> tuple[TrainConfig, data_mod.SitsDataset,
                                               SitsClassifier, Path]:
     """Run settings, dataset, checkpointed model and output directory of
-    eval and predict, checked in that order before any compute."""
+    eval and predict, checked in that order before any compute. The run
+    manifest goes into the output directory only once all of them load."""
     cfg = _resolve(args)
     model_cfg, run_cfg = _configs(cfg)
     if command == "predict" and cfg["classes"] > 256:
@@ -254,13 +255,10 @@ def _load_model(args, command: str) -> tuple[TrainConfig, data_mod.SitsDataset,
                          f"got {cfg['classes']}")
     ds = data_mod.load_dataset(Path(args.data))
     _check_dataset_fits(ds, cfg, args.data)
-    ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise FileNotFoundError(f"checkpoint not found: {ckpt}")
+    model = SitsClassifier(model_cfg, np.random.default_rng(cfg["seed"]))
+    model.load(Path(args.checkpoint))
     out = Path(args.out)
     _write_manifest(cfg, out, command)
-    model = SitsClassifier(model_cfg, np.random.default_rng(cfg["seed"]))
-    model.load(ckpt)
     return run_cfg, ds, model, out
 
 

@@ -8,11 +8,12 @@ matrix exponential and inverse reduce to elementwise scalar formulas:
     A_bar = exp(delta * A)
     B_bar = (delta*A)^-1 (exp(delta*A) - 1) * delta * B = phi(delta*A) * delta * B
 
-with phi(z) = (e^z - 1)/z, evaluated by a series for |z| below 1e-6 to
-avoid catastrophic cancellation (the fused scan searches for such z only
-when its bound min(delta * min_n |a|) says one can occur); its
-derivative phi'(z) likewise switches to its Taylor series below a
-dtype-dependent |z|.
+with phi(z) = (e^z - 1)/z. The fused scan forms phi(delta*A) * delta as
+expm1(delta*A)/A, which has no z in a denominator, so A must be non-zero
+there. The oracles evaluate phi itself, by a series for |z| below 1e-6 to
+avoid catastrophic cancellation. Its derivative phi'(z), which the fused
+scan's backward needs for A's gradient, switches to its Taylor series below
+a dtype-dependent |z|.
 
 ``selective_scan_fused`` is the one production route: the input-selective
 scan where delta, B and C are produced from the input at every step,
@@ -30,7 +31,7 @@ benchmark's correctness gate compare it against, not alternatives to it:
 
 The fused scan is the CPU form of the hardware-aware scan of Mamba (Gu &
 Dao 2023, sec. 3.3): discretization is fused into the recurrence, and the
-backward pass recomputes exp(z), phi(z) and phi'(z) instead of storing
+backward pass recomputes exp(z), expm1(z)/A and phi'(z) instead of storing
 them. It is a single pass over all the sequences it is given: time-major,
 one step at a time, vectorized over (B, D, N), with matmul readouts. When
 no gradient will be taken (``no_grad``, or no input requires grad) only
@@ -85,62 +86,47 @@ CONV_WIDTH = 4                      # causal depthwise conv taps
 DT_MIN, DT_MAX = 1e-3, 1e-1         # range of the initial step sizes delta
 
 
-def _phi(z, out=None, near_zero=True) -> np.ndarray:
-    """(e^z - 1)/z with series fallback 1 + z/2 near zero.
+def _phi(z) -> np.ndarray:
+    """(e^z - 1)/z with series fallback 1 + z/2 below ``_PHI_SWITCH``.
 
-    A caller that has shown no |z| falls below ``_PHI_SWITCH`` passes
-    ``near_zero=False`` to skip the search for such z.
+    Used by the oracles only; the fused scan forms delta * phi(delta * a)
+    as expm1(delta * a)/a, which has no z in a denominator.
     """
     z = np.asarray(z)
-    if z.ndim == 0:
-        zf = float(z)
-        return np.float64(1.0 + 0.5 * zf if abs(zf) < _PHI_SWITCH else np.expm1(zf) / zf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.expm1(z, out=out)
-        out /= z
-    if near_zero:
-        small = np.abs(z) < _PHI_SWITCH
-        if small.any():
-            out[small] = 1.0 + 0.5 * z[small]
-    return out
+        return np.where(np.abs(z) < _PHI_SWITCH, 1.0 + 0.5 * z, np.expm1(z) / z)
 
 
-def _near_zero(delta: np.ndarray, a_t: np.ndarray) -> bool:
-    """Whether some z = delta * a of a scan can fall below ``_PHI_SWITCH``.
-
-    delta: (B, L, D); a_t: (N, D). |z| = delta |a| is at least
-    delta min_n |a| for every n, and rounding is monotone, so the bound
-    holds for the computed products too.
-    """
-    return bool((delta * np.abs(a_t).min(axis=0)).min() < _PHI_SWITCH)
-
-
-def _phi_prime(z, ez=None, phi=None, out=None) -> np.ndarray:
-    """d/dz[(e^z - 1)/z] = (e^z - phi(z))/z, by its Taylor series near zero.
+def _phi_prime(z, ez=None, em=None, out=None) -> np.ndarray:
+    """d/dz[(e^z - 1)/z] = (e^z - expm1(z)/z)/z, by its Taylor series near zero.
 
     The difference cancels as z -> 0, so below the dtype's
     ``_PHI_PRIME_SWITCH`` the series sum_k (k+1) z^k/(k+2)! is used
     instead. The two are blended by a 0/1 mask rather than selected: a
     select on a mask without pattern is several times slower in numpy.
-    ``ez`` = exp(z) and ``phi`` = _phi(z) may be passed in by a caller that
+    ``ez`` = exp(z) and ``em`` = expm1(z) may be passed in by a caller that
     already has them.
     """
     z = np.asarray(z)
     if z.ndim == 0:
         return _phi_prime(z.reshape(1))[0]
     ez = np.exp(z) if ez is None else ez
-    phi = _phi(z) if phi is None else phi
+    em = np.expm1(z) if em is None else em
     switch = _PHI_PRIME_SWITCH.get(z.dtype, _PHI_PRIME_SWITCH[np.dtype(np.float64)])
-    small = np.abs(z)
-    np.less(small, switch, out=small, casting="unsafe")
-    zs = z * small                      # series argument, 0 outside the switch
+    # z clipped to the largest |z| below the switch: the series argument,
+    # equal to z exactly where the series applies
+    inside = np.nextafter(z.dtype.type(switch), z.dtype.type(0))
+    zs = np.clip(z, -inside, inside)
+    small = np.equal(zs, z, out=np.empty_like(zs), casting="unsafe")
     out = np.multiply(zs, _PHI_PRIME_SERIES[0], out=out)
     for coef in _PHI_PRIME_SERIES[1:-1]:
         out += coef
         out *= zs
     out += _PHI_PRIME_SERIES[-1]
-    closed = np.subtract(ez, phi)
-    closed /= np.add(z, small, out=zs)  # denominator kept off zero where small
+    den = np.add(z, small, out=zs)      # denominator kept off zero where small
+    closed = np.divide(em, den)
+    np.subtract(ez, closed, out=closed)
+    closed /= den
     out -= closed
     out *= small
     out += closed
@@ -280,7 +266,10 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
 
     u, delta: (B, L, D); a: (D, N) diagonal (negative for stability);
     b, c: (B, L, N); d_skip: (D,). Returns (B, L, D) in u's dtype, which
-    is also the dtype the scan computes in.
+    is also the dtype the scan computes in. delta must be positive and a
+    non-zero: each step injects delta phi(delta a) u b with delta phi(delta a)
+    formed as expm1(delta a)/a, which is exact and needs neither phi nor a
+    series near z = 0.
 
     One pass over all B sequences on the calling thread; splitting them
     into chunks is the caller's business (``MambaBlock``). Under
@@ -303,12 +292,11 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     uv, dv, av, bv, cv, skipv = (t.data for t in parents)
     keep = ad.grad_enabled() and any(t.requires_grad for t in parents)
     a_t = np.ascontiguousarray(av.T, dtype=uv.dtype)
-    near_zero = _near_zero(dv, a_t)
+    if not a_t.all():
+        raise ValueError("selective_scan: a must be non-zero")
     hs = np.empty((nl + 1, nb, nn_, nd), dtype=uv.dtype) if keep else None
-    dt = _time_major(dv)
-    wt = _time_major(uv) * dt                  # delta * u; u itself is read from uv below
-    bt, ct = _time_major(bv), _time_major(cv)
-    yt = np.empty_like(wt)
+    dt, ut, bt, ct = (_time_major(x) for x in (dv, uv, bv, cv))
+    yt = np.empty_like(ut)
     # time-major recurrence; the state is laid out (B, N, D) so that every
     # broadcast runs along D
     h = np.zeros((nb,) + a_t.shape, dtype=dt.dtype)
@@ -317,8 +305,9 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
         hs[0] = h
     for t in range(nl):
         np.multiply(dt[t][:, None, :], a_t, out=z)
-        _phi(z, out=bx, near_zero=near_zero)
-        bx *= wt[t][:, None, :]
+        np.expm1(z, out=bx)
+        bx /= a_t                              # delta * phi(z)
+        bx *= ut[t][:, None, :]
         bx *= bt[t][:, :, None]
         np.exp(z, out=z)
         h_next = h if hs is None else hs[t + 1]
@@ -326,15 +315,16 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
         h_next += bx
         h = h_next
         np.matmul(ct[t][:, None, :], h, out=yt[t][:, None, :])
-    del dt, wt, bt, ct, h, h_next, z, bx       # free the time-major copies and buffers early
+    del dt, ut, bt, ct, h, h_next, z, bx       # free the time-major copies and buffers early
     y = np.ascontiguousarray(yt.transpose(1, 0, 2))
     del yt
     y += skipv * uv
 
     def backward_fn(g):
-        # exp(z), phi(z) and phi'(z) are recomputed per step, not stored.
-        # With h_{t+1} = e^z h_t + phi(z) delta u b and z = delta a, the
-        # delta-derivative of phi(z) delta is e^z: only ``a``'s needs phi'.
+        # exp(z), s = expm1(z)/a and phi'(z) are recomputed per step, not
+        # stored. With h_{t+1} = e^z h_t + s u b and z = delta a, s is
+        # delta phi(z), whose delta-derivative is e^z: only ``a``'s
+        # gradient needs phi'.
         nonlocal hs
         ut, dt, bt, ct, gt = (_time_major(x) for x in (uv, dv, bv, cv, g))
         wt = dt * ut
@@ -342,7 +332,7 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
         gb, gc = np.empty_like(bt), np.empty_like(ct)
         lam = np.zeros(hs.shape[1:], dtype=ut.dtype)     # dLoss/dh_t
         ga = np.zeros_like(lam)
-        z, ez, phi, g_z = (np.empty_like(lam) for _ in range(4))
+        z, ez, s, g_z = (np.empty_like(lam) for _ in range(4))
         reduced = np.empty_like(gu[0])
         for t in range(nl - 1, -1, -1):
             gy, d_t = gt[t], dt[t][:, None, :]
@@ -351,13 +341,13 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
             lam += z
             np.multiply(d_t, a_t, out=z)
             np.exp(z, out=ez)
-            _phi(z, out=phi, near_zero=near_zero)
-            _phi_prime(z, ez, phi, out=g_z)
+            np.expm1(z, out=s)
+            _phi_prime(z, ez, s, out=g_z)
             g_z *= lam
-            lam_phi = np.multiply(lam, phi, out=phi)
-            np.matmul(lam_phi, wt[t][:, :, None], out=gb[t][:, :, None])
-            np.matmul(bt[t][:, None, :], lam_phi, out=gu[t][:, None, :])
-            gu[t] *= dt[t]
+            s /= a_t
+            lam_s = np.multiply(lam, s, out=s)
+            np.matmul(lam_s, ut[t][:, :, None], out=gb[t][:, :, None])
+            np.matmul(bt[t][:, None, :], lam_s, out=gu[t][:, None, :])
             lam *= ez                                    # now dLoss/dh_{t-1} (before its readout)
             lam_h = np.multiply(lam, hs[t], out=ez)
             # sum over n weighted by a[n, d]: no matmul, and einsum beats (x * a).sum(1)
@@ -371,7 +361,7 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
             g_z *= d_t
             ga += g_z
         hs = None                              # free the trajectory and the step buffers early
-        del wt, lam, z, ez, phi, g_z, lam_h, lam_phi, reduced
+        del wt, lam, z, ez, s, g_z, lam_h, lam_s, reduced
         ga = ga.sum(axis=0).T
         gu += skipv * gt
         gu, gd, gb, gc = (np.ascontiguousarray(x.transpose(1, 0, 2)) for x in (gu, gd, gb, gc))

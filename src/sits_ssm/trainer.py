@@ -12,7 +12,7 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -54,12 +54,12 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8    # the reference recipe's Adam settings
 class Adam:
     """Bias-corrected Adam. Steps with non-finite gradients are skipped."""
 
-    def __init__(self, params: list[tuple[str, Tensor]], lr: float):
-        self.params = params
+    def __init__(self, params: Iterable[tuple[str, Tensor]], lr: float):
+        self.params = list(params)
         self.lr = lr
         self.step_count = 0
-        self.m = [np.zeros_like(t.data, dtype=np.float64) for _, t in params]
-        self.v = [np.zeros_like(t.data, dtype=np.float64) for _, t in params]
+        self.m = [np.zeros_like(t.data, dtype=np.float64) for _, t in self.params]
+        self.v = [np.zeros_like(t.data, dtype=np.float64) for _, t in self.params]
 
     def step(self):
         for (name, t) in self.params:

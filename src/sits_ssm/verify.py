@@ -97,17 +97,19 @@ def phi_prime_reference(z) -> np.ndarray:
 def scan_vs_composite(args, g, scan_fn=None) -> float:
     """Largest difference between a fused scan and ``selective_scan_composite``
     over the output and all six input gradients (loss = sum(y * g)), each
-    relative to the composite array's largest magnitude. float64."""
+    relative to the composite array's largest magnitude. The fused scan
+    runs in the inputs' dtype, the composite in float64."""
     scan = scan_fn or ssm.selective_scan_fused
 
-    def run(fn):
-        ts = [Tensor(np.array(x, dtype=np.float64), requires_grad=True) for x in args]
+    def run(fn, dtype):
+        ts = [Tensor(np.array(x, dtype=dtype), requires_grad=True) for x in args]
         y = fn(*ts)
-        ad.backward(ad.sum_(ad.mul(y, Tensor(g))))
+        ad.backward(ad.sum_(ad.mul(y, Tensor(np.asarray(g, dtype=dtype)))))
         return [y.data] + [t.grad for t in ts]
 
     worst = 0.0
-    for got, ref in zip(run(scan), run(ssm.selective_scan_composite)):
+    pairs = zip(run(scan, np.result_type(*args)), run(ssm.selective_scan_composite, np.float64))
+    for got, ref in pairs:
         if got is None or got.shape != ref.shape:
             return math.inf
         scale = max(float(np.abs(ref).max()), np.finfo(np.float64).tiny)
@@ -291,7 +293,9 @@ def suite_scan_kernel(report: VerifyReport, scan_fn=None, n_seeds: int = 10):
 
 def suite_fused_scan(report: VerifyReport, scan_fn=None):
     """The production scan against the tape-composite route, in float64, on
-    33 sequences, plus phi' in float32 against the float64 reference."""
+    33 sequences with delta in [1e-3, 0.5] and again with delta in
+    [1e-8, 1e-6], far below the series switches of phi and phi'; plus phi'
+    in float32 against the float64 reference."""
     rng = np.random.default_rng(11)
     b, l, d, n = 33, 5, 64, 16
     args = [rng.normal(0, 1, (b, l, d)), rng.uniform(1e-3, 0.5, (b, l, d)),
@@ -299,6 +303,9 @@ def suite_fused_scan(report: VerifyReport, scan_fn=None):
             rng.normal(0, 1, (b, l, n)), rng.normal(0, 1, d)]
     g = rng.normal(0, 1, (b, l, d))
     report.add("fused", "fused_vs_composite", scan_vs_composite(args, g, scan_fn), 1e-10)
+    args[1] = rng.uniform(1e-8, 1e-6, (b, l, d))
+    report.add("fused", "fused_vs_composite_tiny_delta",
+               scan_vs_composite(args, g, scan_fn), 1e-10)
     z = -np.logspace(-8, np.log10(20.0), 2001)
     ref = phi_prime_reference(z)
     got = ssm._phi_prime(z.astype(np.float32)).astype(np.float64)

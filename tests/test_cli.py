@@ -254,6 +254,20 @@ class TestExitCodes:
         assert main(["eval", "--data", str(data / "test.sits"), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "o"), *SMALL]) == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "corrupt"])
+    def test_unloadable_checkpoint_is_2_before_the_manifest(self, tmp_path, kind):
+        data = tmp_path / "d"
+        gen(data)
+        ckpt = tmp_path / "bad.ckpt"
+        if kind == "directory":
+            ckpt.mkdir()
+        else:
+            ckpt.write_bytes(checkpoint.MAGIC + b"\x01")
+        out = tmp_path / "o"
+        assert main(["eval", "--data", str(data / "test.sits"), "--checkpoint", str(ckpt),
+                     "--out", str(out), *SMALL]) == 2
+        assert not (out / "run_manifest.txt").exists()
+
     def test_huge_dataset_header_is_2(self, tmp_path):
         path = tmp_path / "huge.sits"
         path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<5I", *[4000] * 4, 1))
@@ -382,7 +396,7 @@ class TestVerifyCommand:
         report = verify.VerifyReport()
         verify.suite_fused_scan(report, scan_fn=broken_scan)
         failed = [r.name for r in report.rows if not r.passed]
-        assert failed == ["fused_vs_composite"]
+        assert failed == ["fused_vs_composite", "fused_vs_composite_tiny_delta"]
 
     def test_verification_failure_exit_code_is_3(self, monkeypatch, capsys):
         from sits_ssm import verify

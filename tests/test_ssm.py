@@ -187,6 +187,12 @@ class TestSelectiveScan:
                                      Tensor(np.zeros((1, 3, 2))),
                                      Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros(2)))
 
+    def test_rejects_zero_entry_of_a(self, rng):
+        args = scan_inputs(rng, 1, 3, 2, 2)
+        args[2][1, 0] = 0.0
+        with pytest.raises(ValueError, match="non-zero"):
+            ssm.selective_scan_fused(*(Tensor(x) for x in args))
+
 
 def scan_inputs(rng, b_, l, d, n, dtype=np.float64):
     return [rng.normal(0, 1, (b_, l, d)).astype(dtype),
@@ -245,48 +251,39 @@ class TestChunkedScan:
         assert all(t.grad is not None and t.grad.dtype == np.float32 for t in ts)
 
 
-class TestPhiSearch:
-    """The scan lets ``_phi`` look for |z| below the switch only when
-    min(delta * min_n |a|) says that some z can lie there."""
+class TestTinyDelta:
+    """delta in [1e-8, 1e-6] puts every z = delta * a below both series
+    switches, where a closed form of phi or phi' without its series
+    cancels."""
+    B, L, D, N = 6, 12, 32, 16
 
-    @staticmethod
-    def spy(monkeypatch):
-        seen = []                                  # (near_zero, some |z| below the switch)
-        phi = ssm._phi
-
-        def spy(z, out=None, near_zero=True):
-            seen.append((near_zero, bool((np.abs(z) < ssm._PHI_SWITCH).any())))
-            return phi(z, out=out, near_zero=near_zero)
-
-        monkeypatch.setattr(ssm, "_phi", spy)
-        return seen
-
-    def test_tiny_delta_takes_the_series_branch(self, rng, monkeypatch):
-        args = scan_inputs(rng, 5, 6, 8, 4)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_fused_matches_composite(self, seed, dtype, tol):
+        rng = np.random.default_rng(seed)
+        args = scan_inputs(rng, self.B, self.L, self.D, self.N, dtype)
+        args[1] = rng.uniform(1e-8, 1e-6, args[1].shape).astype(dtype)
         args[1][2, 3, 5] = 1e-8
-        g = rng.normal(0, 1, (5, 6, 8))
-        seen = self.spy(monkeypatch)
-        assert scan_vs_composite(args, g) < 1e-12
-        assert any(small for _, small in seen)
-        assert all(near_zero for near_zero, small in seen if small)
+        g = rng.normal(0, 1, (self.B, self.L, self.D)).astype(dtype)
+        assert scan_vs_composite(args, g) < tol
 
-    def test_search_skipped_bitwise_when_no_z_is_small(self, rng, monkeypatch):
-        args = scan_inputs(rng, 5, 6, 8, 4, np.float32)
-        g = rng.normal(0, 1, (5, 6, 8)).astype(np.float32)
 
-        def run():
-            ts = [Tensor(x, requires_grad=True) for x in args]
-            y = ssm.selective_scan_fused(*ts)
-            ad.backward(ad.sum_(ad.mul(y, Tensor(g))))
-            return [y.data] + [t.grad for t in ts]
+class TestFusedScanWithoutPhi:
+    """The fused scan forms delta * phi(delta * a) as expm1(delta * a)/a:
+    phi and its series serve the oracles only."""
 
-        seen = self.spy(monkeypatch)
-        skipped = run()
-        assert seen and not any(near_zero for near_zero, _ in seen)
-        monkeypatch.setattr(ssm, "_near_zero", lambda delta, a_t: True)
-        searched = run()
-        for got, ref in zip(skipped, searched):
-            assert np.array_equal(got, ref)
+    def test_train_step_and_predict_never_call_phi(self, rng, monkeypatch):
+        def phi(z):
+            raise AssertionError("the production path called ssm._phi")
+
+        monkeypatch.setattr(ssm, "_phi", phi)
+        model = SitsClassifier(ModelConfig(2, 3, hidden=8, d_state=4), rng)
+        series = rng.uniform(0, 1, (2, 4, 2, 3, 3)).astype(np.float32)
+        batch = pad_batch([SitsSample(s, rng.integers(0, 3, (3, 3)), n)
+                           for s, n in zip(series, (4, 3))])
+        trainer.train_step(model, batch, LossConfig())
+        assert all(t.grad is not None for _, t in model.temporal.named_params())
+        assert model.predict(batch).shape == (2, 3, 3)
 
 
 def block_pass(blk, x, g, lengths=None):

@@ -63,6 +63,17 @@ class TestAdam:
             opt.step()
         assert abs(abs(float(p.data[0] - prev[0])) - 1e-3) < 1e-6
 
+    def test_generator_of_parameters_is_stepped(self):
+        _, cfg = tiny_task()
+        model = SitsClassifier(cfg, np.random.default_rng(0))
+        opt = Adam(model.named_parameters(), lr=0.1)      # a generator
+        before = {name: t.data.copy() for name, t in model.named_parameters()}
+        for _, t in model.named_parameters():
+            t.grad = np.ones_like(t.data)
+        assert opt.step()
+        for name, t in model.named_parameters():
+            assert not np.array_equal(t.data, before[name]), name
+
     def test_non_finite_gradient_skips_step_and_logs(self, caplog):
         p = Tensor(np.array([1.0]), requires_grad=True)
         opt = Adam([("p", p)], lr=0.1)
