@@ -1,9 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A ``Tensor`` wraps a numpy array. Operations on tracked tensors record
-themselves on an implicit tape (the graph of ``_parents`` links); calling
-``backward()`` on a scalar result replays the tape in reverse topological
-order and accumulates gradients into every tracked leaf.
+themselves on an implicit tape; calling ``backward()`` on a scalar result
+replays the tape in reverse topological order and accumulates gradients
+into every tracked leaf. The tape links each tensor's ``_Node`` (its
+gradient and backward link), not the tensor itself, so an intermediate
+array lives until backward only where an op's backward function captured
+it: ``add`` and ``sub`` keep only their operands' shapes.
 
 Two precision regimes are supported: float32 (training default) and
 float64 (used by the verification suites). The dtype of an operation
@@ -73,10 +76,31 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED.get()
 
 
+class _Node:
+    """A tensor's place on the tape: its gradient and backward link, no values."""
+
+    __slots__ = ("grad", "requires_grad", "parents", "backward_fn", "op", "done", "dtype")
+
+    def __init__(self, dtype, requires_grad=False, parents=(), backward_fn=None, op=""):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.op = op
+        self.done = False
+        self.dtype = dtype
+
+    def accumulate_grad(self, g: np.ndarray):
+        if self.grad is None:
+            self.grad = g.astype(self.dtype, copy=True)
+        else:
+            self.grad += g
+
+
 class Tensor:
     """N-dimensional array, optionally participating in the gradient tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op", "_backward_done")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -85,12 +109,28 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._backward_fn = None
-        self._op = ""
-        self._backward_done = False
+        self._node = _Node(arr.dtype, bool(requires_grad))
+
+    @property
+    def grad(self):
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._node.grad = g
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @property
+    def _backward_fn(self):
+        # read and replaced by perfbench/tracer.py to time the scan's backward
+        return self._node.backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn):
+        self._node.backward_fn = fn
 
     @property
     def shape(self):
@@ -112,13 +152,7 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
-        self.grad = None
-
-    def accumulate_grad(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
-        else:
-            self.grad += g
+        self._node.grad = None
 
     def backward(self):
         backward(self)
@@ -164,7 +198,7 @@ class Tensor:
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{flag}, op={self._op or 'leaf'})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{flag}, op={self._node.op or 'leaf'})"
 
 
 def as_tensor(x, dtype=None) -> Tensor:
@@ -182,17 +216,10 @@ def _make(out_data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str)
     _check_finite(out_data, op)
     out = Tensor.__new__(Tensor)
     out.data = out_data
-    out.grad = None
-    out._op = op
-    out._backward_done = False
     if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+        out._node = _Node(out_data.dtype, True, tuple(p._node for p in parents), backward_fn, op)
     else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward_fn = None
+        out._node = _Node(out_data.dtype, op=op)
     return out
 
 
@@ -212,7 +239,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # elementwise binary ops
 
-def _binary(a, b, fwd, da, db, op):
+def _binary(a, b, fwd, op):
+    """The operands as tensors and ``fwd`` of their values."""
     # as a 0-d float64 array, a Python number would promote float32 operands
     if type(b) in (int, float):
         a = as_tensor(a)
@@ -223,30 +251,38 @@ def _binary(a, b, fwd, da, db, op):
     else:
         a, b = as_tensor(a), as_tensor(b)
     try:
-        out_data = fwd(a.data, b.data)
+        return a, b, fwd(a.data, b.data)
     except ValueError as e:
         raise ShapeError(f"{op}: {a.shape} vs {b.shape}") from e
 
-    def backward_fn(g):
-        return (_unbroadcast(da(g, a.data, b.data), a.shape),
-                _unbroadcast(db(g, a.data, b.data), b.shape))
-
-    return _make(out_data, (a, b), backward_fn, op)
-
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x + y,
-                   lambda g, x, y: g, lambda g, x, y: g, "add")
+    a, b, out_data = _binary(a, b, np.add, "add")
+    shape_a, shape_b = a.shape, b.shape      # backward keeps no operand values alive
+
+    def backward_fn(g):
+        return _unbroadcast(g, shape_a), _unbroadcast(g, shape_b)
+
+    return _make(out_data, (a, b), backward_fn, "add")
 
 
 def sub(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x - y,
-                   lambda g, x, y: g, lambda g, x, y: -g, "sub")
+    a, b, out_data = _binary(a, b, np.subtract, "sub")
+    shape_a, shape_b = a.shape, b.shape      # backward keeps no operand values alive
+
+    def backward_fn(g):
+        return _unbroadcast(g, shape_a), _unbroadcast(-g, shape_b)
+
+    return _make(out_data, (a, b), backward_fn, "sub")
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
+    a, b, out_data = _binary(a, b, np.multiply, "mul")
+
+    def backward_fn(g):
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+
+    return _make(out_data, (a, b), backward_fn, "mul")
 
 
 def matmul(a, b) -> Tensor:
@@ -669,12 +705,13 @@ def depthwise_conv1d(x, weight, bias=None) -> Tensor:
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 3 or weight.ndim != 2 or x.shape[2] != weight.shape[0]:
         raise ShapeError(f"depthwise_conv1d: input {x.shape} vs weight {weight.shape}")
-    b, l, d = x.shape
-    k = weight.shape[1]
-    xp = np.pad(x.data, ((0, 0), (k - 1, 0), (0, 0)))
-    out = np.zeros((b, l, d), dtype=x.dtype)
-    for i in range(k):
-        out += xp[:, i:i + l, :] * weight.data[:, i]
+    l, k = x.shape[1], weight.shape[1]
+    xv, wv = x.data, weight.data
+    # tap i reads s = k-1-i steps back: out[:, t] += x[:, t-s] * w[:, i] for t >= s
+    taps = [(i, k - 1 - i) for i in range(k) if k - 1 - i < l]
+    out = np.zeros(xv.shape, dtype=xv.dtype)
+    for i, s in taps:
+        out[:, s:] += xv[:, :l - s] * wv[:, i]
     parents = [x, weight]
     if bias is not None:
         bias = as_tensor(bias)
@@ -682,12 +719,11 @@ def depthwise_conv1d(x, weight, bias=None) -> Tensor:
         parents.append(bias)
 
     def backward_fn(g):
-        gw = np.empty_like(weight.data)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            gw[:, i] = np.einsum("bld,bld->d", g, xp[:, i:i + l, :])
-            gxp[:, i:i + l, :] += g * weight.data[:, i]
-        gx = gxp[:, k - 1:, :]
+        gw = np.zeros_like(wv)
+        gx = np.zeros_like(xv)
+        for i, s in taps:
+            gw[:, i] = np.einsum("bld,bld->d", g[:, s:], xv[:, :l - s])
+            gx[:, :l - s] += g[:, s:] * wv[:, i]
         if bias is not None:
             return gx, gw, g.sum(axis=(0, 1))
         return gx, gw
@@ -782,10 +818,10 @@ def forward_primitive(op_kind: str, *inputs, **kwargs) -> Tensor:
     return fn(*inputs, **kwargs)
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _toposort(root: _Node) -> list[_Node]:
+    order: list[_Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -795,7 +831,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             if id(p) not in visited:
                 stack.append((p, False))
     return order
@@ -810,7 +846,7 @@ def backward(loss: Tensor):
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss._backward_done:
+    if loss._node.done:
         raise RuntimeError("backward already ran for this result; run a new forward pass")
     if not loss.requires_grad:
         raise RuntimeError("loss is not connected to any tracked tensor")
@@ -823,18 +859,19 @@ def _backprop(root: Tensor, seed: np.ndarray):
     The engine under ``backward``; ops that run sub-graphs of their own
     (``ssm.MambaBlock``) call it for each sub-graph from their backward.
     """
+    root = root._node
     order = _toposort(root)
     root.grad = seed
     for node in reversed(order):
-        if node._backward_fn is None or node.grad is None:
+        if node.backward_fn is None or node.grad is None:
             continue
-        grads = node._backward_fn(node.grad)
-        for parent, g in zip(node._parents, grads):
+        grads = node.backward_fn(node.grad)
+        for parent, g in zip(node.parents, grads):
             if g is None:
                 continue
-            if parent.requires_grad or parent._backward_fn is not None:
+            if parent.requires_grad or parent.backward_fn is not None:
                 parent.accumulate_grad(g)
     for node in order:
-        node._parents = ()
-        node._backward_fn = None
-        node._backward_done = True
+        node.parents = ()
+        node.backward_fn = None
+        node.done = True

@@ -31,12 +31,15 @@ benchmark's correctness gate compare it against, not alternatives to it:
 
 The fused scan is the CPU form of the hardware-aware scan of Mamba (Gu &
 Dao 2023, sec. 3.3): discretization is fused into the recurrence, and the
-backward pass recomputes exp(z), expm1(z)/A and phi'(z) instead of storing
-them. It is a single pass over all the sequences it is given: time-major,
-one step at a time, vectorized over (B, D, N), with matmul readouts. When
-no gradient will be taken (``no_grad``, or no input requires grad) only
-the running (B, D, N) state is kept; otherwise the state trajectory
-h_0..h_L is stored for the backward pass.
+states are recomputed in backward instead of stored. It is a single pass
+over all the sequences it is given: time-major, one step at a time,
+vectorized over (B, D, N), with matmul readouts, forming e^z as
+1 + expm1(z). The forward keeps one running (B, D, N) state. When a
+gradient will be taken it also keeps a copy of that state every
+``_SCAN_SEGMENT`` (K) steps, ceil(L/K) states in all. Backward rebuilds
+one K-step segment at a time from its kept state by re-running those
+forward steps, and so holds at most K+1 states of the trajectory
+h_0..h_L at once, in a buffer of its own.
 
 ``MambaBlock`` wraps the selective scan in the usual gated two-branch
 block: projection -> causal depthwise conv -> SiLU -> selective scan on
@@ -81,6 +84,7 @@ _PHI_SWITCH = 1e-6
 _PHI_PRIME_SWITCH = {np.dtype(np.float32): 0.1, np.dtype(np.float64): 1e-3}
 _PHI_PRIME_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in range(3, -1, -1))
 _SCAN_VECTOR_BUDGET = 256 * 2**10   # bytes of one block chunk's (c, D, N) scan array
+_SCAN_SEGMENT = 5                   # steps between the states a recorded scan keeps
 EXPAND = 2                          # inner width / d_model
 CONV_WIDTH = 4                      # causal depthwise conv taps
 DT_MIN, DT_MAX = 1e-3, 1e-1         # range of the initial step sizes delta
@@ -260,6 +264,24 @@ def _time_major(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
+def _scan_step(d_t, u_t, b_t, a_t, h, out, em, bx, ez):
+    """One recurrence step h_{t+1} = e^z h_t + expm1(z)/a u_t b_t, z = d_t a,
+    written to ``out`` (which may be ``h``); leaves expm1(z) in ``em``.
+
+    e^z is formed as 1 + expm1(z), which costs an add instead of an exp.
+    The forward and the backward's rebuild both run this, so a rebuilt
+    state is bitwise the forward's.
+    """
+    np.multiply(d_t[:, None, :], a_t, out=em)
+    np.expm1(em, out=em)
+    np.divide(em, a_t, out=bx)                 # delta * phi(z)
+    bx *= u_t[:, None, :]
+    bx *= b_t[:, :, None]
+    np.add(em, 1, out=ez)
+    np.multiply(ez, h, out=out)
+    out += bx
+
+
 def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
                          c: Tensor, d_skip: Tensor) -> Tensor:
     """Input-selective scan with per-step ZOH discretization, one fused op.
@@ -272,10 +294,14 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     series near z = 0.
 
     One pass over all B sequences on the calling thread; splitting them
-    into chunks is the caller's business (``MambaBlock``). Under
-    ``no_grad``, or when no input requires grad, memory beyond the inputs
-    and output is a few (B, L, D) and (B, D, N) arrays; otherwise the
-    (L+1, B, N, D) state trajectory is kept until backward.
+    into chunks is the caller's business (``MambaBlock``). The forward
+    keeps one running (B, N, D) state. When a gradient will be taken it
+    also copies that state every ``_SCAN_SEGMENT`` steps into a
+    (ceil(L/K), B, N, D) array of segment starts, and nothing else until
+    backward. Backward walks the segments from last to first: it rebuilds
+    a segment's states and expm1(z) from its start by re-running those
+    forward steps, then runs the segment's backward steps on them. Under
+    ``no_grad``, or when no input requires grad, no segment start is kept.
     """
     u, delta, a = ad.as_tensor(u), ad.as_tensor(delta), ad.as_tensor(a)
     b, c, d_skip = ad.as_tensor(b), ad.as_tensor(c), ad.as_tensor(d_skip)
@@ -294,74 +320,72 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     a_t = np.ascontiguousarray(av.T, dtype=uv.dtype)
     if not a_t.all():
         raise ValueError("selective_scan: a must be non-zero")
-    hs = np.empty((nl + 1, nb, nn_, nd), dtype=uv.dtype) if keep else None
     dt, ut, bt, ct = (_time_major(x) for x in (dv, uv, bv, cv))
     yt = np.empty_like(ut)
     # time-major recurrence; the state is laid out (B, N, D) so that every
     # broadcast runs along D
     h = np.zeros((nb,) + a_t.shape, dtype=dt.dtype)
-    z, bx = np.empty_like(h), np.empty_like(h)
-    if hs is not None:
-        hs[0] = h
+    em, bx, ez = (np.empty_like(h) for _ in range(3))
+    k = _SCAN_SEGMENT
+    starts = np.empty((-(-nl // k),) + h.shape, dtype=h.dtype) if keep else None
     for t in range(nl):
-        np.multiply(dt[t][:, None, :], a_t, out=z)
-        np.expm1(z, out=bx)
-        bx /= a_t                              # delta * phi(z)
-        bx *= ut[t][:, None, :]
-        bx *= bt[t][:, :, None]
-        np.exp(z, out=z)
-        h_next = h if hs is None else hs[t + 1]
-        np.multiply(z, h, out=h_next)
-        h_next += bx
-        h = h_next
+        if starts is not None and t % k == 0:
+            starts[t // k] = h
+        _scan_step(dt[t], ut[t], bt[t], a_t, h, h, em, bx, ez)
         np.matmul(ct[t][:, None, :], h, out=yt[t][:, None, :])
-    del dt, ut, bt, ct, h, h_next, z, bx       # free the time-major copies and buffers early
+    del dt, ut, bt, ct, h, em, bx, ez          # free the time-major copies and buffers early
     y = np.ascontiguousarray(yt.transpose(1, 0, 2))
     del yt
     y += skipv * uv
 
     def backward_fn(g):
-        # exp(z), s = expm1(z)/a and phi'(z) are recomputed per step, not
-        # stored. With h_{t+1} = e^z h_t + s u b and z = delta a, s is
-        # delta phi(z), whose delta-derivative is e^z: only ``a``'s
-        # gradient needs phi'.
-        nonlocal hs
+        # z = delta a, e^z = 1 + expm1(z) and s = expm1(z)/a are formed per
+        # step from the segment's rebuilt expm1(z), not stored across the
+        # call. With h_{t+1} = e^z h_t + s u b, s is delta phi(z), whose
+        # delta-derivative is e^z: only ``a``'s gradient needs phi'.
+        nonlocal starts
         ut, dt, bt, ct, gt = (_time_major(x) for x in (uv, dv, bv, cv, g))
         wt = dt * ut
         gu, gd = np.empty_like(ut), np.empty_like(ut)
         gb, gc = np.empty_like(bt), np.empty_like(ct)
-        lam = np.zeros(hs.shape[1:], dtype=ut.dtype)     # dLoss/dh_t
+        lam = np.zeros(starts.shape[1:], dtype=ut.dtype)  # dLoss/dh_t
         ga = np.zeros_like(lam)
         z, ez, s, g_z = (np.empty_like(lam) for _ in range(4))
         reduced = np.empty_like(gu[0])
-        for t in range(nl - 1, -1, -1):
-            gy, d_t = gt[t], dt[t][:, None, :]
-            np.matmul(hs[t + 1], gy[:, :, None], out=gc[t][:, :, None])
-            np.multiply(ct[t][:, :, None], gy[:, None, :], out=z)
-            lam += z
-            np.multiply(d_t, a_t, out=z)
-            np.exp(z, out=ez)
-            np.expm1(z, out=s)
-            _phi_prime(z, ez, s, out=g_z)
-            g_z *= lam
-            s /= a_t
-            lam_s = np.multiply(lam, s, out=s)
-            np.matmul(lam_s, ut[t][:, :, None], out=gb[t][:, :, None])
-            np.matmul(bt[t][:, None, :], lam_s, out=gu[t][:, None, :])
-            lam *= ez                                    # now dLoss/dh_{t-1} (before its readout)
-            lam_h = np.multiply(lam, hs[t], out=ez)
-            # sum over n weighted by a[n, d]: no matmul, and einsum beats (x * a).sum(1)
-            np.einsum("cnd,nd->cd", lam_h, a_t, out=gd[t])
-            np.matmul(bt[t][:, None, :], lam, out=reduced[:, None, :])
-            reduced *= ut[t]
-            gd[t] += reduced
-            g_z *= wt[t][:, None, :]
-            g_z *= bt[t][:, :, None]
-            g_z += lam_h
-            g_z *= d_t
-            ga += g_z
-        hs = None                              # free the trajectory and the step buffers early
-        del wt, lam, z, ez, s, g_z, lam_h, lam_s, reduced
+        # one segment's states h_{t0+1}..h_{t1} and expm1(z) of its steps
+        seg_h, seg_em = (np.empty((k,) + lam.shape, dtype=lam.dtype) for _ in range(2))
+        for t0 in range(k * (len(starts) - 1), -1, -k):
+            steps = range(t0, min(t0 + k, nl))
+            hs = [starts[t0 // k], *seg_h[:len(steps)]]         # h_{t0}..h_{t1}
+            for i, t in enumerate(steps):
+                _scan_step(dt[t], ut[t], bt[t], a_t, hs[i], hs[i + 1], seg_em[i], s, ez)
+            for i, t in reversed(list(enumerate(steps))):
+                gy, d_t, em = gt[t], dt[t][:, None, :], seg_em[i]
+                np.matmul(hs[i + 1], gy[:, :, None], out=gc[t][:, :, None])
+                np.multiply(ct[t][:, :, None], gy[:, None, :], out=z)
+                lam += z
+                np.multiply(d_t, a_t, out=z)
+                np.add(em, 1, out=ez)
+                _phi_prime(z, ez, em, out=g_z)
+                g_z *= lam
+                np.divide(em, a_t, out=s)
+                lam_s = np.multiply(lam, s, out=s)
+                np.matmul(lam_s, ut[t][:, :, None], out=gb[t][:, :, None])
+                np.matmul(bt[t][:, None, :], lam_s, out=gu[t][:, None, :])
+                lam *= ez                                # now dLoss/dh_{t-1} (before its readout)
+                lam_h = np.multiply(lam, hs[i], out=ez)
+                # sum over n weighted by a[n, d]: no matmul, and einsum beats (x * a).sum(1)
+                np.einsum("cnd,nd->cd", lam_h, a_t, out=gd[t])
+                np.matmul(bt[t][:, None, :], lam, out=reduced[:, None, :])
+                reduced *= ut[t]
+                gd[t] += reduced
+                g_z *= wt[t][:, None, :]
+                g_z *= bt[t][:, :, None]
+                g_z += lam_h
+                g_z *= d_t
+                ga += g_z
+        starts = None                          # free the segment starts and the step buffers early
+        del wt, lam, z, ez, s, g_z, lam_h, lam_s, reduced, seg_h, seg_em, hs, em
         ga = ga.sum(axis=0).T
         gu += skipv * gt
         gu, gd, gb, gc = (np.ascontiguousarray(x.transpose(1, 0, 2)) for x in (gu, gd, gb, gc))

@@ -3,12 +3,14 @@
 import threading
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from sits_ssm import autodiff as ad
+from sits_ssm import nn
 from sits_ssm import pool as pool_mod
 from sits_ssm.autodiff import NonFiniteError, ShapeError, Tensor
 from sits_ssm.verify import gradcheck
@@ -98,6 +100,38 @@ class TestLinearBackward:
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
         assert np.max(np.abs(x.grad - gx)) < 1e-12
         assert np.max(np.abs(w.grad - gw)) < 1e-12
+
+
+class TestTapeKeepsWhatBackwardNeeds:
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_sum_frees_its_operands_values(self, rng, op):
+        x, w, bias = f64(rng, 4, 5), f64(rng, 5, 3), f64(rng, 3)
+        m = ad.matmul(x, w)
+        ref = weakref.ref(m.data)
+        y = getattr(ad, op)(m, bias)
+        del m
+        assert ref() is None
+        ad.backward(ad.sum_(ad.mul(y, y)))
+        sign = 1 if op == "add" else -1
+        np.testing.assert_allclose(w.grad, x.data.T @ (2 * y.data), rtol=1e-12)
+        np.testing.assert_allclose(bias.grad, sign * 2 * y.data.sum(axis=0), rtol=1e-12)
+
+    def test_linear_matmul_output_dies_before_backward(self, rng, monkeypatch):
+        outputs = []
+        matmul = ad.matmul
+
+        def spy(a, b):
+            out = matmul(a, b)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(ad, "matmul", spy)
+        lin = nn.Linear(5, 3, rng, dtype=np.float64)
+        x = f64(rng, 4, 5)
+        y = lin(x)
+        assert len(outputs) == 1 and outputs[0]() is None
+        ad.backward(ad.sum_(y))
+        np.testing.assert_allclose(lin.bias.grad, np.full(3, 4.0))
 
 
 class TestScalarOperandDtype:
@@ -277,6 +311,25 @@ class TestPrimitiveGradients:
         w = f64(rng, 3, 4)
         b = f64(rng, 3)
         assert gradcheck(lambda: ad.sum_(ad.depthwise_conv1d(x, w, b)), [x, w, b]) < TOL
+
+    @pytest.mark.parametrize("k, length", [(1, 1), (1, 6), (4, 2), (4, 4), (4, 9)])
+    def test_depthwise_conv1d_matches_the_padded_form(self, rng, k, length):
+        x, w, b = f64(rng, 3, length, 5), f64(rng, 5, k), f64(rng, 5)
+        g = rng.normal(0, 1, (3, length, 5))
+        y = ad.depthwise_conv1d(x, w, b)
+        ad.backward(ad.sum_(ad.mul(y, Tensor(g))))
+        xp = np.pad(x.data, ((0, 0), (k - 1, 0), (0, 0)))
+        ref_y = sum(xp[:, i:i + length] * w.data[:, i] for i in range(k)) + b.data
+        gxp = np.zeros_like(xp)
+        ref_gw = np.empty_like(w.data)
+        for i in range(k):
+            ref_gw[:, i] = np.einsum("bld,bld->d", g, xp[:, i:i + length])
+            gxp[:, i:i + length] += g * w.data[:, i]
+        pairs = [(y.data, ref_y), (x.grad, gxp[:, k - 1:]), (w.grad, ref_gw),
+                 (b.grad, g.sum(axis=(0, 1)))]
+        for got, ref in pairs:
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("training", [True, False])

@@ -251,6 +251,36 @@ class TestChunkedScan:
         assert all(t.grad is not None and t.grad.dtype == np.float32 for t in ts)
 
 
+K = ssm._SCAN_SEGMENT
+
+
+class TestScanSegments:
+    """A recorded scan keeps one state per K-step segment and rebuilds each
+    segment's states in backward."""
+
+    @pytest.mark.parametrize("length", [1, K - 1, K, K + 1, 2 * K + 1])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_fused_matches_composite_at_segment_boundaries(self, rng, length, dtype, tol):
+        args = scan_inputs(rng, 7, length, 32, 8, dtype)
+        g = rng.normal(0, 1, (7, length, 32)).astype(dtype)
+        assert scan_vs_composite(args, g) < tol
+
+    def test_recorded_scan_keeps_less_than_half_the_trajectory(self, rng):
+        b_, l, d, n = 256, 20, 64, 16
+        ts = [Tensor(x, requires_grad=True) for x in scan_inputs(rng, b_, l, d, n, np.float32)]
+        trajectory = b_ * (l + 1) * d * n * 4
+        tracemalloc.start()
+        try:
+            y = ssm.selective_scan_fused(*ts)
+            kept = tracemalloc.get_traced_memory()[0] - y.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        assert kept < trajectory / 2
+        ad.backward(ad.sum_(y))
+        assert all(t.grad is not None for t in ts)
+
+
 class TestTinyDelta:
     """delta in [1e-8, 1e-6] puts every z = delta * a below both series
     switches, where a closed form of phi or phi' without its series
@@ -324,6 +354,25 @@ class TestBlockNode:
         padded = np.arange(self.L) >= lengths[:, None]
         assert not y[padded].any() and not gx[padded].any()
         # causal: the valid steps are the full-length pass's
+        assert np.allclose(y[~padded], full[~padded], rtol=1e-5, atol=1e-6)
+
+    def test_ragged_lengths_across_segments_bitwise_for_any_worker_count(self, rng, monkeypatch):
+        """L = 2K+2 steps, so full-length chunks rebuild two whole segments
+        and a ragged one in backward; other chunks stop below K."""
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * 16 * 4 * 4)
+        length = 2 * K + 2
+        blk = MambaBlock(self.CFG, rng)
+        x = rng.normal(0, 1, (self.B, length, 8)).astype(np.float32)
+        g = rng.normal(0, 1, (self.B, length, 8)).astype(np.float32)
+        lengths = rng.integers(1, length + 1, self.B)
+        lengths[:3] = K - 1                        # a whole chunk stops inside the first segment
+        lengths[3:6] = length
+        full = block_pass(blk, x, g)[0]
+        y, gx = bitwise_for_any_worker_count(
+            monkeypatch, lambda: block_pass(blk, x, g, lengths))[:2]
+        padded = np.arange(length) >= lengths[:, None]
+        assert (lengths < K).sum() > 3
+        assert not y[padded].any() and not gx[padded].any()
         assert np.allclose(y[~padded], full[~padded], rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("lengths", [[0, 3], [4, 7], [3]])
