@@ -3,10 +3,21 @@
 A ``Tensor`` wraps a numpy array. Operations on tracked tensors record
 themselves on an implicit tape; calling ``backward()`` on a scalar result
 replays the tape in reverse topological order and accumulates gradients
-into every tracked leaf. The tape links each tensor's ``_Node`` (its
-gradient and backward link), not the tensor itself, so an intermediate
-array lives until backward only where an op's backward function captured
-it: ``add`` and ``sub`` keep only their operands' shapes.
+into every tracked leaf.
+
+Memory: the tape links each tensor's ``_Node`` (its gradient and backward
+link), not the tensor itself, so an intermediate array lives until
+backward only where an op's backward function captured it, and each op
+captures only what its backward reads. ``add``, ``sub``, ``sum_``,
+``mean``, ``reshape``, ``slice_``, ``max_over_axis`` and ``gather_rows``
+keep shapes (and a dtype or indices), no operand values; ``exp``,
+``sigmoid`` and ``relu`` keep their output, ``softplus`` and ``silu``
+their input; ``batchnorm`` keeps its normalized input, not its input.
+Backward releases the tape as it walks it: once a node's backward has run,
+the node drops its backward function (and the arrays it captured), its
+parent links and, unless it is a leaf, its gradient. So an activation
+lives only until the backward of the last op that read it, and after
+backward only leaves hold a ``grad``.
 
 Two precision regimes are supported: float32 (training default) and
 float64 (used by the verification suites). The dtype of an operation
@@ -329,18 +340,21 @@ def matmul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 # elementwise unary ops
 
-def _unary(x, fwd, dfn, op):
+def _unary(x, fwd, dfn, op, of_output=False):
+    """``fwd`` of x's values; backward is ``dfn(g, v)``, where v is the
+    output if ``of_output`` and the input otherwise, the one array kept."""
     x = as_tensor(x)
     out_data = fwd(x.data)
+    kept = out_data if of_output else x.data
 
     def backward_fn(g):
-        return (dfn(g, x.data, out_data),)
+        return (dfn(g, kept),)
 
     return _make(out_data, (x,), backward_fn, op)
 
 
 def exp(x) -> Tensor:
-    return _unary(x, np.exp, lambda g, x_, o: g * o, "exp")
+    return _unary(x, np.exp, lambda g, o: g * o, "exp", of_output=True)
 
 
 # The activation kernels work in place on one fresh array of x's shape;
@@ -365,10 +379,10 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x) -> Tensor:
-    return _unary(x, _sigmoid, lambda g, x_, o: g * o * (1.0 - o), "sigmoid")
+    return _unary(x, _sigmoid, lambda g, o: g * o * (1.0 - o), "sigmoid", of_output=True)
 
 
-def _softplus_grad(g, x_, o):
+def _softplus_grad(g, x_):
     s = _sigmoid(x_)
     s *= g
     return s
@@ -384,7 +398,7 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _silu_grad(g, x_, o):
+def _silu_grad(g, x_):
     # d/dx x s(x) = s (1 + x (1 - s))
     s = _sigmoid(x_)
     t = np.subtract(1.0, s, out=np.empty_like(s))
@@ -400,8 +414,9 @@ def silu(x) -> Tensor:
 
 
 def relu(x) -> Tensor:
+    # out > 0 is the mask x > 0, so backward keeps the output, not the input
     return _unary(x, lambda v: np.maximum(v, 0.0),
-                  lambda g, x_, o: g * (x_ > 0), "relu")
+                  lambda g, o: g * (o > 0), "relu", of_output=True)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +425,13 @@ def relu(x) -> Tensor:
 def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     out_data = x.data.sum(axis=axis, keepdims=keepdims)
+    shape = x.shape
 
     def backward_fn(g):
         if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         g_ = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_, x.shape).copy(),)
+        return (np.broadcast_to(g_, shape).copy(),)
 
     return _make(np.asarray(out_data), (x,), backward_fn, "sum")
 
@@ -424,12 +440,13 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     out_data = x.data.mean(axis=axis, keepdims=keepdims)
     count = x.size if axis is None else np.prod([x.shape[a] for a in np.atleast_1d(axis)])
+    shape = x.shape
 
     def backward_fn(g):
         if axis is None:
-            return (np.broadcast_to(g / count, x.shape).copy(),)
+            return (np.broadcast_to(g / count, shape).copy(),)
         g_ = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_ / count, x.shape).copy(),)
+        return (np.broadcast_to(g_ / count, shape).copy(),)
 
     return _make(np.asarray(out_data), (x,), backward_fn, "mean")
 
@@ -453,9 +470,10 @@ def max_over_axis(x, axis: int, mask: np.ndarray | None = None, keepdims: bool =
     out_data = np.take_along_axis(work, np.expand_dims(idx, axis), axis=axis)
     if not keepdims:
         out_data = np.squeeze(out_data, axis=axis)
+    shape, dtype = x.shape, x.dtype
 
     def backward_fn(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         g_ = g if keepdims else np.expand_dims(g, axis)
         np.put_along_axis(gx, np.expand_dims(idx, axis), g_, axis=axis)
         return (gx,)
@@ -472,9 +490,10 @@ def reshape(x, shape) -> Tensor:
         out_data = x.data.reshape(shape)
     except ValueError as e:
         raise ShapeError(f"reshape: {x.shape} -> {shape}") from e
+    in_shape = x.shape
 
     def backward_fn(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(in_shape),)
 
     return _make(out_data, (x,), backward_fn, "reshape")
 
@@ -497,9 +516,10 @@ def slice_(x, key) -> Tensor:
     """Basic (non-fancy) indexing: slices and integer indices."""
     x = as_tensor(x)
     out_data = x.data[key]
+    shape, dtype = x.shape, x.dtype
 
     def backward_fn(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         gx[key] = g
         return (gx,)
 
@@ -525,10 +545,11 @@ def gather_rows(x, rows) -> Tensor:
     increasing integer array (not differentiated); the backward is
     ``scatter_rows``."""
     x = as_tensor(x)
-    rows = _check_rows(rows, x.shape[0], "gather_rows")
+    n = x.shape[0]
+    rows = _check_rows(rows, n, "gather_rows")
 
     def backward_fn(g):
-        return (_scatter(g, rows, x.shape[0]),)
+        return (_scatter(g, rows, n),)
 
     return _make(x.data[rows], (x,), backward_fn, "gather_rows")
 
@@ -555,7 +576,7 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
 
     def backward_fn(g):
         return tuple(np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-                     for i in range(len(ts)))
+                     for i in range(len(sizes)))
 
     return _make(out_data, ts, backward_fn, "concat")
 
@@ -747,10 +768,10 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
         raise ShapeError(f"batchnorm: input {x.shape} vs {gamma.size} channels")
     axes = (0, 2, 3)
     shape_c = (1, -1, 1, 1)
+    m = x.size // x.shape[1]
     if training:
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        m = x.size // x.shape[1]
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
@@ -767,7 +788,6 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
         g_beta = g.sum(axis=axes)
         gh = g * gamma.data.reshape(shape_c)
         if training:
-            m = x.size // x.shape[1]
             gx = (inv_std.reshape(shape_c) / m) * (
                 m * gh
                 - gh.sum(axis=axes, keepdims=True)
@@ -838,11 +858,14 @@ def _toposort(root: _Node) -> list[_Node]:
 
 
 def backward(loss: Tensor):
-    """Populate ``grad`` for every tracked tensor reachable from ``loss``.
+    """Populate ``grad`` for every tracked leaf reachable from ``loss``.
 
-    ``loss`` must be a scalar produced on the tape. The traversed part of
-    the tape is released afterwards; a second call on the same result
-    raises.
+    ``loss`` must be a scalar produced on the tape. The tape is released as
+    the pass goes: each node drops its backward function (with the arrays
+    it captured), its parent links and, unless it is a leaf, its gradient
+    once its backward has run. So only leaves keep ``.grad``; an
+    intermediate result's reads None afterwards. A second call on the same
+    result raises, also after a backward that failed partway.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -850,28 +873,30 @@ def backward(loss: Tensor):
         raise RuntimeError("backward already ran for this result; run a new forward pass")
     if not loss.requires_grad:
         raise RuntimeError("loss is not connected to any tracked tensor")
-    _backprop(loss, np.ones_like(loss.data))
+    _backprop(loss._node, np.ones_like(loss.data))
 
 
-def _backprop(root: Tensor, seed: np.ndarray):
+def _backprop(root: _Node, seed: np.ndarray):
     """Reverse pass from ``root`` with d(objective)/d(root) = ``seed``.
 
     The engine under ``backward``; ops that run sub-graphs of their own
     (``ssm.MambaBlock``) call it for each sub-graph from their backward.
+    Each node is marked done and detached before its backward function
+    runs, so the function, its captured arrays and the node's gradient
+    are freed as the pass goes, and a pass that raised cannot be rerun.
     """
-    root = root._node
     order = _toposort(root)
     root.grad = seed
-    for node in reversed(order):
-        if node.backward_fn is None or node.grad is None:
-            continue
-        grads = node.backward_fn(node.grad)
-        for parent, g in zip(node.parents, grads):
-            if g is None:
-                continue
-            if parent.requires_grad or parent.backward_fn is not None:
-                parent.accumulate_grad(g)
-    for node in order:
-        node.parents = ()
-        node.backward_fn = None
+    while order:
+        node = order.pop()
         node.done = True
+        fn, g = node.backward_fn, node.grad
+        if fn is None:
+            continue                      # a leaf or an untracked tensor: keeps its grad
+        parents = node.parents
+        node.backward_fn, node.parents, node.grad = None, (), None
+        if g is not None:
+            for parent, gp in zip(parents, fn(g)):
+                if gp is not None and (parent.requires_grad or parent.backward_fn is not None):
+                    parent.accumulate_grad(gp)
+        fn = g = gp = None                # nothing of this node lives into the next one

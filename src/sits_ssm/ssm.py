@@ -491,11 +491,11 @@ class MambaBlock(nn.Module):
         a step never sees the steps after it; the output is zero at every
         step beyond a sequence's length, and backward drops the gradient
         there. Each chunk's forward returns its record (bounds, input leaf,
-        shadow, output), or None when no tape is kept. Backward replays every
-        record's sub-graph on the pool, frees it as soon as it is replayed,
-        and adds the parameter gradients with ``pool._sum_in_order``, so the
-        results do not depend on the number of workers. A single chunk takes
-        the same route, inline.
+        shadow, and the output's tape node, not its values), or None when no
+        tape is kept. Backward replays every record's sub-graph on the pool,
+        frees it as it is replayed, and adds the parameter gradients with
+        ``pool._sum_in_order``, so the results do not depend on the number
+        of workers. A single chunk takes the same route, inline.
         """
         cfg = self.cfg
         if x.ndim != 3 or x.shape[2] != cfg.d_model:
@@ -519,13 +519,14 @@ class MambaBlock(nn.Module):
             out = twin._forward(xi)
             y[s:e, :lc] = out.data
             y[s:e, :lc][padded[s:e, :lc]] = 0.0
-            return [bound, xi, twin, out] if out.requires_grad else None
+            return [bound, xi, twin, out._node] if out.requires_grad else None
 
         records = pool._map(forward, bounds)
+        x_shape, x_dtype, x_grad = x.shape, x.dtype, x.requires_grad
 
         def backward_fn(g):
             g = np.where(padded[:, :, None], 0.0, g) if padded.any() else g
-            gx = np.zeros_like(x.data) if x.requires_grad else None
+            gx = np.zeros(x_shape, x_dtype) if x_grad else None
 
             def backward(record):
                 (s, e), xi, twin, out = record

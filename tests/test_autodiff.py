@@ -133,6 +133,68 @@ class TestTapeKeepsWhatBackwardNeeds:
         ad.backward(ad.sum_(y))
         np.testing.assert_allclose(lin.bias.grad, np.full(3, 4.0))
 
+    # ops whose backward needs no values of their input (relu keeps its
+    # output, batchnorm its normalized input), on a (2, 3, 4, 5) input
+    NO_INPUT_KEPT = {
+        "relu": lambda t: ad.relu(t),
+        "batchnorm_train": lambda t: ad.batchnorm(t, np.ones(3), np.zeros(3), np.zeros(3),
+                                                  np.ones(3), training=True),
+        "batchnorm_eval": lambda t: ad.batchnorm(t, np.ones(3), np.zeros(3), np.zeros(3),
+                                                 np.ones(3), training=False),
+        "sum": lambda t: ad.sum_(t, axis=1),
+        "sum_all": lambda t: ad.sum_(t),
+        "mean": lambda t: ad.mean(t, axis=(0, 2)),
+        "mean_all": lambda t: ad.mean(t),
+        "slice": lambda t: ad.slice_(t, (slice(None), 1, slice(1, 3))),
+        "max_over_axis": lambda t: ad.max_over_axis(t, axis=3),
+        "max_over_axis_masked": lambda t: ad.max_over_axis(
+            t, axis=2, mask=np.arange(4)[:, None] < 3),
+        "gather_rows": lambda t: ad.gather_rows(t, np.array([1])),
+    }
+
+    @pytest.mark.parametrize("op", sorted(NO_INPUT_KEPT))
+    def test_input_dies_once_only_the_result_lives(self, rng, op):
+        x = f64(rng, 6, 20)
+        # the input is a reshaped view, so a slice of it holds the array it
+        # views, not the input's own array object
+        h = ad.reshape(ad.mul(x, x), (2, 3, 4, 5))
+        ref = weakref.ref(h.data)
+        y = self.NO_INPUT_KEPT[op](h)
+        del h
+        assert ref() is None
+        ad.backward(ad.sum_(ad.mul(y, y)))
+        assert x.grad.shape == x.shape and np.all(np.isfinite(x.grad))
+
+    def test_activation_dies_before_an_earlier_ops_backward(self):
+        seen = []
+
+        def spy(t):
+            # identity whose backward records whether the later activation lives
+            def backward_fn(g):
+                seen.append(ref())
+                return (g,)
+
+            return ad._make(t.data.copy(), (t,), backward_fn, "spy")
+
+        x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+        a = ad.mul(spy(x), 3.0)
+        ref = weakref.ref(a.data)                  # read only by the mul below
+        loss = ad.sum_(ad.mul(a, a))
+        del a
+        ad.backward(loss)
+        assert seen == [None]
+        np.testing.assert_allclose(x.grad, 18.0 * x.data, rtol=1e-15)
+
+    def test_only_leaves_keep_their_grad(self):
+        x = Tensor(np.array([0.5, -1.25, 1.5]), requires_grad=True)
+        h = ad.mul(x, x)
+        y = ad.exp(h)
+        loss = ad.sum_(y)
+        ad.backward(loss)
+        assert h.grad is None and y.grad is None and loss.grad is None
+        e = np.exp(x.data * x.data)
+        assert np.array_equal(x.grad, e * x.data + e * x.data)
+
 
 class TestScalarOperandDtype:
     @pytest.mark.parametrize("op", ["add", "sub", "mul"])
@@ -168,6 +230,28 @@ class TestBackwardBasics:
         ad.backward(loss)
         with pytest.raises(RuntimeError):
             ad.backward(loss)
+
+    def test_failed_backward_is_not_retried(self):
+        calls = []
+
+        def boom(t):
+            # identity whose backward raises the first time it runs
+            def backward_fn(g):
+                calls.append(g)
+                if len(calls) == 1:
+                    raise FloatingPointError("boom")
+                return (g,)
+
+            return ad._make(t.data.copy(), (t,), backward_fn, "boom")
+
+        x = Tensor(np.array([1.5, 2.5]), requires_grad=True)
+        loss = ad.add(ad.sum_(boom(x)), ad.sum_(ad.mul(x, x)))
+        with pytest.raises(FloatingPointError):
+            ad.backward(loss)
+        # a rerun would add the gradients the failed pass already gave again
+        with pytest.raises(RuntimeError):
+            ad.backward(loss)
+        assert len(calls) == 1
 
     def test_grad_accumulates_over_reuse(self):
         x = Tensor(np.array(3.0), requires_grad=True)

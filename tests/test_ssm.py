@@ -2,6 +2,7 @@
 single-pass fused scan, and the chunked gated block contracts."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -391,6 +392,37 @@ class TestBlockNode:
             runs.append(block_pass(blk, x, g))
         for got, ref in zip(*runs):
             assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+
+    def test_node_keeps_neither_its_input_nor_the_chunk_outputs(self, rng, monkeypatch):
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * 16 * 4 * 8)   # 3 float64 sequences
+        outputs = []
+        forward = MambaBlock._forward
+
+        def spy(blk, x):
+            out = forward(blk, x)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(MambaBlock, "_forward", spy)
+        blk = MambaBlock(self.CFG, rng, dtype=np.float64)
+        params = [t for _, t in blk.named_params()]
+        x0 = rng.normal(0, 1, (9, self.L, 8))
+        g = rng.normal(0, 1, (9, self.L, 8))
+        # every chunk stops short of L, so each chunk's input leaf is a copy,
+        # not a view of x
+        lengths = np.full(9, self.L - 1)
+        leaf = Tensor(x0, requires_grad=True)
+        x = ad.mul(leaf, 1.0)
+        ref = weakref.ref(x.data)
+        y = blk(x, lengths)
+        del x
+        assert ref() is None
+        assert len(outputs) == 3 and all(r() is None for r in outputs)
+        ad.backward(ad.sum_(ad.mul(y, Tensor(g))))
+        got = [leaf.grad] + [t.grad for t in params]
+        want = block_pass(blk, x0, g, lengths)[1:]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("recording", [True, False])
     def test_chunks_follow_the_callers_grad_mode(self, rng, monkeypatch, recording):
