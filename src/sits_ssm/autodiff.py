@@ -35,11 +35,13 @@ one thread pool (``pool``), each as one node of the outer graph, and both
 follow its one protocol: cut the leading axis with ``pool._chunk_bounds``,
 run one task per chunk with ``pool._map``, and add the chunks' partial
 gradients with ``pool._sum_in_order``. ``ssm.MambaBlock`` is the one
-place that splits pixel sequences, and runs each chunk as its own
-sub-graph, over parameter copies whose ``grad`` only that chunk touches;
-the selective scan inside a chunk is a single pass on that chunk's
-thread. ``conv2d`` splits the frames of its (B, C, H, W) stack: each
-chunk's im2col + GEMM writes its slice of the output, and backward
+place that splits pixel sequences. Its forward runs each chunk under
+``no_grad`` and keeps only the chunk's input; its backward replays each
+chunk as a sub-graph of its own, recorded whatever grad mode backward runs
+under, over parameter copies whose ``grad`` only that chunk touches. The
+selective scan inside a chunk is a single pass on that chunk's thread.
+``conv2d`` splits the frames of its (B, C, H, W) stack: each chunk's
+im2col + GEMM writes its slice of the output, and backward
 recomputes the chunk's columns. No pool task asks the pool for work.
 Grad mode is per thread (and per asyncio task): ``no_grad()`` in one
 thread leaves tape recording on in every other.
@@ -73,14 +75,19 @@ class NonFiniteError(ArithmeticError):
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable tape recording inside the block (inference mode), in the
-    calling thread only."""
-    token = _GRAD_ENABLED.set(False)
+def _grad_mode(enabled: bool):
+    """Tape recording on or off inside the block, in the calling thread only."""
+    token = _GRAD_ENABLED.set(enabled)
     try:
         yield
     finally:
         _GRAD_ENABLED.reset(token)
+
+
+def no_grad():
+    """Disable tape recording inside the block (inference mode), in the
+    calling thread only."""
+    return _grad_mode(False)
 
 
 def grad_enabled() -> bool:

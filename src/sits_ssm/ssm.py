@@ -31,15 +31,13 @@ benchmark's correctness gate compare it against, not alternatives to it:
 
 The fused scan is the CPU form of the hardware-aware scan of Mamba (Gu &
 Dao 2023, sec. 3.3): discretization is fused into the recurrence, and the
-states are recomputed in backward instead of stored. It is a single pass
+states are recomputed in backward instead of stored from the forward (here
+by ``MambaBlock``'s replay, one chunk at a time). It is a single pass
 over all the sequences it is given: time-major, one step at a time,
 vectorized over (B, D, N), with matmul readouts, forming e^z as
-1 + expm1(z). The forward keeps one running (B, D, N) state. When a
-gradient will be taken it also keeps a copy of that state every
-``_SCAN_SEGMENT`` (K) steps, ceil(L/K) states in all. Backward rebuilds
-one K-step segment at a time from its kept state by re-running those
-forward steps, and so holds at most K+1 states of the trajectory
-h_0..h_L at once, in a buffer of its own.
+1 + expm1(z). Under ``no_grad`` the forward keeps one running (B, D, N)
+state. When a gradient will be taken it keeps the whole trajectory
+h_0..h_L, and backward forms expm1(z) again at each step as it walks it.
 
 ``MambaBlock`` wraps the selective scan in the usual gated two-branch
 block: projection -> causal depthwise conv -> SiLU -> selective scan on
@@ -54,13 +52,16 @@ sequences, so that the scan's (c, D, N) working arrays fit the budget
 ``pool._map`` on the package's one thread pool, which ``autodiff.conv2d``
 shares for its frame chunks; it has one worker per CPU the process may
 run on, and numpy releases the GIL inside its kernels. The block is one
-tape node whose forward runs each chunk's block as a small sub-graph of
-its own and returns the chunk's record, and whose backward replays those
-sub-graphs and adds their parameter gradients with
-``pool._sum_in_order``. Chunk boundaries depend only on the budget and
-every chunk is computed the same way whichever thread runs it, so
-results are bitwise identical for any number of workers, and the working
-arrays stay chunk-sized. Given each sequence's valid length, a
+tape node, checkpointed at the chunk boundary (Chen et al. 2016,
+arXiv:1604.06174): its forward runs each chunk under ``no_grad`` and
+keeps only the chunk's input; its backward replays each chunk with the
+tape on, over a ``shadow`` of the block, runs that chunk's backward at
+once, and adds the parameter gradients with ``pool._sum_in_order``. So
+only the chunks being replayed are ever recorded, one per worker, and
+the scan's trajectory is a chunk's. Chunk boundaries depend only on the
+budget and every chunk is computed the same way whichever thread runs
+it, so results are bitwise identical for any number of workers, and the
+working arrays stay chunk-sized. Given each sequence's valid length, a
 chunk runs only up to the longest one among its sequences; the block is
 causal, so the steps it skips could not have changed a valid output.
 """
@@ -84,7 +85,6 @@ _PHI_SWITCH = 1e-6
 _PHI_PRIME_SWITCH = {np.dtype(np.float32): 0.1, np.dtype(np.float64): 1e-3}
 _PHI_PRIME_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in range(3, -1, -1))
 _SCAN_VECTOR_BUDGET = 256 * 2**10   # bytes of one block chunk's (c, D, N) scan array
-_SCAN_SEGMENT = 5                   # steps between the states a recorded scan keeps
 EXPAND = 2                          # inner width / d_model
 CONV_WIDTH = 4                      # causal depthwise conv taps
 DT_MIN, DT_MAX = 1e-3, 1e-1         # range of the initial step sizes delta
@@ -264,24 +264,6 @@ def _time_major(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
-def _scan_step(d_t, u_t, b_t, a_t, h, out, em, bx, ez):
-    """One recurrence step h_{t+1} = e^z h_t + expm1(z)/a u_t b_t, z = d_t a,
-    written to ``out`` (which may be ``h``); leaves expm1(z) in ``em``.
-
-    e^z is formed as 1 + expm1(z), which costs an add instead of an exp.
-    The forward and the backward's rebuild both run this, so a rebuilt
-    state is bitwise the forward's.
-    """
-    np.multiply(d_t[:, None, :], a_t, out=em)
-    np.expm1(em, out=em)
-    np.divide(em, a_t, out=bx)                 # delta * phi(z)
-    bx *= u_t[:, None, :]
-    bx *= b_t[:, :, None]
-    np.add(em, 1, out=ez)
-    np.multiply(ez, h, out=out)
-    out += bx
-
-
 def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
                          c: Tensor, d_skip: Tensor) -> Tensor:
     """Input-selective scan with per-step ZOH discretization, one fused op.
@@ -294,14 +276,13 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     series near z = 0.
 
     One pass over all B sequences on the calling thread; splitting them
-    into chunks is the caller's business (``MambaBlock``). The forward
-    keeps one running (B, N, D) state. When a gradient will be taken it
-    also copies that state every ``_SCAN_SEGMENT`` steps into a
-    (ceil(L/K), B, N, D) array of segment starts, and nothing else until
-    backward. Backward walks the segments from last to first: it rebuilds
-    a segment's states and expm1(z) from its start by re-running those
-    forward steps, then runs the segment's backward steps on them. Under
-    ``no_grad``, or when no input requires grad, no segment start is kept.
+    into chunks is the caller's business (``MambaBlock``). Under
+    ``no_grad``, or when no input requires grad, the forward keeps one
+    running (B, N, D) state. When a gradient will be taken it keeps the
+    whole (L+1, B, N, D) trajectory h_0..h_L until backward, which walks
+    it from the last step to the first and forms expm1(delta a) again at
+    each step. The block records a scan only while it replays one chunk
+    in its backward, so the trajectory is one chunk's and short-lived.
     """
     u, delta, a = ad.as_tensor(u), ad.as_tensor(delta), ad.as_tensor(a)
     b, c, d_skip = ad.as_tensor(b), ad.as_tensor(c), ad.as_tensor(d_skip)
@@ -324,68 +305,68 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     yt = np.empty_like(ut)
     # time-major recurrence; the state is laid out (B, N, D) so that every
     # broadcast runs along D
-    h = np.zeros((nb,) + a_t.shape, dtype=dt.dtype)
-    em, bx, ez = (np.empty_like(h) for _ in range(3))
-    k = _SCAN_SEGMENT
-    starts = np.empty((-(-nl // k),) + h.shape, dtype=h.dtype) if keep else None
+    hs = np.zeros((nl + 1 if keep else 1, nb) + a_t.shape, dtype=dt.dtype)
+    em, bx, ez = (np.empty_like(hs[0]) for _ in range(3))
     for t in range(nl):
-        if starts is not None and t % k == 0:
-            starts[t // k] = h
-        _scan_step(dt[t], ut[t], bt[t], a_t, h, h, em, bx, ez)
-        np.matmul(ct[t][:, None, :], h, out=yt[t][:, None, :])
-    del dt, ut, bt, ct, h, em, bx, ez          # free the time-major copies and buffers early
+        # h_{t+1} = e^z h_t + expm1(z)/a u_t b_t with z = delta_t a, and e^z
+        # formed as 1 + expm1(z), which costs an add instead of an exp
+        h, h1 = (hs[t], hs[t + 1]) if keep else (hs[0], hs[0])
+        np.multiply(dt[t][:, None, :], a_t, out=em)
+        np.expm1(em, out=em)
+        np.divide(em, a_t, out=bx)             # delta * phi(z)
+        bx *= ut[t][:, None, :]
+        bx *= bt[t][:, :, None]
+        np.add(em, 1, out=ez)
+        np.multiply(ez, h, out=h1)
+        h1 += bx
+        np.matmul(ct[t][:, None, :], h1, out=yt[t][:, None, :])
+    del dt, ut, bt, ct, em, bx, ez             # free the time-major copies and buffers early
     y = np.ascontiguousarray(yt.transpose(1, 0, 2))
     del yt
     y += skipv * uv
 
     def backward_fn(g):
         # z = delta a, e^z = 1 + expm1(z) and s = expm1(z)/a are formed per
-        # step from the segment's rebuilt expm1(z), not stored across the
-        # call. With h_{t+1} = e^z h_t + s u b, s is delta phi(z), whose
-        # delta-derivative is e^z: only ``a``'s gradient needs phi'.
-        nonlocal starts
+        # step, not stored across the call. With h_{t+1} = e^z h_t + s u b,
+        # s is delta phi(z), whose delta-derivative is e^z: only ``a``'s
+        # gradient needs phi'.
+        nonlocal hs
         ut, dt, bt, ct, gt = (_time_major(x) for x in (uv, dv, bv, cv, g))
         wt = dt * ut
         gu, gd = np.empty_like(ut), np.empty_like(ut)
         gb, gc = np.empty_like(bt), np.empty_like(ct)
-        lam = np.zeros(starts.shape[1:], dtype=ut.dtype)  # dLoss/dh_t
+        lam = np.zeros(hs.shape[1:], dtype=ut.dtype)   # dLoss/dh_t
         ga = np.zeros_like(lam)
-        z, ez, s, g_z = (np.empty_like(lam) for _ in range(4))
+        z, em, ez, s, g_z = (np.empty_like(lam) for _ in range(5))
         reduced = np.empty_like(gu[0])
-        # one segment's states h_{t0+1}..h_{t1} and expm1(z) of its steps
-        seg_h, seg_em = (np.empty((k,) + lam.shape, dtype=lam.dtype) for _ in range(2))
-        for t0 in range(k * (len(starts) - 1), -1, -k):
-            steps = range(t0, min(t0 + k, nl))
-            hs = [starts[t0 // k], *seg_h[:len(steps)]]         # h_{t0}..h_{t1}
-            for i, t in enumerate(steps):
-                _scan_step(dt[t], ut[t], bt[t], a_t, hs[i], hs[i + 1], seg_em[i], s, ez)
-            for i, t in reversed(list(enumerate(steps))):
-                gy, d_t, em = gt[t], dt[t][:, None, :], seg_em[i]
-                np.matmul(hs[i + 1], gy[:, :, None], out=gc[t][:, :, None])
-                np.multiply(ct[t][:, :, None], gy[:, None, :], out=z)
-                lam += z
-                np.multiply(d_t, a_t, out=z)
-                np.add(em, 1, out=ez)
-                _phi_prime(z, ez, em, out=g_z)
-                g_z *= lam
-                np.divide(em, a_t, out=s)
-                lam_s = np.multiply(lam, s, out=s)
-                np.matmul(lam_s, ut[t][:, :, None], out=gb[t][:, :, None])
-                np.matmul(bt[t][:, None, :], lam_s, out=gu[t][:, None, :])
-                lam *= ez                                # now dLoss/dh_{t-1} (before its readout)
-                lam_h = np.multiply(lam, hs[i], out=ez)
-                # sum over n weighted by a[n, d]: no matmul, and einsum beats (x * a).sum(1)
-                np.einsum("cnd,nd->cd", lam_h, a_t, out=gd[t])
-                np.matmul(bt[t][:, None, :], lam, out=reduced[:, None, :])
-                reduced *= ut[t]
-                gd[t] += reduced
-                g_z *= wt[t][:, None, :]
-                g_z *= bt[t][:, :, None]
-                g_z += lam_h
-                g_z *= d_t
-                ga += g_z
-        starts = None                          # free the segment starts and the step buffers early
-        del wt, lam, z, ez, s, g_z, lam_h, lam_s, reduced, seg_h, seg_em, hs, em
+        for t in range(nl - 1, -1, -1):
+            gy, d_t = gt[t], dt[t][:, None, :]
+            np.matmul(hs[t + 1], gy[:, :, None], out=gc[t][:, :, None])
+            np.multiply(ct[t][:, :, None], gy[:, None, :], out=z)
+            lam += z
+            np.multiply(d_t, a_t, out=z)
+            np.expm1(z, out=em)
+            np.add(em, 1, out=ez)
+            _phi_prime(z, ez, em, out=g_z)
+            g_z *= lam
+            np.divide(em, a_t, out=s)
+            lam_s = np.multiply(lam, s, out=s)
+            np.matmul(lam_s, ut[t][:, :, None], out=gb[t][:, :, None])
+            np.matmul(bt[t][:, None, :], lam_s, out=gu[t][:, None, :])
+            lam *= ez                                # now dLoss/dh_{t-1} (before its readout)
+            lam_h = np.multiply(lam, hs[t], out=ez)
+            # sum over n weighted by a[n, d]: no matmul, and einsum beats (x * a).sum(1)
+            np.einsum("cnd,nd->cd", lam_h, a_t, out=gd[t])
+            np.matmul(bt[t][:, None, :], lam, out=reduced[:, None, :])
+            reduced *= ut[t]
+            gd[t] += reduced
+            g_z *= wt[t][:, None, :]
+            g_z *= bt[t][:, :, None]
+            g_z += lam_h
+            g_z *= d_t
+            ga += g_z
+        hs = None                              # free the trajectory and the step buffers early
+        del wt, lam, z, em, ez, s, g_z, lam_h, lam_s, reduced
         ga = ga.sum(axis=0).T
         gu += skipv * gt
         gu, gd, gb, gc = (np.ascontiguousarray(x.transpose(1, 0, 2)) for x in (gu, gd, gb, gc))
@@ -484,16 +465,17 @@ class MambaBlock(nn.Module):
         steps). This is the one place that splits pixel sequences:
         ``pool._chunk_bounds`` cuts the B sequences into chunks whose scan
         state fits ``_SCAN_VECTOR_BUDGET`` (read at call time), and each chunk
-        runs the whole block (``_forward``, whose scan is a single pass) as a
-        sub-graph of its own on the shared pool (``pool._map``), over a
-        ``shadow`` of this block and over the chunk's first Lc steps only, Lc
-        being the longest valid length in the chunk. The block is causal, so
-        a step never sees the steps after it; the output is zero at every
-        step beyond a sequence's length, and backward drops the gradient
-        there. Each chunk's forward returns its record (bounds, input leaf,
-        shadow, and the output's tape node, not its values), or None when no
-        tape is kept. Backward replays every record's sub-graph on the pool,
-        frees it as it is replayed, and adds the parameter gradients with
+        runs the whole block (``_forward``) under ``no_grad`` on the shared
+        pool (``pool._map``), over the chunk's first Lc steps only, Lc being
+        the longest valid length in the chunk. The block is causal, so a
+        step never sees the steps after it; the output is zero at every step
+        beyond a sequence's length, and backward drops the gradient there.
+        When a gradient will be taken, each chunk keeps its input and
+        nothing else. Backward replays the chunks on the pool: each one
+        runs ``_forward`` again over a ``shadow`` of this block with the tape
+        on, whatever grad mode backward is called under, and runs its own
+        backward at once; the node lets go of a chunk's input as its replay
+        starts. The parameter gradients are added with
         ``pool._sum_in_order``, so the results do not depend on the number
         of workers. A single chunk takes the same route, inline.
         """
@@ -510,18 +492,19 @@ class MambaBlock(nn.Module):
         params = [t for _, t in self.named_params()]
         dtype = np.result_type(x.dtype, *(p.dtype for p in params))
         y = np.zeros((nb, nl, cfg.d_model), dtype=dtype)
+        keep = ad.grad_enabled() and any(t.requires_grad for t in (x, *params))
 
         def forward(bound):
             s, e = bound
             lc = int(lengths[s:e].max())
-            twin = self.shadow()
-            xi = Tensor(np.ascontiguousarray(x.data[s:e, :lc]), requires_grad=x.requires_grad)
-            out = twin._forward(xi)
-            y[s:e, :lc] = out.data
+            xi = np.ascontiguousarray(x.data[s:e, :lc])
+            with ad.no_grad():
+                out = self._forward(Tensor(xi)).data
+            y[s:e, :lc] = out
             y[s:e, :lc][padded[s:e, :lc]] = 0.0
-            return [bound, xi, twin, out._node] if out.requires_grad else None
+            return [bound, xi] if keep else None
 
-        records = pool._map(forward, bounds)
+        kept = pool._map(forward, bounds)
         x_shape, x_dtype, x_grad = x.shape, x.dtype, x.requires_grad
 
         def backward_fn(g):
@@ -529,15 +512,18 @@ class MambaBlock(nn.Module):
             gx = np.zeros(x_shape, x_dtype) if x_grad else None
 
             def backward(record):
-                (s, e), xi, twin, out = record
-                record.clear()                    # free the sub-graph as it is replayed
-                lc = xi.shape[1]
-                ad._backprop(out, np.ascontiguousarray(g[s:e, :lc]))
+                (s, e), xi = record
+                record.clear()                    # free the chunk's input as it is replayed
+                xi = Tensor(xi, requires_grad=x_grad)
+                twin = self.shadow()
+                with ad._grad_mode(True):
+                    out = twin._forward(xi)
+                ad._backprop(out._node, np.ascontiguousarray(g[s:e, :xi.shape[1]]))
                 if gx is not None:
-                    gx[s:e, :lc] = xi.grad
+                    gx[s:e, :xi.shape[1]] = xi.grad
                 return [t.grad for _, t in twin.named_params()]
 
-            parts = pool._map(backward, records)
+            parts = pool._map(backward, kept)
             return (gx, *(pool._sum_in_order(p) for p in zip(*parts)))
 
         return ad._make(y, (x, *params), backward_fn, "mamba_block")

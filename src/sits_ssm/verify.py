@@ -294,10 +294,9 @@ def suite_scan_kernel(report: VerifyReport, scan_fn=None, n_seeds: int = 10):
 def suite_fused_scan(report: VerifyReport, scan_fn=None):
     """The production scan against the tape-composite route, in float64, on
     33 sequences with delta in [1e-3, 0.5] and again with delta in
-    [1e-8, 1e-6], far below the series switches of phi and phi'; again at
-    2K+3 steps, K being the scan's segment length, so that backward
-    rebuilds two whole segments and a ragged last one; plus phi' in float32
-    against the float64 reference."""
+    [1e-8, 1e-6], far below the series switches of phi and phi'; again on
+    9 sequences of 13 steps; plus phi' in float32 against the float64
+    reference."""
     rng = np.random.default_rng(11)
 
     def scan_args(b, l, d, n):
@@ -310,8 +309,8 @@ def suite_fused_scan(report: VerifyReport, scan_fn=None):
     args[1] = rng.uniform(1e-8, 1e-6, args[1].shape)
     report.add("fused", "fused_vs_composite_tiny_delta",
                scan_vs_composite(args, g, scan_fn), 1e-10)
-    args, g = scan_args(9, 2 * ssm._SCAN_SEGMENT + 3, 32, 8)
-    report.add("fused", "fused_vs_composite_segments", scan_vs_composite(args, g, scan_fn), 1e-10)
+    args, g = scan_args(9, 13, 32, 8)
+    report.add("fused", "fused_vs_composite_long", scan_vs_composite(args, g, scan_fn), 1e-10)
     z = -np.logspace(-8, np.log10(20.0), 2001)
     ref = phi_prime_reference(z)
     got = ssm._phi_prime(z.astype(np.float32)).astype(np.float64)

@@ -397,7 +397,7 @@ class TestVerifyCommand:
         verify.suite_fused_scan(report, scan_fn=broken_scan)
         failed = [r.name for r in report.rows if not r.passed]
         assert failed == ["fused_vs_composite", "fused_vs_composite_tiny_delta",
-                          "fused_vs_composite_segments"]
+                          "fused_vs_composite_long"]
 
     def test_verification_failure_exit_code_is_3(self, monkeypatch, capsys):
         from sits_ssm import verify

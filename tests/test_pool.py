@@ -1,4 +1,5 @@
-"""The package's shared thread pool: chunk boundaries, and the pool across fork."""
+"""The package's shared thread pool: chunk boundaries, grad mode in its
+tasks, and the pool across fork."""
 
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from sits_ssm import autodiff as ad
 from sits_ssm import pool
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -19,6 +21,31 @@ def test_chunk_bounds():
     assert pool._chunk_bounds(512, 32 * 8 * 4, budget) == [(0, 256), (256, 512)]
     assert pool._chunk_bounds(5, 2**30, budget) == [(i, i + 1) for i in range(5)]
     assert pool._chunk_bounds(3, 1, budget) == [(0, 3)]
+
+@pytest.mark.parametrize("recording", [True, False])
+def test_tasks_see_the_callers_grad_mode(recording):
+    def task(item):
+        return ad.grad_enabled()
+
+    if recording:
+        assert pool._map(task, [0, 1, 2]) == [True] * 3
+    else:
+        with ad.no_grad():
+            assert pool._map(task, [0, 1, 2]) == [False] * 3
+
+
+def test_a_tasks_grad_mode_stays_in_the_task():
+    """Each task runs in its own copy of the caller's context: recording
+    turned off in one task and never turned back on reaches neither the
+    tasks after it on the same worker nor the caller."""
+    def task(item):
+        seen = ad.grad_enabled()
+        ad._GRAD_ENABLED.set(False)
+        return seen
+
+    assert pool._map(task, list(range(6))) == [True] * 6
+    assert ad.grad_enabled()
+
 
 # The parent runs a chunked conv2d, so its pool has live workers, then
 # forks. Worker threads do not survive fork: a child that reused the

@@ -252,34 +252,15 @@ class TestChunkedScan:
         assert all(t.grad is not None and t.grad.dtype == np.float32 for t in ts)
 
 
-K = ssm._SCAN_SEGMENT
-
-
 class TestScanSegments:
-    """A recorded scan keeps one state per K-step segment and rebuilds each
-    segment's states in backward."""
+    """The fused scan against the composite from 1 to 11 steps."""
 
-    @pytest.mark.parametrize("length", [1, K - 1, K, K + 1, 2 * K + 1])
+    @pytest.mark.parametrize("length", [1, 4, 5, 6, 11])
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_fused_matches_composite_at_segment_boundaries(self, rng, length, dtype, tol):
         args = scan_inputs(rng, 7, length, 32, 8, dtype)
         g = rng.normal(0, 1, (7, length, 32)).astype(dtype)
         assert scan_vs_composite(args, g) < tol
-
-    def test_recorded_scan_keeps_less_than_half_the_trajectory(self, rng):
-        b_, l, d, n = 256, 20, 64, 16
-        ts = [Tensor(x, requires_grad=True) for x in scan_inputs(rng, b_, l, d, n, np.float32)]
-        trajectory = b_ * (l + 1) * d * n * 4
-        tracemalloc.start()
-        try:
-            y = ssm.selective_scan_fused(*ts)
-            kept = tracemalloc.get_traced_memory()[0] - y.data.nbytes
-        finally:
-            tracemalloc.stop()
-        assert y.requires_grad
-        assert kept < trajectory / 2
-        ad.backward(ad.sum_(y))
-        assert all(t.grad is not None for t in ts)
 
 
 class TestTinyDelta:
@@ -358,21 +339,21 @@ class TestBlockNode:
         assert np.allclose(y[~padded], full[~padded], rtol=1e-5, atol=1e-6)
 
     def test_ragged_lengths_across_segments_bitwise_for_any_worker_count(self, rng, monkeypatch):
-        """L = 2K+2 steps, so full-length chunks rebuild two whole segments
-        and a ragged one in backward; other chunks stop below K."""
+        """L = 12 steps: full-length chunks run all of them, others stop
+        below step 5."""
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * 16 * 4 * 4)
-        length = 2 * K + 2
+        length = 12
         blk = MambaBlock(self.CFG, rng)
         x = rng.normal(0, 1, (self.B, length, 8)).astype(np.float32)
         g = rng.normal(0, 1, (self.B, length, 8)).astype(np.float32)
         lengths = rng.integers(1, length + 1, self.B)
-        lengths[:3] = K - 1                        # a whole chunk stops inside the first segment
+        lengths[:3] = 4                            # a whole chunk stops at step 4
         lengths[3:6] = length
         full = block_pass(blk, x, g)[0]
         y, gx = bitwise_for_any_worker_count(
             monkeypatch, lambda: block_pass(blk, x, g, lengths))[:2]
         padded = np.arange(length) >= lengths[:, None]
-        assert (lengths < K).sum() > 3
+        assert (lengths < 5).sum() > 3
         assert not y[padded].any() and not gx[padded].any()
         assert np.allclose(y[~padded], full[~padded], rtol=1e-5, atol=1e-6)
 
@@ -424,8 +405,26 @@ class TestBlockNode:
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
+    def test_recorded_block_keeps_less_than_its_input(self, rng):
+        """Between forward and backward the block keeps each chunk's input
+        (here views of x) and no activation of its own."""
+        blk = MambaBlock(SsmConfig(d_model=32, d_state=16), rng)
+        x = Tensor(rng.normal(0, 1, (256, 20, 32)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            y = blk(x)
+            kept = tracemalloc.get_traced_memory()[0] - y.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        assert kept < x.data.nbytes
+        ad.backward(ad.sum_(y))
+        assert x.grad is not None and all(t.grad is not None for _, t in blk.named_params())
+
     @pytest.mark.parametrize("recording", [True, False])
     def test_chunks_follow_the_callers_grad_mode(self, rng, monkeypatch, recording):
+        """Forward chunks never record; backward replays every chunk with
+        the tape on."""
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 0)
         seen = []
         scan = ssm.selective_scan_fused
@@ -443,7 +442,30 @@ class TestBlockNode:
             with ad.no_grad():
                 y = blk(x)
         assert y.requires_grad == recording
-        assert seen == [(recording, recording)] * 4
+        assert seen == [(False, False)] * 4
+        if recording:
+            ad.backward(ad.sum_(y))
+            assert seen[4:] == [(True, True)] * 4
+
+    @pytest.mark.parametrize("budget", [0, 2**62], ids=["six_chunks", "one_chunk"])
+    def test_backward_under_no_grad_matches_backward_outside_it(self, rng, monkeypatch, budget):
+        """Six chunks on the pool, or one inline: backward records the
+        replays whatever grad mode it is called under."""
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", budget)
+        blk = MambaBlock(self.CFG, rng)
+        x = rng.normal(0, 1, (6, self.L, 8)).astype(np.float32)
+        g = rng.normal(0, 1, (6, self.L, 8)).astype(np.float32)
+        want = block_pass(blk, x, g)
+        xt = Tensor(x, requires_grad=True)
+        params = [t for _, t in blk.named_params()]
+        for t in params:
+            t.zero_grad()
+        y = blk(xt)
+        loss = ad.sum_(ad.mul(y, Tensor(g)))
+        with ad.no_grad():
+            ad.backward(loss)
+        for got, ref in zip([y.data, xt.grad] + [t.grad for t in params], want):
+            assert np.array_equal(got, ref)
 
     def test_one_public_backward_per_train_step(self, rng, monkeypatch):
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 0)
