@@ -12,7 +12,8 @@ captures only what its backward reads. ``add``, ``sub``, ``sum_``,
 ``mean``, ``reshape``, ``slice_``, ``max_over_axis`` and ``gather_rows``
 keep shapes (and a dtype or indices), no operand values; ``exp``,
 ``sigmoid`` and ``relu`` keep their output, ``softplus`` and ``silu``
-their input; ``batchnorm`` keeps its normalized input, not its input.
+their input; ``batchnorm`` keeps its normalized input, not its input, and
+``conv_bn_relu`` its input, its normalized conv output and its output.
 Backward releases the tape as it walks it: once a node's backward has run,
 the node drops its backward function (and the arrays it captured), its
 parent links and, unless it is a leaf, its gradient. So an activation
@@ -24,17 +25,22 @@ float64 (used by the verification suites). The dtype of an operation
 follows its tensor inputs; a bare Python number takes the dtype of the
 tensor it is combined with, as numpy treats Python scalars.
 
-Every forward op checks its output for NaN/Inf and raises
-``NonFiniteError`` instead of letting bad values propagate.
+Every forward op that computes values checks them for NaN/Inf and raises
+``NonFiniteError`` instead of letting bad values propagate. The shape ops
+(``reshape``, ``transpose``, ``slice_``, ``gather_rows``, ``scatter_rows``)
+only move values, which the op that computed them has checked, so they do
+not check again; a NaN in a leaf is caught by the first op that computes
+with it. ``conv_bn_relu`` checks each frame chunk on the pool, before its
+ReLU, which would turn -inf into 0.
 
 Threading: tensor values are immutable after creation (gradient
 accumulation is the one exception), and a forward+backward pass is
 single-threaded with respect to its graph. Values may be handed between
-threads; independent graphs may run in parallel. Two ops use the package's
-one thread pool (``pool``), each as one node of the outer graph, and both
-follow its one protocol: cut the leading axis with ``pool._chunk_bounds``,
-run one task per chunk with ``pool._map``, and add the chunks' partial
-gradients with ``pool._sum_in_order``. ``ssm.MambaBlock`` is the one
+threads; independent graphs may run in parallel. Three ops use the
+package's one thread pool (``pool``), each as one node of the outer graph,
+and all follow its one protocol: cut the leading axis with
+``pool._chunk_bounds``, run one task per chunk with ``pool._map``, and add
+the chunks' partial gradients with ``pool._sum_in_order``. ``ssm.MambaBlock`` is the one
 place that splits pixel sequences. Its forward runs each chunk under
 ``no_grad`` and keeps only the chunk's input; its backward replays each
 chunk as a sub-graph of its own, recorded whatever grad mode backward runs
@@ -42,7 +48,9 @@ under, over parameter copies whose ``grad`` only that chunk touches. The
 selective scan inside a chunk is a single pass on that chunk's thread.
 ``conv2d`` splits the frames of its (B, C, H, W) stack: each chunk's
 im2col + GEMM writes its slice of the output, and backward
-recomputes the chunk's columns. No pool task asks the pool for work.
+recomputes the chunk's columns. ``conv_bn_relu`` runs on conv2d's chunks
+and has each chunk finish its own output slice: the batchnorm affine, the
+check, the ReLU. No pool task asks the pool for work.
 Grad mode is per thread (and per asyncio task): ``no_grad()`` in one
 thread leaves tape recording on in every other.
 """
@@ -230,8 +238,14 @@ def _check_finite(arr: np.ndarray, op: str):
         raise NonFiniteError(f"op '{op}' produced non-finite values")
 
 
-def _make(out_data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
-    _check_finite(out_data, op)
+def _make(out_data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str,
+          checked: bool = False) -> Tensor:
+    """The op's result, recorded on the tape if grad mode is on and a parent
+    is tracked. Its values are checked for NaN/Inf unless they are
+    ``checked`` already: by the op itself, or, for an op that only moves
+    values, by the op that computed them."""
+    if not checked:
+        _check_finite(out_data, op)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
@@ -463,16 +477,28 @@ def max_over_axis(x, axis: int, mask: np.ndarray | None = None, keepdims: bool =
 
     ``mask`` is a plain boolean array broadcastable to ``x`` and is not
     differentiated. Each reduced slice must contain at least one valid
-    entry. Ties route the gradient to the lowest index.
+    entry. Ties route the gradient to the lowest index. When the result is
+    not recorded it is a masked ``np.max``, with no argmax and no masked
+    copy of ``x``; the values are the same.
     """
     x = as_tensor(x)
     if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, bool), x.shape)
+        # checked before it is broadcast: a slice of the broadcast mask is
+        # empty only if the slice of the mask it repeats is
+        mask = np.asarray(mask, bool)
+        if np.broadcast_shapes(mask.shape, x.shape) != x.shape:
+            raise ShapeError(f"max_over_axis: mask {mask.shape} vs input {x.shape}")
+        mask = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)
         if not mask.any(axis=axis).all():
             raise ValueError("max_over_axis: empty valid set along axis")
-        work = np.where(mask, x.data, -np.inf)
-    else:
-        work = x.data
+    if not (_GRAD_ENABLED.get() and x.requires_grad):
+        # no backward will read the argmax: a masked max is the same value
+        if mask is None:
+            out_data = np.max(x.data, axis=axis, keepdims=keepdims)
+        else:
+            out_data = np.max(x.data, axis=axis, where=mask, initial=-np.inf, keepdims=keepdims)
+        return _make(out_data, (x,), None, "max_over_axis")
+    work = x.data if mask is None else np.where(mask, x.data, -np.inf)
     idx = np.argmax(work, axis=axis)
     out_data = np.take_along_axis(work, np.expand_dims(idx, axis), axis=axis)
     if not keepdims:
@@ -502,7 +528,34 @@ def reshape(x, shape) -> Tensor:
     def backward_fn(g):
         return (g.reshape(in_shape),)
 
-    return _make(out_data, (x,), backward_fn, "reshape")
+    return _make(out_data, (x,), backward_fn, "reshape", checked=True)
+
+
+# slices of the tiled axis that one copy of ``_transpose_copy`` moves
+_TRANSPOSE_TILE = 4
+
+
+def _transpose_copy(x: np.ndarray, axes: tuple) -> np.ndarray:
+    """np.transpose(x, axes) as a fresh C-contiguous array, copied in tiles.
+
+    A whole-array copy walks the source with its largest strides inside the
+    loop and misses the cache at every step. Cutting the output axis whose
+    source stride is largest after the first one into slices of
+    ``_TRANSPOSE_TILE`` keeps each slice's reads within a few cache-sized
+    blocks: the (8, 30, 128, 16, 16) -> (8, 16, 16, 30, 128) float32 stack
+    of a paper-width predict batch copies in about 18 ms instead of 50 ms
+    on one core. The values are the same bits either way.
+    """
+    src = np.transpose(x, axes)
+    out = np.empty(src.shape, dtype=src.dtype)
+    if src.ndim < 3:
+        out[...] = src
+        return out
+    k = 1 + int(np.argmax(np.abs(src.strides[1:])))
+    for s in range(0, src.shape[k], _TRANSPOSE_TILE):
+        tile = (slice(None),) * k + (slice(s, s + _TRANSPOSE_TILE),)
+        out[tile] = src[tile]
+    return out
 
 
 def transpose(x, axes) -> Tensor:
@@ -510,13 +563,13 @@ def transpose(x, axes) -> Tensor:
     axes = tuple(axes)
     # materialized: strided views downstream would steer BLAS onto
     # layout-dependent code paths and break bitwise batch invariances
-    out_data = np.ascontiguousarray(np.transpose(x.data, axes))
+    out_data = _transpose_copy(x.data, axes)
     inv = tuple(np.argsort(axes))
 
     def backward_fn(g):
         return (np.transpose(g, inv),)
 
-    return _make(out_data, (x,), backward_fn, "transpose")
+    return _make(out_data, (x,), backward_fn, "transpose", checked=True)
 
 
 def slice_(x, key) -> Tensor:
@@ -530,7 +583,7 @@ def slice_(x, key) -> Tensor:
         gx[key] = g
         return (gx,)
 
-    return _make(out_data, (x,), backward_fn, "slice")
+    return _make(out_data, (x,), backward_fn, "slice", checked=True)
 
 
 def _check_rows(rows, n: int, op: str) -> np.ndarray:
@@ -558,7 +611,7 @@ def gather_rows(x, rows) -> Tensor:
     def backward_fn(g):
         return (_scatter(g, rows, n),)
 
-    return _make(x.data[rows], (x,), backward_fn, "gather_rows")
+    return _make(x.data[rows], (x,), backward_fn, "gather_rows", checked=True)
 
 
 def scatter_rows(x, rows, n: int) -> Tensor:
@@ -572,7 +625,7 @@ def scatter_rows(x, rows, n: int) -> Tensor:
     def backward_fn(g):
         return (g[rows],)
 
-    return _make(_scatter(x.data, rows, n), (x,), backward_fn, "scatter_rows")
+    return _make(_scatter(x.data, rows, n), (x,), backward_fn, "scatter_rows", checked=True)
 
 
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:
@@ -665,6 +718,54 @@ def _col2im(gcols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
     return gp[:, :, ph:ph + h, pw:pw + w]
 
 
+def _conv_parts(x, weight, bias):
+    """A conv2d's checked operands and its chunked work, for ``conv2d`` and
+    ``conv_bn_relu``: the parents, the empty (B, C_out, H, W) output, its
+    frame chunks, the task that fills one chunk of the output, and the
+    backward function, which keeps no output values."""
+    x, weight = as_tensor(x), as_tensor(weight)
+    c_out, c_in, kh, kw = weight.shape
+    if x.ndim != 4 or x.shape[1] != c_in:
+        raise ShapeError(f"conv2d: input {x.shape} does not match weight {weight.shape}")
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError("conv2d: kernel extents must be odd")
+    b, _, h, w = x.shape
+    xv, x_grad = x.data, x.requires_grad
+    wmat = weight.data.reshape(c_out, c_in * kh * kw)
+    bounds = pool._chunk_bounds(b, wmat.shape[1] * h * w * xv.dtype.itemsize,
+                                _CONV_FRAME_BUDGET)
+    parents = [x, weight]
+    if bias is not None:
+        bias = as_tensor(bias)
+        parents.append(bias)
+    out = np.empty((b, c_out, h, w), dtype=np.result_type(*(p.data for p in parents)))
+
+    def run(bound):
+        s, e = bound
+        chunk = out[s:e].reshape(e - s, c_out, h * w)
+        np.matmul(wmat, _im2col(xv[s:e], kh, kw), out=chunk)
+        if bias is not None:
+            chunk += bias.data[:, None]
+
+    def backward_fn(g):
+        gmat = g.reshape(b, c_out, h * w)
+        gx = np.empty_like(xv) if x_grad else None
+
+        def backward(bound):
+            s, e = bound
+            part = np.einsum("bop,bkp->ok", gmat[s:e], _im2col(xv[s:e], kh, kw), optimize=True)
+            if gx is not None:
+                gx[s:e] = _col2im(np.matmul(wmat.T, gmat[s:e]), gx[s:e].shape, kh, kw)
+            return part
+
+        gw = pool._sum_in_order(pool._map(backward, bounds)).reshape(weight.shape)
+        if bias is not None:
+            return gx, gw, gmat.sum(axis=(0, 2))
+        return gx, gw
+
+    return parents, out, bounds, run, backward_fn
+
+
 def conv2d(x, weight, bias=None) -> Tensor:
     """2-D convolution (cross-correlation), odd kernel, stride 1, 'same' padding.
 
@@ -680,48 +781,9 @@ def conv2d(x, weight, bias=None) -> Tensor:
     gradient equal the whole-batch op bitwise; the weight gradient is
     bitwise the same for any worker count.
     """
-    x, weight = as_tensor(x), as_tensor(weight)
-    c_out, c_in, kh, kw = weight.shape
-    if x.ndim != 4 or x.shape[1] != c_in:
-        raise ShapeError(f"conv2d: input {x.shape} does not match weight {weight.shape}")
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError("conv2d: kernel extents must be odd")
-    b, _, h, w = x.shape
-    xv = x.data
-    wmat = weight.data.reshape(c_out, c_in * kh * kw)
-    bounds = pool._chunk_bounds(b, wmat.shape[1] * h * w * xv.dtype.itemsize,
-                                _CONV_FRAME_BUDGET)
-    parents = [x, weight]
-    if bias is not None:
-        bias = as_tensor(bias)
-        parents.append(bias)
-    out = np.empty((b, c_out, h * w), dtype=np.result_type(*(p.data for p in parents)))
-
-    def forward(bound):
-        s, e = bound
-        np.matmul(wmat, _im2col(xv[s:e], kh, kw), out=out[s:e])
-        if bias is not None:
-            out[s:e] += bias.data[:, None]
-
-    pool._map(forward, bounds)
-
-    def backward_fn(g):
-        gmat = g.reshape(b, c_out, h * w)
-        gx = np.empty_like(xv) if x.requires_grad else None
-
-        def backward(bound):
-            s, e = bound
-            part = np.einsum("bop,bkp->ok", gmat[s:e], _im2col(xv[s:e], kh, kw), optimize=True)
-            if gx is not None:
-                gx[s:e] = _col2im(np.matmul(wmat.T, gmat[s:e]), gx[s:e].shape, kh, kw)
-            return part
-
-        gw = pool._sum_in_order(pool._map(backward, bounds)).reshape(weight.shape)
-        if bias is not None:
-            return gx, gw, gmat.sum(axis=(0, 2))
-        return gx, gw
-
-    return _make(out.reshape(b, c_out, h, w), parents, backward_fn, "conv2d")
+    parents, out, bounds, run, backward_fn = _conv_parts(x, weight, bias)
+    pool._map(run, bounds)
+    return _make(out, parents, backward_fn, "conv2d")
 
 
 def depthwise_conv1d(x, weight, bias=None) -> Tensor:
@@ -762,6 +824,57 @@ def depthwise_conv1d(x, weight, bias=None) -> Tensor:
 # ---------------------------------------------------------------------------
 # batch normalization
 
+_BN_AXES = (0, 2, 3)      # batchnorm reduces a (B, C, H, W) stack over all but C
+_BN_CHANNEL = (1, -1, 1, 1)
+
+
+def _bn_stats(xv: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
+              training: bool, momentum: float, eps: float):
+    """The per-channel mean and 1/std that batchnorm normalizes ``xv`` with,
+    shaped to broadcast over it. Training takes the batch's and folds them
+    into the running buffers in place (unbiased variance, torch convention);
+    inference takes the running buffers."""
+    if training:
+        m = xv.size // xv.shape[1]
+        mu = xv.mean(axis=_BN_AXES)
+        var = xv.var(axis=_BN_AXES)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu
+        running_var *= 1.0 - momentum
+        running_var += momentum * (var * m / max(m - 1, 1))
+    else:
+        mu = running_mean.astype(xv.dtype)
+        var = running_var.astype(xv.dtype)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    return mu.reshape(_BN_CHANNEL), inv_std.reshape(_BN_CHANNEL)
+
+
+def _bn_normalize(xv, mu, inv_std, gamma_c, beta_c, xhat, out):
+    """xhat = (xv - mu) * inv_std and out = gamma * xhat + beta, written into
+    the given arrays, which may be ``xv`` itself and each other."""
+    np.subtract(xv, mu, out=xhat)
+    xhat *= inv_std
+    np.multiply(gamma_c, xhat, out=out)
+    out += beta_c
+
+
+def _bn_backward(g, xhat, gamma_c, inv_std, training: bool):
+    """Gradients of batchnorm's input, gamma and beta from its output's."""
+    g_gamma = (g * xhat).sum(axis=_BN_AXES)
+    g_beta = g.sum(axis=_BN_AXES)
+    gh = g * gamma_c
+    if training:
+        m = g.size // g.shape[1]
+        gx = (inv_std / m) * (
+            m * gh
+            - gh.sum(axis=_BN_AXES, keepdims=True)
+            - xhat * (gh * xhat).sum(axis=_BN_AXES, keepdims=True)
+        )
+    else:
+        gx = gh * inv_std
+    return gx, g_gamma, g_beta
+
+
 def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """Per-channel batch normalization over a (B, C, H, W) stack.
@@ -773,38 +886,76 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 4 or x.shape[1] != gamma.size:
         raise ShapeError(f"batchnorm: input {x.shape} vs {gamma.size} channels")
-    axes = (0, 2, 3)
-    shape_c = (1, -1, 1, 1)
-    m = x.size // x.shape[1]
-    if training:
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * (var * m / max(m - 1, 1))
-    else:
-        mu = running_mean.astype(x.dtype)
-        var = running_var.astype(x.dtype)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu.reshape(shape_c)) * inv_std.reshape(shape_c)
-    out_data = gamma.data.reshape(shape_c) * xhat + beta.data.reshape(shape_c)
+    mu, inv_std = _bn_stats(x.data, running_mean, running_var, training, momentum, eps)
+    gamma_c, beta_c = gamma.data.reshape(_BN_CHANNEL), beta.data.reshape(_BN_CHANNEL)
+    xhat = np.empty(x.shape, np.result_type(x.data, mu, inv_std))
+    out_data = np.empty(x.shape, np.result_type(xhat, gamma_c, beta_c))
+    _bn_normalize(x.data, mu, inv_std, gamma_c, beta_c, xhat, out_data)
 
     def backward_fn(g):
-        g_gamma = (g * xhat).sum(axis=axes)
-        g_beta = g.sum(axis=axes)
-        gh = g * gamma.data.reshape(shape_c)
-        if training:
-            gx = (inv_std.reshape(shape_c) / m) * (
-                m * gh
-                - gh.sum(axis=axes, keepdims=True)
-                - xhat * (gh * xhat).sum(axis=axes, keepdims=True)
-            )
-        else:
-            gx = gh * inv_std.reshape(shape_c)
-        return gx, g_gamma, g_beta
+        return _bn_backward(g, xhat, gamma_c, inv_std, training)
 
     return _make(out_data, (x, gamma, beta), backward_fn, "batchnorm")
+
+
+def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
+                 running_var: np.ndarray, training: bool, momentum: float = 0.1,
+                 eps: float = 1e-5) -> Tensor:
+    """relu(batchnorm(conv2d(x, weight, bias), ...)) as one op, bitwise equal
+    to the three ops in outputs, running buffers and gradients.
+
+    Each conv frame chunk (``conv2d``'s) finishes its own output slice on
+    the pool: the batchnorm affine, then a check for NaN/Inf, which also
+    catches a non-finite conv output, then the ReLU, all in place. Inference
+    normalizes with the running buffers, so that is one pool pass. Training
+    checks each conv chunk as it is made, takes the batch statistics over
+    the whole conv output (``_bn_stats``), and finishes the chunks in a
+    second pass. Unless the result is recorded, no whole-stack array but
+    the conv output is made. When it is, the op keeps the normalized conv
+    output and its own output, and backward is the ReLU mask, batchnorm's
+    backward over the whole stack, then conv2d's chunked backward.
+    """
+    conv_parents, xhat, bounds, convolve, conv_backward = _conv_parts(x, weight, bias)
+    gamma, beta = as_tensor(gamma), as_tensor(beta)
+    if xhat.shape[1] != gamma.size:
+        raise ShapeError(f"batchnorm: input {xhat.shape} vs {gamma.size} channels")
+    parents = (*conv_parents, gamma, beta)
+    recorded = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+    gamma_c, beta_c = gamma.data.reshape(_BN_CHANNEL), beta.data.reshape(_BN_CHANNEL)
+    dtype = np.result_type(xhat, gamma_c, beta_c)
+    # the conv output becomes xhat in place; unless it is kept for backward,
+    # the output too
+    out = np.empty(xhat.shape, dtype) if recorded or dtype != xhat.dtype else xhat
+
+    def finish(bound):
+        s, e = bound
+        _bn_normalize(xhat[s:e], mu, inv_std, gamma_c, beta_c, xhat[s:e], out[s:e])
+        _check_finite(out[s:e], "conv_bn_relu")
+        np.maximum(out[s:e], 0.0, out=out[s:e])
+
+    if training:
+        def first_pass(bound):
+            convolve(bound)
+            _check_finite(xhat[bound[0]:bound[1]], "conv_bn_relu")
+
+        pool._map(first_pass, bounds)
+        mu, inv_std = _bn_stats(xhat, running_mean, running_var, True, momentum, eps)
+        pool._map(finish, bounds)
+    else:
+        mu, inv_std = _bn_stats(xhat, running_mean, running_var, False, momentum, eps)
+
+        def one_pass(bound):
+            convolve(bound)
+            finish(bound)
+
+        pool._map(one_pass, bounds)
+
+    def backward_fn(g):
+        g = g * (out > 0)
+        g_conv, g_gamma, g_beta = _bn_backward(g, xhat, gamma_c, inv_std, training)
+        return (*conv_backward(g_conv.astype(xhat.dtype, copy=False)), g_gamma, g_beta)
+
+    return _make(out, parents, backward_fn, "conv_bn_relu", checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +984,7 @@ OPS = {
     "concat": concat,
     "softmax": softmax,
     "batchnorm": batchnorm,
+    "conv_bn_relu": conv_bn_relu,
 }
 
 

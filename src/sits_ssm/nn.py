@@ -87,7 +87,8 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """3x3 (or any odd) same-padding convolution, stride 1, with bias.
+    """Weight and bias of a 3x3 (or any odd) same-padding convolution,
+    stride 1, which ``spatial.conv_bn_relu`` applies.
 
     He-uniform fan-in initialization; bias starts at zero.
     """
@@ -100,20 +101,15 @@ class Conv2d(Module):
             rng, (out_channels, in_channels, kernel_size, kernel_size), bound, dtype)
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv2d(x, self.weight, self.bias)
-
 
 class BatchNorm2d(Module):
+    """Batchnorm's affine parameters and running statistics."""
+
     def __init__(self, channels: int, dtype=np.float32):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return ad.batchnorm(x, self.gamma, self.beta, self.running_mean,
-                            self.running_var, training)
 
 
 class CausalDepthwiseConv1d(Module):

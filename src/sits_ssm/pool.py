@@ -1,7 +1,7 @@
 """The package's one thread pool, and the chunk protocol on it.
 
-``ssm.MambaBlock`` splits pixel sequences and ``autodiff.conv2d`` splits
-frames: each cuts its leading axis with ``_chunk_bounds`` under a byte
+``ssm.MambaBlock`` splits pixel sequences, and ``autodiff.conv2d`` and
+``autodiff.conv_bn_relu`` split frames: each cuts its leading axis with ``_chunk_bounds`` under a byte
 budget of its own, runs one task per chunk with ``_map``, and adds the
 chunks' partial gradients with ``_sum_in_order``. The pool is created at
 first use, with one worker per CPU the process may run on; numpy releases
@@ -61,7 +61,7 @@ def _map(fn, items: list) -> list:
 
     Each pool task runs in a copy of the caller's context, so it sees the
     caller's grad mode. A task must not wait on the pool itself: nothing
-    below a block chunk or a conv2d frame chunk asks the pool for work.
+    below a block chunk or a conv frame chunk asks the pool for work.
     """
     if len(items) == 1:
         return [fn(items[0])]

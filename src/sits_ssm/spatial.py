@@ -7,6 +7,12 @@ per class. Both operate on (frames, channels, H, W) stacks; batchnorm
 statistics are taken over every frame in the stack. The model hands
 ``ConvBlock`` the valid frames of a batch only, so padded frames never
 enter its statistics.
+
+Each stage is one ``autodiff.conv_bn_relu`` op: every conv frame chunk
+finishes its own output slice on the package's pool (batchnorm affine,
+finiteness check, ReLU), so inference makes no whole-stack pass on the
+calling thread. ``nn.Conv2d`` and ``nn.BatchNorm2d`` hold the stage's
+parameters and running buffers, which keeps the checkpoint names.
 """
 
 from __future__ import annotations
@@ -18,6 +24,12 @@ from . import nn
 from .autodiff import Tensor
 
 
+def conv_bn_relu(conv: nn.Conv2d, bn: nn.BatchNorm2d, x: Tensor, training: bool) -> Tensor:
+    """One conv -> BN -> ReLU stage over the layers' parameters and buffers."""
+    return ad.conv_bn_relu(x, conv.weight, conv.bias, bn.gamma, bn.beta, bn.running_mean,
+                           bn.running_var, training)
+
+
 class ConvBlock(nn.Module):
     def __init__(self, in_channels: int, hidden: int, rng: np.random.Generator, dtype=np.float32):
         self.conv1 = nn.Conv2d(in_channels, hidden, 3, rng, dtype=dtype)
@@ -26,8 +38,8 @@ class ConvBlock(nn.Module):
         self.bn2 = nn.BatchNorm2d(hidden, dtype=dtype)
 
     def __call__(self, frames: Tensor, training: bool) -> Tensor:
-        h = ad.relu(self.bn1(self.conv1(frames), training))
-        return ad.relu(self.bn2(self.conv2(h), training))
+        h = conv_bn_relu(self.conv1, self.bn1, frames, training)
+        return conv_bn_relu(self.conv2, self.bn2, h, training)
 
 
 class ClsHead(nn.Module):
@@ -43,4 +55,4 @@ class ClsHead(nn.Module):
         self.bn = nn.BatchNorm2d(num_classes, dtype=dtype)
 
     def __call__(self, feature: Tensor, training: bool) -> Tensor:
-        return ad.relu(self.bn(self.conv(feature), training))
+        return conv_bn_relu(self.conv, self.bn, feature, training)

@@ -34,10 +34,11 @@ Dao 2023, sec. 3.3): discretization is fused into the recurrence, and the
 states are recomputed in backward instead of stored from the forward (here
 by ``MambaBlock``'s replay, one chunk at a time). It is a single pass
 over all the sequences it is given: time-major, one step at a time,
-vectorized over (B, D, N), with matmul readouts, forming e^z as
-1 + expm1(z). Under ``no_grad`` the forward keeps one running (B, D, N)
-state. When a gradient will be taken it keeps the whole trajectory
-h_0..h_L, and backward forms expm1(z) again at each step as it walks it.
+vectorized over (B, D, N), with matmul readouts; a forward step is
+h + expm1(z) (h + u b / a), with a and 1/a laid out once per call. Under
+``no_grad`` the forward keeps one running (B, D, N) state. When a
+gradient will be taken it keeps the whole trajectory h_0..h_L, and
+backward forms expm1(z) again at each step as it walks it.
 
 ``MambaBlock`` wraps the selective scan in the usual gated two-branch
 block: projection -> causal depthwise conv -> SiLU -> selective scan on
@@ -304,23 +305,25 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     dt, ut, bt, ct = (_time_major(x) for x in (dv, uv, bv, cv))
     yt = np.empty_like(ut)
     # time-major recurrence; the state is laid out (B, N, D) so that every
-    # broadcast runs along D
+    # broadcast runs along D, and a and 1/a are laid out so once per call:
+    # a multiply that broadcasts an operand runs as many short inner loops
     hs = np.zeros((nl + 1 if keep else 1, nb) + a_t.shape, dtype=dt.dtype)
-    em, bx, ez = (np.empty_like(hs[0]) for _ in range(3))
+    a_b = np.broadcast_to(a_t, hs.shape[1:]).copy()
+    inv_a = np.reciprocal(a_b)
+    em, bx = np.empty_like(a_b), np.empty_like(a_b)
     for t in range(nl):
-        # h_{t+1} = e^z h_t + expm1(z)/a u_t b_t with z = delta_t a, and e^z
-        # formed as 1 + expm1(z), which costs an add instead of an exp
+        # h_{t+1} = e^z h_t + expm1(z)/a u_t b_t with z = delta_t a, formed
+        # as h_t + expm1(z) (h_t + u_t b_t / a): no e^z, no divide
         h, h1 = (hs[t], hs[t + 1]) if keep else (hs[0], hs[0])
-        np.multiply(dt[t][:, None, :], a_t, out=em)
+        np.multiply(dt[t][:, None, :], a_b, out=em)
         np.expm1(em, out=em)
-        np.divide(em, a_t, out=bx)             # delta * phi(z)
-        bx *= ut[t][:, None, :]
-        bx *= bt[t][:, :, None]
-        np.add(em, 1, out=ez)
-        np.multiply(ez, h, out=h1)
-        h1 += bx
+        np.multiply(bt[t][:, :, None], ut[t][:, None, :], out=bx)
+        bx *= inv_a
+        bx += h
+        bx *= em
+        np.add(h, bx, out=h1)
         np.matmul(ct[t][:, None, :], h1, out=yt[t][:, None, :])
-    del dt, ut, bt, ct, em, bx, ez             # free the time-major copies and buffers early
+    del dt, ut, bt, ct, a_b, inv_a, em, bx     # free the time-major copies and buffers early
     y = np.ascontiguousarray(yt.transpose(1, 0, 2))
     del yt
     y += skipv * uv

@@ -91,6 +91,7 @@ class TrainResult:
     log_path: Path
     epoch_log_path: Path
     history: list[LossReport] = field(default_factory=list)
+    skipped_steps: int = 0       # steps whose non-finite gradients Adam did not apply
 
 
 def evaluate(model: SitsClassifier, dataset, loss_cfg: LossConfig,
@@ -131,7 +132,7 @@ def train(model: SitsClassifier, train_set, valid_set, cfg: TrainConfig,
     best_path = out_dir / "best.ckpt"
     final_path = out_dir / "final.ckpt"
     best_mf1, best_epoch = -1.0, -1
-    consecutive_bad = 0
+    consecutive_bad = skipped_steps = 0
     history: list[LossReport] = []
 
     with open(log_path, "w", newline="") as fh_step, open(epoch_log_path, "w", newline="") as fh_ep:
@@ -141,6 +142,7 @@ def train(model: SitsClassifier, train_set, valid_set, cfg: TrainConfig,
         epoch_csv.writerow(["epoch", "val_oa", "val_miou", "val_mf1", "best"])
         step_idx = 0
         for epoch in range(cfg.epochs):
+            skipped_before = skipped_steps
             shuffled = [train_set[i] for i in rng.permutation(len(train_set))]
             for _, batch in data_mod.batches(shuffled, cfg.batch_size, cfg.temporal_mode, rng):
                 optim.zero_grad()
@@ -157,11 +159,14 @@ def train(model: SitsClassifier, train_set, valid_set, cfg: TrainConfig,
                     step_idx += 1
                     continue
                 consecutive_bad = 0
-                optim.step()
+                # a skipped step keeps its row in the logs, which count batches
+                skipped_steps += not optim.step()
                 history.append(report)
                 step_csv.writerow([epoch, step_idx, repr(report.l_cls), repr(report.l_tp),
                                    repr(report.w1), repr(report.total)])
                 step_idx += 1
+            log.info("epoch %d: %d optimizer steps skipped for non-finite gradients", epoch,
+                     skipped_steps - skipped_before)
             if valid_set is not None and len(valid_set):
                 s = evaluate(model, valid_set, cfg.loss, cfg.batch_size, cfg.temporal_mode,
                              eval_class_set=cfg.eval_class_set)
@@ -179,4 +184,4 @@ def train(model: SitsClassifier, train_set, valid_set, cfg: TrainConfig,
     return TrainResult(best_mf1=best_mf1, best_epoch=best_epoch,
                        final_checkpoint=final_path, best_checkpoint=best_path,
                        log_path=log_path, epoch_log_path=epoch_log_path,
-                       history=history)
+                       history=history, skipped_steps=skipped_steps)

@@ -4,7 +4,8 @@ Each suite re-derives expected values along a route that shares no code
 with the implementation it checks: central finite differences for
 gradients, the convolutional-kernel form for the recurrence, closed-form
 scalars for the discretization, the tape-composite scan for the fused
-scan, a long float64 series for phi', exact rational arithmetic for the
+scan, a long float64 series for phi', the three unfused ops for the fused
+conv -> batchnorm -> ReLU stage, exact rational arithmetic for the
 segmentation scores, plain arithmetic for the loss identities, and the
 unpadded batch for the same batch with padded timesteps appended.
 """
@@ -115,6 +116,24 @@ def scan_vs_composite(args, g, scan_fn=None) -> float:
         scale = max(float(np.abs(ref).max()), np.finfo(np.float64).tiny)
         worst = max(worst, float(np.abs(got - ref).max()) / scale)
     return worst
+
+
+def unfused_conv_bn_relu(x, weight, bias, gamma, beta, running_mean, running_var,
+                         training: bool) -> Tensor:
+    """The route ``autodiff.conv_bn_relu`` fuses: conv2d, batchnorm, relu."""
+    h = ad.conv2d(x, weight, bias)
+    return ad.relu(ad.batchnorm(h, gamma, beta, running_mean, running_var, training))
+
+
+def conv_bn_relu_pass(fn, arrays, buffers, g, training: bool) -> list:
+    """Output, running buffers, and the gradients of x, weight, bias, gamma
+    and beta (loss = sum(out * g)) of one pass of a conv -> BN -> ReLU stage
+    ``fn``, on fresh tensors over copies of ``arrays`` and ``buffers``."""
+    ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    running = [b.copy() for b in buffers]
+    out = fn(*ts, *running, training)
+    ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
+    return [out.data, *running] + [t.grad for t in ts]
 
 
 def padding_shift(config, batch, extra: int) -> float:
@@ -317,6 +336,31 @@ def suite_fused_scan(report: VerifyReport, scan_fn=None):
     report.add("fused", "phi_prime_float32_max_rel", float(np.max(np.abs(got - ref) / ref)), 1e-5)
 
 
+def suite_spatial(report: VerifyReport, fused_fn=None):
+    """The fused conv -> BN -> ReLU stage against the three unfused ops, in
+    float64, in training and inference mode, over 5 frames of 128 channels
+    (two conv frame chunks): output, running buffers and every gradient
+    must be the same bits."""
+    fn = fused_fn or ad.conv_bn_relu
+    rng = np.random.default_rng(13)
+    arrays = [rng.normal(0, 1, (5, 128, 16, 16)), rng.normal(0, 0.03, (6, 128, 3, 3)),
+              rng.normal(0, 0.1, 6), rng.uniform(0.5, 1.5, 6), rng.normal(0, 0.1, 6)]
+    buffers = [rng.normal(0, 0.1, 6), rng.uniform(0.5, 2.0, 6)]
+    g = rng.normal(0, 1, (5, 6, 16, 16))
+    worst = 0.0
+    for training in (True, False):
+        pairs = zip(conv_bn_relu_pass(fn, arrays, buffers, g, training),
+                    conv_bn_relu_pass(unfused_conv_bn_relu, arrays, buffers, g, training))
+        for got, ref in pairs:
+            if got is None or got.shape != ref.shape:
+                worst = math.inf
+            else:
+                worst = max(worst, float(np.max(np.abs(got - ref))))
+    # exact: only a zero difference is below the smallest subnormal
+    report.add("spatial", "conv_bn_relu_vs_unfused", worst,
+               np.finfo(np.float64).smallest_subnormal)
+
+
 def suite_gradients(report: VerifyReport):
     """Spot finite-difference checks on the core differentiable pieces."""
     rng = np.random.default_rng(7)
@@ -392,6 +436,7 @@ def run_all(zoh_fn=None, scan_fn=None, fused_fn=None) -> VerifyReport:
     suite_zoh(report, zoh_fn=zoh_fn)
     suite_scan_kernel(report, scan_fn=scan_fn)
     suite_fused_scan(report, scan_fn=fused_fn)
+    suite_spatial(report)
     suite_gradients(report)
     suite_padding(report)
     suite_metrics(report)

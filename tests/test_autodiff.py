@@ -51,7 +51,7 @@ class TestForwardExamples:
         required = {"add", "sub", "mul", "matmul", "conv2d", "depthwise_conv1d",
                     "exp", "softplus", "silu", "relu", "sigmoid", "max_over_axis",
                     "mean", "sum", "reshape", "transpose", "slice", "concat",
-                    "softmax", "batchnorm"}
+                    "softmax", "batchnorm", "conv_bn_relu"}
         assert required <= set(ad.OPS)
 
 
@@ -307,6 +307,61 @@ class TestErrors:
     def test_non_finite_surfaced_not_propagated(self):
         with pytest.raises(NonFiniteError):
             ad.exp(Tensor(np.array([1000.0], dtype=np.float32)))
+
+
+class TestMaxWithoutTape:
+    """Unrecorded, max_over_axis is a masked np.max with no argmax."""
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_recorded_max_bitwise(self, rng, dtype, masked, keepdims):
+        x = rng.integers(-3, 4, (6, 5, 4)).astype(dtype)          # many ties
+        mask = None
+        if masked:
+            mask = rng.uniform(size=(6, 5, 1)) < 0.4
+            mask[np.arange(6), rng.integers(0, 5, 6)] = True          # no slice empty
+        recorded = ad.max_over_axis(Tensor(x, requires_grad=True), 1, mask, keepdims)
+        with ad.no_grad():
+            free = ad.max_over_axis(Tensor(x, requires_grad=True), 1, mask, keepdims)
+        assert recorded.requires_grad and not free.requires_grad
+        assert free.dtype == recorded.dtype == dtype and free.shape == recorded.shape
+        assert free.data.tobytes() == recorded.data.tobytes()
+
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_empty_valid_set_raises(self, rng, recorded):
+        x = Tensor(rng.normal(0, 1, (3, 4, 2)), requires_grad=True)
+        mask = np.ones((3, 4, 1), dtype=bool)
+        mask[1] = False
+        with ad._grad_mode(recorded), pytest.raises(ValueError, match="empty valid set"):
+            ad.max_over_axis(x, axis=1, mask=mask)
+
+
+class TestMovedValuesAreNotRechecked:
+    """Shape ops only move values; a NaN they move is caught by the first
+    op that computes with it."""
+    MOVES = {
+        "reshape": lambda t: ad.reshape(t, (3, 4)),
+        "slice": lambda t: ad.slice_(t, (slice(0, 2), slice(1, 3))),
+        "transpose": lambda t: ad.transpose(t, (1, 0)),
+        "gather_rows": lambda t: ad.gather_rows(t, np.array([0, 2])),
+    }
+
+    @pytest.mark.parametrize("op", sorted(MOVES))
+    def test_nan_leaf_caught_by_the_first_computing_op(self, op):
+        x = np.arange(12.0).reshape(4, 3)
+        x[0, 1] = np.nan
+        moved = self.MOVES[op](Tensor(x, requires_grad=True))
+        assert np.isnan(moved.data).any()
+        with pytest.raises(NonFiniteError, match="'mul'"):
+            ad.mul(moved, 2.0)
+
+    @pytest.mark.parametrize("axes", [(0, 3, 4, 1, 2), (2, 0, 1, 4, 3), (4, 3, 2, 1, 0)])
+    def test_tiled_transpose_is_a_contiguous_copy(self, rng, axes):
+        x = rng.normal(0, 1, (3, 7, 5, 6, 9)).astype(np.float32)
+        y = ad.transpose(Tensor(x), axes).data
+        assert y.flags.c_contiguous and not np.shares_memory(x, y)
+        assert y.tobytes() == np.ascontiguousarray(np.transpose(x, axes)).tobytes()
 
 
 class TestPrimitiveGradients:

@@ -360,6 +360,7 @@ class TestVerifyCommand:
         assert "PASS" in out and "FAIL" not in out
         assert "lti_scan_vs_kernel_max_abs" in out
         assert "train_step_append_padding_max_rel" in out
+        assert "conv_bn_relu_vs_unfused" in out
 
     def test_injected_zoh_sign_error_fails_loudly(self):
         from sits_ssm import ssm, verify
@@ -398,6 +399,23 @@ class TestVerifyCommand:
         failed = [r.name for r in report.rows if not r.passed]
         assert failed == ["fused_vs_composite", "fused_vs_composite_tiny_delta",
                           "fused_vs_composite_long"]
+
+    @pytest.mark.parametrize("defect", ["output", "gradient", "running_buffer"])
+    def test_injected_conv_bn_relu_defect_fails(self, defect):
+        from sits_ssm import autodiff as ad
+        from sits_ssm import verify
+
+        def broken_stage(*args):
+            out = ad.conv_bn_relu(*args)
+            if defect == "gradient":
+                return ad._make(out.data, (out,), lambda g: (g * 1.001,), "perturbed")
+            if defect == "running_buffer":
+                args[5][0] += 1e-15                  # running_mean
+                return out
+            return ad.add(out, 1e-12)
+        report = verify.VerifyReport()
+        verify.suite_spatial(report, fused_fn=broken_stage)
+        assert [r.name for r in report.rows if not r.passed] == ["conv_bn_relu_vs_unfused"]
 
     def test_verification_failure_exit_code_is_3(self, monkeypatch, capsys):
         from sits_ssm import verify

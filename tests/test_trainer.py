@@ -7,6 +7,7 @@ import logging
 import numpy as np
 import pytest
 
+from sits_ssm import trainer as trainer_mod
 from sits_ssm.autodiff import Tensor
 from sits_ssm.data import generate_synthetic, pad_batch  # noqa: F401
 from sits_ssm.losses import LossConfig
@@ -131,6 +132,33 @@ class TestTrainingLoop:
                          loss=LossConfig())
         with pytest.raises(RuntimeError, match="diverged"):
             train(model, ds, None, tc, tmp_path / "div")
+
+    def test_skipped_steps_are_counted_and_logged(self, tmp_path, monkeypatch, caplog):
+        """Adam skips a step whose gradients are not finite; the trainer
+        counts it, logs each epoch's count, and keeps its log rows."""
+        ds, cfg = tiny_task()
+        model = SitsClassifier(cfg, np.random.default_rng(0))
+        steps = []
+
+        def poisoned_step(model_, batch, loss_cfg):
+            report = train_step(model_, batch, loss_cfg)
+            steps.append(report)
+            if len(steps) % 2:                      # the first step of each epoch
+                model_.cls_head.bn.beta.grad[0] = np.nan
+            return report
+
+        monkeypatch.setattr(trainer_mod, "train_step", poisoned_step)
+        tc = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=4, seed=0,
+                         loss=LossConfig())
+        with caplog.at_level(logging.INFO, logger="sits_ssm.trainer"):
+            res = train(model, ds, None, tc, tmp_path / "skip")
+        assert len(steps) == 4                      # 8 samples, batches of 4, 2 epochs
+        assert res.skipped_steps == 2
+        assert res.history == steps
+        assert len(open(res.log_path).readlines()) == 1 + 4
+        counts = [r.getMessage() for r in caplog.records if "steps skipped" in r.getMessage()]
+        assert counts == [f"epoch {e}: 1 optimizer steps skipped for non-finite gradients"
+                          for e in (0, 1)]
 
     def test_training_log_schema(self, tmp_path):
         ds, cfg = tiny_task()
