@@ -40,15 +40,15 @@ threads; independent graphs may run in parallel. Three ops use the
 package's one thread pool (``pool``), each as one node of the outer graph,
 and all follow its one protocol: cut the leading axis with
 ``pool._chunk_bounds``, run one task per chunk with ``pool._map``, and add
-the chunks' partial gradients with ``pool._sum_in_order``. ``ssm.MambaBlock`` is the one
-place that splits pixel sequences. Its forward runs each chunk under
-``no_grad`` and keeps only the chunk's input; its backward replays each
-chunk as a sub-graph of its own, recorded whatever grad mode backward runs
-under, over parameter copies whose ``grad`` only that chunk touches. The
-selective scan inside a chunk is a single pass on that chunk's thread.
-``conv2d`` splits the frames of its (B, C, H, W) stack: each chunk's
-im2col + GEMM writes its slice of the output, and backward
-recomputes the chunk's columns. ``conv_bn_relu`` runs on conv2d's chunks
+the chunks' partial gradients with ``pool._sum_in_order``.
+``ssm.MambaBlock`` is the one place that splits pixel sequences. Its
+forward runs each chunk under ``no_grad`` and keeps only the chunk's
+input; its backward replays each chunk as a sub-graph of its own, recorded
+whatever grad mode backward runs under, over parameter copies whose
+``grad`` only that chunk touches. The selective scan inside a chunk is a
+single pass on that chunk's thread. ``conv2d`` splits the frames of its
+(B, C, H, W) stack: each chunk's im2col + GEMM writes its slice of the
+output, and backward recomputes the chunk's columns. ``conv_bn_relu`` runs on conv2d's chunks
 and has each chunk finish its own output slice: the batchnorm affine, the
 check, the ReLU. No pool task asks the pool for work.
 Grad mode is per thread (and per asyncio task): ``no_grad()`` in one
@@ -858,20 +858,21 @@ def _bn_normalize(xv, mu, inv_std, gamma_c, beta_c, xhat, out):
     out += beta_c
 
 
-def _bn_backward(g, xhat, gamma_c, inv_std, training: bool):
-    """Gradients of batchnorm's input, gamma and beta from its output's."""
+def _bn_backward(g, xhat, gamma_c, inv_std, training: bool, out=None):
+    """Gradients of batchnorm's input, gamma and beta from its output's; the
+    input's is written into ``out`` if given, which may be ``g`` itself."""
     g_gamma = (g * xhat).sum(axis=_BN_AXES)
     g_beta = g.sum(axis=_BN_AXES)
     gh = g * gamma_c
     if training:
         m = g.size // g.shape[1]
-        gx = (inv_std / m) * (
+        gx = np.multiply(inv_std / m, (
             m * gh
             - gh.sum(axis=_BN_AXES, keepdims=True)
             - xhat * (gh * xhat).sum(axis=_BN_AXES, keepdims=True)
-        )
+        ), out=out)
     else:
-        gx = gh * inv_std
+        gx = np.multiply(gh, inv_std, out=out)
     return gx, g_gamma, g_beta
 
 
@@ -950,10 +951,19 @@ def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
 
         pool._map(one_pass, bounds)
 
+    conv_dtype = xhat.dtype
+
     def backward_fn(g):
-        g = g * (out > 0)
-        g_conv, g_gamma, g_beta = _bn_backward(g, xhat, gamma_c, inv_std, training)
-        return (*conv_backward(g_conv.astype(xhat.dtype, copy=False)), g_gamma, g_beta)
+        # as between the three unfused ops' backwards, no more than one
+        # whole-stack gradient lives at a time: the ReLU mask and then
+        # batchnorm's input gradient are written over g, which is this
+        # node's own (see ``_backprop``), and out and xhat go once read
+        nonlocal out, xhat
+        np.multiply(g, out > 0, out=g)
+        out = None
+        g, g_gamma, g_beta = _bn_backward(g, xhat, gamma_c, inv_std, training, out=g)
+        xhat = None
+        return (*conv_backward(g.astype(conv_dtype, copy=False)), g_gamma, g_beta)
 
     return _make(out, parents, backward_fn, "conv_bn_relu", checked=True)
 
@@ -1043,6 +1053,9 @@ def _backprop(root: _Node, seed: np.ndarray):
     Each node is marked done and detached before its backward function
     runs, so the function, its captured arrays and the node's gradient
     are freed as the pass goes, and a pass that raised cannot be rerun.
+    A backward function is handed a gradient that nothing reads after it
+    (``accumulate_grad`` copies what it is given, and the caller gives up
+    ``seed``), so it may overwrite it.
     """
     order = _toposort(root)
     root.grad = seed
