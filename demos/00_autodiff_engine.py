@@ -1,8 +1,8 @@
 """The tensor engine underneath everything else.
 
-Tensors wrap numpy arrays; operations on tracked tensors build a graph,
-and backward() on a scalar result walks it in reverse, accumulating
-gradients. Float32 is the training precision, float64 the verification
+Tensors wrap numpy arrays; operations (functions of ``autodiff``) on
+tracked tensors build a graph, and ``ad.backward`` on a scalar result
+walks it in reverse, accumulating gradients. Float32 is the training precision, float64 the verification
 precision, and every forward op refuses to emit NaN/Inf.
 """
 

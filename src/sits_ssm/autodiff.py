@@ -1,9 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A ``Tensor`` wraps a numpy array. Operations on tracked tensors record
-themselves on an implicit tape; calling ``backward()`` on a scalar result
-replays the tape in reverse topological order and accumulates gradients
-into every tracked leaf.
+A ``Tensor`` wraps a numpy array. Every operation on tensors is a
+function of this module (``add(a, b)``, ``matmul(a, b)``,
+``reshape(x, shape)``): a ``Tensor`` has no arithmetic operators or
+tensor methods. An op records itself on an implicit tape when
+``recording`` says so: grad mode is on and some input is tracked.
+``backward(loss)`` on a scalar result replays the tape in reverse
+topological order and accumulates gradients into every tracked leaf.
 
 Memory: the tape links each tensor's ``_Node`` (its gradient and backward
 link), not the tensor itself, so an intermediate array lives until
@@ -48,9 +51,10 @@ whatever grad mode backward runs under, over parameter copies whose
 ``grad`` only that chunk touches. The selective scan inside a chunk is a
 single pass on that chunk's thread. ``conv2d`` splits the frames of its
 (B, C, H, W) stack: each chunk's im2col + GEMM writes its slice of the
-output, and backward recomputes the chunk's columns. ``conv_bn_relu`` runs on conv2d's chunks
-and has each chunk finish its own output slice: the batchnorm affine, the
-check, the ReLU. No pool task asks the pool for work.
+output, and backward recomputes the chunk's columns. ``conv_bn_relu``
+runs on conv2d's chunks and has each chunk finish its own output slice:
+the batchnorm affine, the check, the ReLU. No pool task asks the pool for
+work.
 Grad mode is per thread (and per asyncio task): ``no_grad()`` in one
 thread leaves tape recording on in every other.
 """
@@ -102,6 +106,12 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED.get()
 
 
+def recording(*tensors: Tensor) -> bool:
+    """Whether an op on ``tensors`` goes on the tape: grad mode is on in
+    the calling thread and some input is tracked."""
+    return grad_enabled() and any(t.requires_grad for t in tensors)
+
+
 class _Node:
     """A tensor's place on the tape: its gradient and backward link, no values."""
 
@@ -124,7 +134,11 @@ class _Node:
 
 
 class Tensor:
-    """N-dimensional array, optionally participating in the gradient tape."""
+    """N-dimensional array, optionally participating in the gradient tape.
+
+    It holds values and a tape link only; arithmetic on it is done with
+    the module's op functions.
+    """
 
     __slots__ = ("data", "_node")
 
@@ -180,48 +194,6 @@ class Tensor:
     def zero_grad(self):
         self._node.grad = None
 
-    def backward(self):
-        backward(self)
-
-    # operator sugar; all arithmetic routes through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{flag}, op={self._node.op or 'leaf'})"
@@ -248,7 +220,7 @@ def _make(out_data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str,
         _check_finite(out_data, op)
     out = Tensor.__new__(Tensor)
     out.data = out_data
-    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
+    if recording(*parents):
         out._node = _Node(out_data.dtype, True, tuple(p._node for p in parents), backward_fn, op)
     else:
         out._node = _Node(out_data.dtype, op=op)
@@ -491,7 +463,7 @@ def max_over_axis(x, axis: int, mask: np.ndarray | None = None, keepdims: bool =
         mask = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)
         if not mask.any(axis=axis).all():
             raise ValueError("max_over_axis: empty valid set along axis")
-    if not (_GRAD_ENABLED.get() and x.requires_grad):
+    if not recording(x):
         # no backward will read the argmax: a masked max is the same value
         if mask is None:
             out_data = np.max(x.data, axis=axis, keepdims=keepdims)
@@ -921,7 +893,7 @@ def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
     if xhat.shape[1] != gamma.size:
         raise ShapeError(f"batchnorm: input {xhat.shape} vs {gamma.size} channels")
     parents = (*conv_parents, gamma, beta)
-    recorded = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+    recorded = recording(*parents)
     gamma_c, beta_c = gamma.data.reshape(_BN_CHANNEL), beta.data.reshape(_BN_CHANNEL)
     dtype = np.result_type(xhat, gamma_c, beta_c)
     # the conv output becomes xhat in place; unless it is kept for backward,

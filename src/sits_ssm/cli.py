@@ -21,7 +21,6 @@ cannot be read included), 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from pathlib import Path
@@ -199,6 +198,13 @@ def _check_dataset_fits(ds, cfg: dict, path):
         raise ShapeError(f"{path}: label {top} outside [0, {cfg['classes']})")
 
 
+def _check_scored(ds, ignore: frozenset, path):
+    """A split that is trained on or scored needs a pixel whose label is not ignored."""
+    if all(np.isin(x.label_map, list(ignore)).all() for x in ds.samples):
+        raise DatasetFormatError(f"{path}: every pixel has an ignored label "
+                                 f"{sorted(ignore)}; nothing to train on or score")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -230,15 +236,22 @@ def cmd_train(args) -> int:
     train_ds = data_mod.load_dataset(data_dir / "train.sits")
     valid_path = data_dir / "valid.sits"
     valid_ds = data_mod.load_dataset(valid_path) if valid_path.exists() else None
+    ignore = run_cfg.loss.ignore_labels
     _check_dataset_fits(train_ds, cfg, data_dir / "train.sits")
+    _check_scored(train_ds, ignore, data_dir / "train.sits")
     if valid_ds is not None:
         _check_dataset_fits(valid_ds, cfg, valid_path)
+        _check_scored(valid_ds, ignore, valid_path)
     out = Path(args.out)
     _write_manifest(cfg, out, "train")
     model = SitsClassifier(model_cfg, np.random.default_rng(cfg["seed"]))
     result = train(model, train_ds, valid_ds, run_cfg, out)
-    print(f"trained {cfg['epochs']} epochs; best val mF1={result.best_mf1:.4f} "
-          f"at epoch {result.best_epoch}")
+    if result.best_epoch >= 0:
+        print(f"trained {cfg['epochs']} epochs; best val mF1={result.best_mf1:.4f} "
+              f"at epoch {result.best_epoch}")
+    else:
+        why = "no validation ran" if valid_ds is None else "no validation mF1 was defined"
+        print(f"trained {cfg['epochs']} epochs; {why}, so best.ckpt is the final model")
     print(f"checkpoints: {result.best_checkpoint}, {result.final_checkpoint}")
     return EXIT_OK
 
@@ -255,6 +268,8 @@ def _load_model(args, command: str) -> tuple[TrainConfig, data_mod.SitsDataset,
                          f"got {cfg['classes']}")
     ds = data_mod.load_dataset(Path(args.data))
     _check_dataset_fits(ds, cfg, args.data)
+    if command == "eval":
+        _check_scored(ds, run_cfg.loss.ignore_labels, args.data)
     model = SitsClassifier(model_cfg, np.random.default_rng(cfg["seed"]))
     model.load(Path(args.checkpoint))
     out = Path(args.out)
@@ -290,10 +305,6 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFY
     print("all suites passed")
     return EXIT_OK
-
-
-def checksum(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -54,12 +54,6 @@ class ConfusionMatrix:
             minlength=k * k).reshape(k, k)
         return self
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.num_classes != self.num_classes:
-            raise ValueError("cannot merge matrices of different class counts")
-        self.counts += other.counts
-        return self
-
 
 @dataclass
 class Scores:

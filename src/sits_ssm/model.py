@@ -59,9 +59,10 @@ class ModelConfig:
 
 @dataclass
 class ModelOutput:
+    """What ``forward`` returns: the class logits, and the reconstruction
+    unless the forward ran without the reconstruction branch."""
     class_logits: Tensor                 # (N, K, H, W)
     reconstruction: Tensor | None        # (N, L, C, H, W)
-    encoded: Tensor                      # (N, H*W, L, C1)
 
 
 class SitsClassifier(nn.Module):
@@ -113,15 +114,11 @@ class SitsClassifier(nn.Module):
 
         reconstruction = None
         if with_reconstruction:
-            rec = self.rbranch_decode(encoded)                      # (N*H*W, T, C)
+            rec = self.rbranch(encoded)                             # (N*H*W, T, C)
             rec = ad.reshape(rec, (n, h, w, t, c))
             reconstruction = ad.transpose(rec, (0, 3, 4, 1, 2))     # (N, T, C, H, W)
 
-        return ModelOutput(
-            class_logits=logits,
-            reconstruction=reconstruction,
-            encoded=ad.reshape(encoded, (n, h * w, t, c1)),
-        )
+        return ModelOutput(class_logits=logits, reconstruction=reconstruction)
 
     def temporal_maxpool(self, encoded: Tensor, valid_mask: np.ndarray,
                          spatial: tuple[int, int]) -> Tensor:
@@ -132,10 +129,6 @@ class SitsClassifier(nn.Module):
         if encoded.shape[0] != n * h * w:
             raise ShapeError("temporal_maxpool: pixel count mismatch")
         return ad.max_over_axis(encoded, axis=1, mask=pixel_mask)
-
-    def rbranch_decode(self, encoded: Tensor) -> Tensor:
-        """Shared affine map applied at every (pixel, timestep)."""
-        return self.rbranch(encoded)
 
     def predict_logits(self, batch: SitsBatch) -> np.ndarray:
         """Inference-mode class logits (N, K, H, W), classification branch only."""

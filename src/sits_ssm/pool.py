@@ -1,14 +1,14 @@
 """The package's one thread pool, and the chunk protocol on it.
 
 ``ssm.MambaBlock`` splits pixel sequences, and ``autodiff.conv2d`` and
-``autodiff.conv_bn_relu`` split frames: each cuts its leading axis with ``_chunk_bounds`` under a byte
-budget of its own, runs one task per chunk with ``_map``, and adds the
-chunks' partial gradients with ``_sum_in_order``. The pool is created at
-first use, with one worker per CPU the process may run on; numpy releases
-the GIL inside its kernels. Chunk boundaries depend only on the item
-count and the budget, never on the number of workers, and the partials
-are added in chunk order, so results are bitwise identical for any
-worker count.
+``autodiff.conv_bn_relu`` split frames: each cuts its leading axis with
+``_chunk_bounds`` under a byte budget of its own, runs one task per chunk
+with ``_map``, and adds the chunks' partial gradients with
+``_sum_in_order``. The pool is created at first use, with one worker per
+CPU the process may run on; numpy releases the GIL inside its kernels.
+Chunk boundaries depend only on the item count and the budget, never on
+the number of workers, and the partials are added in chunk order, so
+results are bitwise identical for any worker count.
 
 This module imports nothing from the package.
 """

@@ -298,7 +298,7 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
 
     parents = (u, delta, a, b, c, d_skip)
     uv, dv, av, bv, cv, skipv = (t.data for t in parents)
-    keep = ad.grad_enabled() and any(t.requires_grad for t in parents)
+    keep = ad.recording(*parents)
     a_t = np.ascontiguousarray(av.T, dtype=uv.dtype)
     if not a_t.all():
         raise ValueError("selective_scan: a must be non-zero")
@@ -495,7 +495,7 @@ class MambaBlock(nn.Module):
         params = [t for _, t in self.named_params()]
         dtype = np.result_type(x.dtype, *(p.dtype for p in params))
         y = np.zeros((nb, nl, cfg.d_model), dtype=dtype)
-        keep = ad.grad_enabled() and any(t.requires_grad for t in (x, *params))
+        keep = ad.recording(x, *params)
 
         def forward(bound):
             s, e = bound

@@ -91,7 +91,9 @@ class TrainResult:
     log_path: Path
     epoch_log_path: Path
     history: list[LossReport] = field(default_factory=list)
-    skipped_steps: int = 0       # steps whose non-finite gradients Adam did not apply
+    # batches with no scored pixel, which never reach train_step, plus the
+    # steps whose non-finite gradients Adam did not apply
+    skipped_steps: int = 0
 
 
 def evaluate(model: SitsClassifier, dataset, loss_cfg: LossConfig,
@@ -133,6 +135,7 @@ def train(model: SitsClassifier, train_set, valid_set, cfg: TrainConfig,
     final_path = out_dir / "final.ckpt"
     best_mf1, best_epoch = -1.0, -1
     consecutive_bad = skipped_steps = 0
+    ignored = list(cfg.loss.ignore_labels)
     history: list[LossReport] = []
 
     with open(log_path, "w", newline="") as fh_step, open(epoch_log_path, "w", newline="") as fh_ep:
@@ -142,9 +145,16 @@ def train(model: SitsClassifier, train_set, valid_set, cfg: TrainConfig,
         epoch_csv.writerow(["epoch", "val_oa", "val_miou", "val_mf1", "best"])
         step_idx = 0
         for epoch in range(cfg.epochs):
-            skipped_before = skipped_steps
+            adam_skipped = 0
             shuffled = [train_set[i] for i in rng.permutation(len(train_set))]
             for _, batch in data_mod.batches(shuffled, cfg.batch_size, cfg.temporal_mode, rng):
+                if np.isin(batch.labels, ignored).all():
+                    # nothing for the classification loss to average over
+                    log.warning("epoch %d step %d: every pixel of the batch is ignored, "
+                                "step skipped", epoch, step_idx)
+                    skipped_steps += 1
+                    step_idx += 1
+                    continue
                 optim.zero_grad()
                 try:
                     report = train_step(model, batch, cfg.loss)
@@ -160,13 +170,14 @@ def train(model: SitsClassifier, train_set, valid_set, cfg: TrainConfig,
                     continue
                 consecutive_bad = 0
                 # a skipped step keeps its row in the logs, which count batches
-                skipped_steps += not optim.step()
+                adam_skipped += not optim.step()
                 history.append(report)
                 step_csv.writerow([epoch, step_idx, repr(report.l_cls), repr(report.l_tp),
                                    repr(report.w1), repr(report.total)])
                 step_idx += 1
             log.info("epoch %d: %d optimizer steps skipped for non-finite gradients", epoch,
-                     skipped_steps - skipped_before)
+                     adam_skipped)
+            skipped_steps += adam_skipped
             if valid_set is not None and len(valid_set):
                 s = evaluate(model, valid_set, cfg.loss, cfg.batch_size, cfg.temporal_mode,
                              eval_class_set=cfg.eval_class_set)

@@ -1,13 +1,28 @@
 """Independent oracles and the self-check suites behind ``sits-ssm verify``.
 
-Each suite re-derives expected values along a route that shares no code
-with the implementation it checks: central finite differences for
-gradients, the convolutional-kernel form for the recurrence, closed-form
-scalars for the discretization, the tape-composite scan for the fused
-scan, a long float64 series for phi', the three unfused ops for the fused
-conv -> batchnorm -> ReLU stage, exact rational arithmetic for the
-segmentation scores, plain arithmetic for the loss identities, and the
-unpadded batch for the same batch with padded timesteps appended.
+Each suite re-derives expected values along a second route: central
+finite differences for gradients, the convolutional-kernel form for the
+recurrence, closed-form scalars for the discretization, the tape-composite
+scan for the fused scan, a long float64 series for phi', the three unfused
+ops for the fused conv -> batchnorm -> ReLU stage, exact rational
+arithmetic for the segmentation scores, plain arithmetic for the loss
+identities, and the unpadded batch for the same batch with padded
+timesteps appended.
+
+Two of these routes share code with what they check, so a defect in the
+shared part can hit both sides alike. What still catches it:
+
+- ``unfused_conv_bn_relu`` runs ``conv2d`` and ``batchnorm``, which share
+  ``_conv_parts`` (im2col, GEMM and its backward) and the ``_bn_*``
+  helpers with ``conv_bn_relu``. The acceptance tests' finite-difference
+  checks (criterion 1) over ``conv2d``, ``batchnorm`` and
+  ``spatial.ConvBlock`` cover the shared code.
+- The composite scan differentiates ``zoh_phi`` with ``_phi_prime``, which
+  the fused backward also uses for ``a``'s gradient. The fused scan forms
+  delta's gradient without phi', so a phi' defect still shows there: a
+  float64 phi' scaled by 1.001 fails ``fused_vs_composite`` at 4.8e-4.
+  The acceptance tests' finite-difference check through
+  ``ssm.MambaBlock`` covers the fused path, phi' included.
 """
 
 from __future__ import annotations

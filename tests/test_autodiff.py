@@ -293,6 +293,39 @@ class TestBackwardBasics:
         np.testing.assert_array_equal(seen["grad"], 2 * x.data)
         assert ad.grad_enabled()
 
+    def test_recording_truth_table(self, rng):
+        """An op is recorded exactly when grad mode is on in its thread and
+        some input is tracked; ops record exactly when ``recording`` says so."""
+        tracked, plain = f64(rng, 2), f64(rng, 2, requires_grad=False)
+        cases = {(): False, (plain,): False, (tracked,): True,
+                 (plain, tracked): True, (tracked, tracked): True}
+
+        def table():
+            return {ins: ad.recording(*ins) for ins in cases}
+
+        assert table() == cases
+        for ins, want in cases.items():
+            if len(ins) == 2:
+                assert ad.mul(*ins).requires_grad is want
+        with ad.no_grad():
+            assert not any(table().values())
+            assert not ad.mul(tracked, tracked).requires_grad
+            other = {}
+            thread = threading.Thread(target=lambda: other.update(table()))
+            thread.start()
+            thread.join(timeout=30)
+            assert other == cases               # another thread keeps grad mode on
+        off = {}
+
+        def no_grad_thread():
+            with ad.no_grad():
+                off.update(table())
+
+        thread = threading.Thread(target=no_grad_thread)
+        thread.start()
+        thread.join(timeout=30)
+        assert not any(off.values()) and table() == cases
+
 
 class TestErrors:
     def test_shape_mismatch_matmul(self, rng):
@@ -381,9 +414,10 @@ class TestPrimitiveGradients:
             lambda: ad.sum_(ad.softplus(a)),
             lambda: ad.sum_(ad.silu(a)),
             lambda: ad.sum_(ad.sigmoid(a)),
-            lambda: ad.mean(ad.mul(a, b), axis=1).sum(),
-            lambda: ad.sum_(ad.mul(a, b), axis=0, keepdims=True).sum(),
-            lambda: ad.sum_(ad.softmax(a, axis=1)).sum() + ad.sum_(ad.mul(ad.softmax(a, axis=0), b)),
+            lambda: ad.sum_(ad.mean(ad.mul(a, b), axis=1)),
+            lambda: ad.sum_(ad.sum_(ad.mul(a, b), axis=0, keepdims=True)),
+            lambda: ad.add(ad.sum_(ad.softmax(a, axis=1)),
+                           ad.sum_(ad.mul(ad.softmax(a, axis=0), b))),
         ]
         for f in checks:
             assert gradcheck(f, [a, b, c]) < TOL

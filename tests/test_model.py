@@ -31,7 +31,6 @@ class TestForwardShapes:
         out = model.forward(batch, training=True)
         assert out.class_logits.shape == (2, 20, 8, 8)
         assert out.reconstruction.shape == (2, 5, 10, 8, 8)
-        assert out.encoded.shape == (2, 64, 5, 8)
 
     def test_reconstruction_length_always_matches_input(self, rng):
         model = tiny_model()
@@ -150,13 +149,13 @@ class TestRBranch:
         model.rbranch.weight.data[:] = 0.0
         model.rbranch.bias.data[:] = np.arange(3, dtype=np.float32)
         enc = Tensor(rng.normal(0, 1, (4, 5, 8)).astype(np.float32))
-        out = model.rbranch_decode(enc)
+        out = model.rbranch(enc)
         assert np.allclose(out.data, np.broadcast_to(np.arange(3), (4, 5, 3)))
 
     def test_time_constant_encoding_gives_time_constant_output(self, rng):
         model = tiny_model()
         enc = Tensor(np.tile(rng.normal(0, 1, (2, 1, 8)).astype(np.float32), (1, 6, 1)))
-        out = model.rbranch_decode(enc).data
+        out = model.rbranch(enc).data
         assert np.allclose(out, out[:, :1])
 
     def test_gradcheck(self, rng):
@@ -164,7 +163,7 @@ class TestRBranch:
         model.rbranch.weight = Tensor(rng.normal(0, 1, (8, 3)), requires_grad=True)
         model.rbranch.bias = Tensor(rng.normal(0, 1, 3), requires_grad=True)
         enc = Tensor(rng.normal(0, 1, (2, 4, 8)), requires_grad=True)
-        f = lambda: ad.mean(ad.mul(model.rbranch_decode(enc), 2.0))
+        f = lambda: ad.mean(ad.mul(model.rbranch(enc), 2.0))
         assert gradcheck(f, [enc, model.rbranch.weight, model.rbranch.bias]) < 1e-4
 
 

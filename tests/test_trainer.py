@@ -160,6 +160,21 @@ class TestTrainingLoop:
         assert counts == [f"epoch {e}: 1 optimizer steps skipped for non-finite gradients"
                           for e in (0, 1)]
 
+    def test_batch_with_no_scored_pixel_is_skipped(self, tmp_path, caplog):
+        """A batch whose every label is ignored never reaches train_step: it
+        is logged, counted as skipped and gets no log row."""
+        ds, cfg = tiny_task(n=4)
+        ds.samples[1].label_map[:] = 2
+        model = SitsClassifier(cfg, np.random.default_rng(0))
+        tc = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=1, seed=0,
+                         loss=LossConfig(ignore_labels={2}))
+        with caplog.at_level(logging.INFO, logger="sits_ssm.trainer"):
+            res = train(model, ds, None, tc, tmp_path / "ignored")
+        assert res.skipped_steps == 2 and len(res.history) == 6
+        assert len(open(res.log_path).readlines()) == 1 + 6
+        warned = [r for r in caplog.records if "every pixel of the batch is ignored" in r.message]
+        assert len(warned) == 2 and all(r.levelno == logging.WARNING for r in warned)
+
     def test_training_log_schema(self, tmp_path):
         ds, cfg = tiny_task()
         model = SitsClassifier(cfg, np.random.default_rng(1))
