@@ -10,8 +10,8 @@ import numpy as np
 
 from sits_ssm import autodiff as ad
 from sits_ssm.autodiff import Tensor
-from sits_ssm.ssm import CONV_WIDTH, MambaBlock, SsmConfig, discretize_zoh, \
-    kernel_convolve, selective_scan_fused
+from sits_ssm.ssm import CONV_WIDTH, MambaBlock, discretize_zoh, kernel_convolve, \
+    selective_scan_fused
 
 rng = np.random.default_rng(0)
 
@@ -34,13 +34,13 @@ y_ref = kernel_convolve(a_bar, b_bar, c_vec, u[0])
 print(f"  max |selective(const) - kernel| = {np.abs(y.data[0] - y_ref).max():.2e}")
 
 print("\n== the gated block ==")
-cfg = SsmConfig(d_model=8, d_state=8)
-blk = MambaBlock(cfg, rng, dtype=np.float64)
+blk = MambaBlock(8, 8, rng, dtype=np.float64)
 x = rng.normal(0, 1, (2, 16, 8))
 out = blk(Tensor(x))
+d_inner, d_state = blk.a_log.shape
 print(f"  input {x.shape} -> output {out.shape} (shape preserved)")
-print(f"  inner width {cfg.d_inner}, state {cfg.d_state}, conv width {CONV_WIDTH}, "
-      f"delta rank {cfg.rank}")
+print(f"  inner width {d_inner}, state {d_state}, conv width {CONV_WIDTH}, "
+      f"delta rank {blk.dt_proj.weight.shape[0]}")
 
 print("\n== causality probe ==")
 print("Perturbing timestep 9 and re-running: earlier outputs must not move.")
@@ -55,13 +55,13 @@ print(f"  outputs at t>=9 changed:      {not np.array_equal(base[:, 9:], pert[:,
 print("\n== the multiplicative gate ==")
 print("Zeroing the gate projection silences the whole main branch; only the")
 print("output projection's bias survives:")
-blk.in_proj.weight.data[:, cfg.d_inner:] = 0.0
+blk.in_proj.weight.data[:, d_inner:] = 0.0
 with ad.no_grad():
     gated_out = blk(Tensor(x)).data
 print(f"  max |output - bias| = {np.abs(gated_out - blk.out_proj.bias.data).max():.2e}")
 
 print("\n== gradients flow through the scan ==")
-blk2 = MambaBlock(SsmConfig(d_model=4, d_state=4), rng, dtype=np.float64)
+blk2 = MambaBlock(4, 4, rng, dtype=np.float64)
 seq = Tensor(rng.normal(0, 1, (2, 6, 4)), requires_grad=True)
 loss = ad.sum_(blk2(seq))
 ad.backward(loss)

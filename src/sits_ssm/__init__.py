@@ -9,8 +9,7 @@ from .losses import (LossConfig, LossReport, classification_loss, combined_loss,
                      positional_weights, reconstruction_loss)
 from .metrics import ConfusionMatrix, scores
 from .model import ModelConfig, ModelOutput, SitsClassifier, count_parameters
-from .ssm import (DiscreteStep, MambaBlock, SsmConfig, discretize_zoh,
-                  kernel_convolve, scan_recurrence)
+from .ssm import DiscreteStep, MambaBlock, discretize_zoh, kernel_convolve, scan_recurrence
 from .trainer import Adam, TrainConfig, evaluate, train
 
 __version__ = "0.1.0"

@@ -255,7 +255,8 @@ def _binary(a, b, fwd, op):
     else:
         a, b = as_tensor(a), as_tensor(b)
     try:
-        return a, b, fwd(a.data, b.data)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return a, b, fwd(a.data, b.data)
     except ValueError as e:
         raise ShapeError(f"{op}: {a.shape} vs {b.shape}") from e
 
@@ -337,7 +338,8 @@ def _unary(x, fwd, dfn, op, of_output=False):
     """``fwd`` of x's values; backward is ``dfn(g, v)``, where v is the
     output if ``of_output`` and the input otherwise, the one array kept."""
     x = as_tensor(x)
-    out_data = fwd(x.data)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out_data = fwd(x.data)
     kept = out_data if of_output else x.data
 
     def backward_fn(g):

@@ -3,6 +3,8 @@
 Subcommands: gen-data, train, eval, predict, verify. Every setting is
 declared once, in ``_SCHEMA``, with its type, its default and the
 subcommands that take it as a flag; the parser is built from that table.
+A model, loss or run setting takes its default from the dataclass that
+holds it (``ModelConfig``, ``LossConfig``, ``TrainConfig``).
 The key ``batch_size`` is the flag ``--batch-size``, and a boolean
 ``use_pw`` is the switch ``--no-pw``. Settings may also come from a flat
 ``key=value`` config file (``--config``) with the same keys
@@ -80,14 +82,14 @@ _TRAIN = ("train",)
 # every settable key: (type, default, subcommands that take it as a flag)
 _SCHEMA = {
     "seed": (int, 0, _ALL),
-    "epochs": (int, 100, _TRAIN),
-    "lr": (float, 1e-4, _TRAIN),
-    "batch_size": (int, 8, _MODEL),
-    "w0": (float, 0.03, _TRAIN),
-    "use_pw": (bool, True, _TRAIN),
-    "use_w1": (bool, True, _TRAIN),
-    "use_rbranch": (bool, True, _TRAIN),
-    "mode": (str, "pad", _ALL),
+    "epochs": (int, TrainConfig.epochs, _TRAIN),
+    "lr": (float, TrainConfig.learning_rate, _TRAIN),
+    "batch_size": (int, TrainConfig.batch_size, _MODEL),
+    "w0": (float, LossConfig.w0, _TRAIN),
+    "use_pw": (bool, LossConfig.use_pw, _TRAIN),
+    "use_w1": (bool, LossConfig.use_w1, _TRAIN),
+    "use_rbranch": (bool, LossConfig.use_rbranch, _TRAIN),
+    "mode": (str, TrainConfig.temporal_mode, _ALL),
     "classes": (int, 6, _ALL),
     "channels": (int, 4, _ALL),
     "timesteps": (int, 20, _GEN),
@@ -98,8 +100,8 @@ _SCHEMA = {
     "train_samples": (int, 200, _GEN),
     "valid_samples": (int, 50, _GEN),
     "test_samples": (int, 50, _GEN),
-    "hidden": (int, 128, _MODEL),
-    "d_state": (int, 16, _MODEL),
+    "hidden": (int, ModelConfig.hidden, _MODEL),
+    "d_state": (int, ModelConfig.d_state, _MODEL),
     "ignore_labels": (str, "auto", _MODEL),
     "eval_classes": (str, "auto", _MODEL),
 }

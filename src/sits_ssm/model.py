@@ -32,7 +32,7 @@ from .autodiff import ShapeError, Tensor
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .data import SitsBatch
 from .spatial import ClsHead, ConvBlock
-from .ssm import MambaBlock, SsmConfig
+from .ssm import MambaBlock
 
 
 @dataclass
@@ -53,9 +53,6 @@ class ModelConfig:
     def np_dtype(self):
         return {"float32": np.float32, "float64": np.float64}[self.dtype]
 
-    def ssm_config(self) -> SsmConfig:
-        return SsmConfig(d_model=self.hidden, d_state=self.d_state)
-
 
 @dataclass
 class ModelOutput:
@@ -72,7 +69,7 @@ class SitsClassifier(nn.Module):
         self.config = config
         dtype = config.np_dtype
         self.spatial = ConvBlock(config.input_channels, config.hidden, rng, dtype=dtype)
-        self.temporal = MambaBlock(config.ssm_config(), rng, dtype=dtype)
+        self.temporal = MambaBlock(config.hidden, config.d_state, rng, dtype=dtype)
         self.cls_head = ClsHead(config.hidden, config.num_classes, rng, dtype=dtype)
         self.rbranch = nn.Linear(config.hidden, config.input_channels, rng, bias=True, dtype=dtype)
 

@@ -40,11 +40,13 @@ h + expm1(z) (h + u b / a), with a and 1/a laid out once per call. Under
 gradient will be taken it keeps the whole trajectory h_0..h_L, and
 backward forms expm1(z) again at each step as it walks it.
 
-``MambaBlock`` wraps the selective scan in the usual gated two-branch
-block: projection -> causal depthwise conv -> SiLU -> selective scan on
-the main branch, projection -> SiLU on the gate branch, elementwise
-product, output projection. Every step of it is per pixel sequence, and
-the block is the one place that splits the sequences: into chunks of
+``MambaBlock(d_model, d_state, rng)`` wraps the selective scan in the
+usual gated two-branch block: projection -> causal depthwise conv -> SiLU
+-> selective scan on the main branch, projection -> SiLU on the gate
+branch, elementwise product, output projection. Its two sizes are its
+only settings, and it reads them back from its parameters' shapes. Every
+step of it is per pixel sequence, and the block is the one place that
+splits the sequences: into chunks of
 
     c = clamp(_SCAN_VECTOR_BUDGET // (D * N * itemsize), 1, B)
 
@@ -409,54 +411,41 @@ def zoh_phi(z: Tensor) -> Tensor:
     return ad._make(out, (z,), backward_fn, "zoh_phi")
 
 
-@dataclass
-class SsmConfig:
-    """Selective-SSM block sizes.
+class MambaBlock(nn.Module):
+    """Gated selective-SSM block over (B, L, d_model) sequences.
 
-    The other hyperparameters are the module constants: expansion
-    ``EXPAND``, depthwise conv width ``CONV_WIDTH``, delta rank
+    Only the width ``d_model`` and the state size ``d_state`` are
+    settings. The other hyperparameters are the module constants:
+    expansion ``EXPAND``, depthwise conv width ``CONV_WIDTH``, delta rank
     d_model/16 (rounded up), decay rates initialized to -(1..N) per state
     column, and delta bias chosen so the initial softplus output lands in
-    [``DT_MIN``, ``DT_MAX``].
+    [``DT_MIN``, ``DT_MAX``]. The block keeps no copy of its sizes: it
+    reads them from its parameters' shapes.
     """
-    d_model: int
-    d_state: int = 16
 
-    @property
-    def d_inner(self) -> int:
-        return EXPAND * self.d_model
-
-    @property
-    def rank(self) -> int:
-        return math.ceil(self.d_model / 16)
-
-
-class MambaBlock(nn.Module):
-    """Gated selective-SSM block over (B, L, d_model) sequences."""
-
-    def __init__(self, cfg: SsmConfig, rng: np.random.Generator, dtype=np.float32):
-        self.cfg = cfg
-        d_in = cfg.d_inner
-        self.in_proj = nn.Linear(cfg.d_model, 2 * d_in, rng, bias=False, dtype=dtype)
+    def __init__(self, d_model: int, d_state: int, rng: np.random.Generator,
+                 dtype=np.float32):
+        d_in, rank = EXPAND * d_model, math.ceil(d_model / 16)
+        self.in_proj = nn.Linear(d_model, 2 * d_in, rng, bias=False, dtype=dtype)
         self.conv = nn.CausalDepthwiseConv1d(d_in, CONV_WIDTH, rng, dtype=dtype)
-        self.x_proj = nn.Linear(d_in, cfg.rank + 2 * cfg.d_state, rng, bias=False, dtype=dtype)
-        self.dt_proj = nn.Linear(cfg.rank, d_in, rng, bias=True, dtype=dtype)
+        self.x_proj = nn.Linear(d_in, rank + 2 * d_state, rng, bias=False, dtype=dtype)
+        self.dt_proj = nn.Linear(rank, d_in, rng, bias=True, dtype=dtype)
         # softplus-inverse bias puts the initial step sizes in [DT_MIN, DT_MAX]
         dt = np.exp(rng.uniform(math.log(DT_MIN), math.log(DT_MAX), size=d_in))
         self.dt_proj.bias = Tensor(np.log(np.expm1(dt)).astype(dtype), requires_grad=True)
         self.a_log = Tensor(
-            np.log(np.tile(np.arange(1, cfg.d_state + 1, dtype=np.float64), (d_in, 1))).astype(dtype),
+            np.log(np.tile(np.arange(1, d_state + 1, dtype=np.float64), (d_in, 1))).astype(dtype),
             requires_grad=True)
         self.d_skip = Tensor(np.ones(d_in, dtype=dtype), requires_grad=True)
-        self.out_proj = nn.Linear(d_in, cfg.d_model, rng, bias=True, dtype=dtype)
+        self.out_proj = nn.Linear(d_in, d_model, rng, bias=True, dtype=dtype)
 
     def selective_scan(self, u: Tensor) -> Tensor:
         """Selectivity projections + per-step ZOH + recurrence + skip."""
-        cfg = self.cfg
+        rank, d_state = self.dt_proj.weight.shape[0], self.a_log.shape[1]
         x_dbl = self.x_proj(u)
-        dt_low = ad.slice_(x_dbl, (slice(None), slice(None), slice(0, cfg.rank)))
-        b = ad.slice_(x_dbl, (slice(None), slice(None), slice(cfg.rank, cfg.rank + cfg.d_state)))
-        c = ad.slice_(x_dbl, (slice(None), slice(None), slice(cfg.rank + cfg.d_state, None)))
+        dt_low = ad.slice_(x_dbl, (slice(None), slice(None), slice(0, rank)))
+        b = ad.slice_(x_dbl, (slice(None), slice(None), slice(rank, rank + d_state)))
+        c = ad.slice_(x_dbl, (slice(None), slice(None), slice(rank + d_state, None)))
         delta = ad.softplus(self.dt_proj(dt_low))
         a = ad.mul(ad.exp(self.a_log), -1.0)
         return selective_scan_fused(u, delta, a, b, c, self.d_skip)
@@ -482,19 +471,18 @@ class MambaBlock(nn.Module):
         ``pool._sum_in_order``, so the results do not depend on the number
         of workers. A single chunk takes the same route, inline.
         """
-        cfg = self.cfg
-        if x.ndim != 3 or x.shape[2] != cfg.d_model:
-            raise ShapeError(f"mamba_block: expected (B, L, {cfg.d_model}), got {x.shape}")
+        d_model = self.in_proj.weight.shape[0]
+        if x.ndim != 3 or x.shape[2] != d_model:
+            raise ShapeError(f"mamba_block: expected (B, L, {d_model}), got {x.shape}")
         nb, nl = x.shape[:2]
         lengths = np.full(nb, nl) if lengths is None else np.asarray(lengths)
         if lengths.shape != (nb,) or lengths.min() < 1 or lengths.max() > nl:
             raise ShapeError(f"mamba_block: lengths must be {nb} values in [1, {nl}]")
         padded = np.arange(nl) >= lengths[:, None]            # (B, L) steps beyond a length
-        bounds = pool._chunk_bounds(nb, cfg.d_inner * cfg.d_state * x.dtype.itemsize,
-                                    _SCAN_VECTOR_BUDGET)
+        bounds = pool._chunk_bounds(nb, self.a_log.size * x.dtype.itemsize, _SCAN_VECTOR_BUDGET)
         params = [t for _, t in self.named_params()]
         dtype = np.result_type(x.dtype, *(p.dtype for p in params))
-        y = np.zeros((nb, nl, cfg.d_model), dtype=dtype)
+        y = np.zeros((nb, nl, d_model), dtype=dtype)
         keep = ad.recording(x, *params)
 
         def forward(bound):
@@ -534,7 +522,7 @@ class MambaBlock(nn.Module):
     def _forward(self, x: Tensor) -> Tensor:
         """The block on one chunk of sequences, as ordinary tape ops."""
         xz = self.in_proj(x)
-        d_in = self.cfg.d_inner
+        d_in = self.a_log.shape[0]
         u = ad.slice_(xz, (slice(None), slice(None), slice(0, d_in)))
         z = ad.slice_(xz, (slice(None), slice(None), slice(d_in, None)))
         u = ad.silu(self.conv(u))

@@ -382,7 +382,7 @@ def suite_gradients(report: VerifyReport):
     x = Tensor(rng.normal(0, 1, (3, 4)).astype(np.float64), requires_grad=True)
     report.add("grad", "softplus_silu_chain",
                gradcheck(lambda: ad.sum_(ad.silu(ad.softplus(x))), [x]), 1e-4)
-    blk = ssm.MambaBlock(ssm.SsmConfig(d_model=4, d_state=4), rng, dtype=np.float64)
+    blk = ssm.MambaBlock(4, 4, rng, dtype=np.float64)
     seq = Tensor(rng.normal(0, 1, (2, 5, 4)).astype(np.float64), requires_grad=True)
     params = [seq, blk.a_log, blk.dt_proj.bias, blk.x_proj.weight]
     report.add("grad", "mamba_block_fd",

@@ -23,7 +23,7 @@ from sits_ssm.metrics import ConfusionMatrix, scores
 from sits_ssm.model import ModelConfig, SitsClassifier, count_parameters, \
     spatial_encoder_parameter_count
 from sits_ssm.spatial import ClsHead, ConvBlock
-from sits_ssm.ssm import MambaBlock, SsmConfig
+from sits_ssm.ssm import MambaBlock
 from sits_ssm.trainer import TrainConfig, evaluate, train
 from sits_ssm.verify import brute_force_scores, gradcheck
 
@@ -103,7 +103,7 @@ class TestCriterion1Gradients:
         # 10 random points each as well
         for seed in range(10):
             rng = np.random.default_rng(1000 + seed)
-            blk = MambaBlock(SsmConfig(d_model=4, d_state=4), rng, dtype=np.float64)
+            blk = MambaBlock(4, 4, rng, dtype=np.float64)
             seq = Tensor(rng.normal(0, 1, (2, 5, 4)), requires_grad=True)
             err = gradcheck(lambda: ad.sum_(blk(seq)),
                             [seq] + [t for _, t in blk.named_params("m")],
@@ -212,7 +212,7 @@ class TestCriterion4Causality:
     def test_future_perturbations_invisible(self):
         t0 = time.time()
         rng = np.random.default_rng(11)
-        blk = MambaBlock(SsmConfig(d_model=6, d_state=8), rng, dtype=np.float64)
+        blk = MambaBlock(6, 8, rng, dtype=np.float64)
         x = rng.normal(0, 1, (2, 12, 6))
         with ad.no_grad():
             base = blk(Tensor(x)).data.copy()

@@ -336,10 +336,20 @@ class TestErrors:
         with pytest.raises(ShapeError):
             ad.add(f64(rng, 2, 3), f64(rng, 4))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_surfaced_not_propagated(self):
         with pytest.raises(NonFiniteError):
             ad.exp(Tensor(np.array([1000.0], dtype=np.float32)))
+
+    @pytest.mark.parametrize("op", [
+        lambda: ad.exp(1000.0),
+        lambda: ad.mul(Tensor(np.float32(3e38)), 10),
+        lambda: ad.add(Tensor(np.float32(3e38)), 3e38),
+    ], ids=["exp", "mul", "add"])
+    def test_overflow_raises_only_its_typed_error(self, op):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                op()
 
 
 class TestMaxWithoutTape:

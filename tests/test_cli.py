@@ -63,7 +63,9 @@ class TestGenData:
     def test_manifest_echoes_paper_named_settings(self, tmp_path):
         gen(tmp_path)
         manifest = (tmp_path / "run_manifest.txt").read_text()
-        for key in ("w0=0.03", "lr=0.0001", "epochs=100", "mode=pad", "seed=7"):
+        for key in ("w0=0.03", "lr=0.0001", "epochs=100", "mode=pad", "seed=7",
+                    "batch_size=8", "hidden=128", "d_state=16", "use_pw=True",
+                    "use_w1=True", "use_rbranch=True"):
             assert key in manifest
 
 

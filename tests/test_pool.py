@@ -67,7 +67,7 @@ FORKED = textwrap.dedent("""
     pid = os.fork()
     if pid == 0:
         ad.backward(ad.sum_(ad.conv2d(x, w)))
-        blk = ssm.MambaBlock(ssm.SsmConfig(d_model=8, d_state=4), rng)
+        blk = ssm.MambaBlock(8, 4, rng)
         y = blk(Tensor(rng.normal(0, 1, (5, 4, 8)).astype(np.float32)))
         os._exit(0 if y.shape == (5, 4, 8) and w.grad is not None else 1)
     deadline = time.monotonic() + 30

@@ -14,7 +14,7 @@ from sits_ssm.autodiff import Tensor
 from sits_ssm.data import SitsSample, pad_batch
 from sits_ssm.losses import LossConfig
 from sits_ssm.model import ModelConfig, SitsClassifier
-from sits_ssm.ssm import DiscreteStep, MambaBlock, SsmConfig
+from sits_ssm.ssm import DiscreteStep, MambaBlock
 from sits_ssm.verify import gradcheck, phi_prime_reference, scan_vs_composite
 
 from conftest import bitwise_for_any_worker_count
@@ -156,14 +156,14 @@ class TestSelectiveScan:
         assert np.max(np.abs(y.data[0] - y_kernel)) < 1e-6
 
     def test_zero_input_gives_zero_output(self, rng):
-        blk = MambaBlock(SsmConfig(d_model=6, d_state=4), rng, dtype=np.float64)
-        u = Tensor(np.zeros((2, 5, blk.cfg.d_inner)))
+        blk = MambaBlock(6, 4, rng, dtype=np.float64)
+        u = Tensor(np.zeros((2, 5, blk.a_log.shape[0])))
         y = blk.selective_scan(u)
-        assert np.array_equal(y.data, np.zeros((2, 5, blk.cfg.d_inner)))
+        assert np.array_equal(y.data, np.zeros((2, 5, blk.a_log.shape[0])))
 
     def test_gradient_wrt_decay_parameters(self, rng):
-        blk = MambaBlock(SsmConfig(d_model=4, d_state=4), rng, dtype=np.float64)
-        u = Tensor(rng.normal(0, 1, (2, 5, blk.cfg.d_inner)), requires_grad=True)
+        blk = MambaBlock(4, 4, rng, dtype=np.float64)
+        u = Tensor(rng.normal(0, 1, (2, 5, blk.a_log.shape[0])), requires_grad=True)
         f = lambda: ad.sum_(blk.selective_scan(u))
         assert gradcheck(f, [blk.a_log, u, blk.d_skip], max_components=32,
                          rng=np.random.default_rng(5)) < TOL
@@ -312,12 +312,12 @@ def block_pass(blk, x, g, lengths=None):
 class TestBlockNode:
     # d_inner 16, d_state 4: one sequence's (D, N) array is 256 bytes in
     # float32, so a 3-sequence budget cuts 200 sequences into 67 chunks
-    CFG, B, L = SsmConfig(d_model=8, d_state=4), 200, 6
+    CFG, B, L = (8, 4), 200, 6
 
     def test_float32_bitwise_equal_for_any_worker_count(self, rng, monkeypatch):
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * 16 * 4 * 4)
         assert len(pool_mod._chunk_bounds(self.B, 16 * 4 * 4, ssm._SCAN_VECTOR_BUDGET)) == 67
-        blk = MambaBlock(self.CFG, rng)
+        blk = MambaBlock(*self.CFG, rng)
         x = rng.normal(0, 1, (self.B, self.L, 8)).astype(np.float32)
         g = rng.normal(0, 1, (self.B, self.L, 8)).astype(np.float32)
         result = bitwise_for_any_worker_count(monkeypatch, lambda: block_pass(blk, x, g))
@@ -325,7 +325,7 @@ class TestBlockNode:
 
     def test_ragged_lengths_bitwise_for_any_worker_count(self, rng, monkeypatch):
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * 16 * 4 * 4)
-        blk = MambaBlock(self.CFG, rng)
+        blk = MambaBlock(*self.CFG, rng)
         x = rng.normal(0, 1, (self.B, self.L, 8)).astype(np.float32)
         g = rng.normal(0, 1, (self.B, self.L, 8)).astype(np.float32)
         lengths = rng.integers(1, self.L + 1, self.B)
@@ -343,7 +343,7 @@ class TestBlockNode:
         below step 5."""
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * 16 * 4 * 4)
         length = 12
-        blk = MambaBlock(self.CFG, rng)
+        blk = MambaBlock(*self.CFG, rng)
         x = rng.normal(0, 1, (self.B, length, 8)).astype(np.float32)
         g = rng.normal(0, 1, (self.B, length, 8)).astype(np.float32)
         lengths = rng.integers(1, length + 1, self.B)
@@ -359,12 +359,12 @@ class TestBlockNode:
 
     @pytest.mark.parametrize("lengths", [[0, 3], [4, 7], [3]])
     def test_lengths_outside_the_sequence_rejected(self, rng, lengths):
-        blk = MambaBlock(self.CFG, rng)
+        blk = MambaBlock(*self.CFG, rng)
         with pytest.raises(ad.ShapeError):
             blk(Tensor(rng.normal(0, 1, (2, self.L, 8)).astype(np.float32)), np.array(lengths))
 
     def test_chunked_matches_one_chunk(self, rng, monkeypatch):
-        blk = MambaBlock(self.CFG, rng, dtype=np.float64)
+        blk = MambaBlock(*self.CFG, rng, dtype=np.float64)
         x = rng.normal(0, 1, (13, self.L, 8))
         g = rng.normal(0, 1, (13, self.L, 8))
         runs = []
@@ -385,7 +385,7 @@ class TestBlockNode:
             return out
 
         monkeypatch.setattr(MambaBlock, "_forward", spy)
-        blk = MambaBlock(self.CFG, rng, dtype=np.float64)
+        blk = MambaBlock(*self.CFG, rng, dtype=np.float64)
         params = [t for _, t in blk.named_params()]
         x0 = rng.normal(0, 1, (9, self.L, 8))
         g = rng.normal(0, 1, (9, self.L, 8))
@@ -408,7 +408,7 @@ class TestBlockNode:
     def test_recorded_block_keeps_less_than_its_input(self, rng):
         """Between forward and backward the block keeps each chunk's input
         (here views of x) and no activation of its own."""
-        blk = MambaBlock(SsmConfig(d_model=32, d_state=16), rng)
+        blk = MambaBlock(32, 16, rng)
         x = Tensor(rng.normal(0, 1, (256, 20, 32)).astype(np.float32), requires_grad=True)
         tracemalloc.start()
         try:
@@ -434,7 +434,7 @@ class TestBlockNode:
             return scan(u, *args)
 
         monkeypatch.setattr(ssm, "selective_scan_fused", spy)
-        blk = MambaBlock(self.CFG, rng)
+        blk = MambaBlock(*self.CFG, rng)
         x = Tensor(rng.normal(0, 1, (4, self.L, 8)).astype(np.float32), requires_grad=True)
         if recording:
             y = blk(x)
@@ -452,7 +452,7 @@ class TestBlockNode:
         """Six chunks on the pool, or one inline: backward records the
         replays whatever grad mode it is called under."""
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", budget)
-        blk = MambaBlock(self.CFG, rng)
+        blk = MambaBlock(*self.CFG, rng)
         x = rng.normal(0, 1, (6, self.L, 8)).astype(np.float32)
         g = rng.normal(0, 1, (6, self.L, 8)).astype(np.float32)
         want = block_pass(blk, x, g)
@@ -500,18 +500,18 @@ class TestPhiPrime:
 class TestMambaBlock:
     @pytest.mark.parametrize("length", [1, 2, 9])
     def test_output_shape_equals_input_shape(self, rng, length):
-        blk = MambaBlock(SsmConfig(d_model=6, d_state=4), rng)
+        blk = MambaBlock(6, 4, rng)
         x = Tensor(rng.normal(0, 1, (3, length, 6)).astype(np.float32))
         assert blk(x).shape == (3, length, 6)
 
     def test_wrong_channel_count_rejected(self, rng):
-        blk = MambaBlock(SsmConfig(d_model=6, d_state=4), rng)
+        blk = MambaBlock(6, 4, rng)
         with pytest.raises(ad.ShapeError):
             blk(Tensor(rng.normal(0, 1, (2, 4, 5)).astype(np.float32)))
 
     def test_forced_zero_gate_leaves_output_bias(self, rng):
-        blk = MambaBlock(SsmConfig(d_model=6, d_state=4), rng, dtype=np.float64)
-        d_in = blk.cfg.d_inner
+        blk = MambaBlock(6, 4, rng, dtype=np.float64)
+        d_in = blk.a_log.shape[0]
         blk.in_proj.weight.data[:, d_in:] = 0.0   # gate branch projects to zero
         x = Tensor(rng.normal(0, 1, (2, 4, 6)))
         out = blk(x)
@@ -519,7 +519,7 @@ class TestMambaBlock:
                            atol=1e-15)
 
     def test_causality_exact(self, rng):
-        blk = MambaBlock(SsmConfig(d_model=5, d_state=4), rng, dtype=np.float64)
+        blk = MambaBlock(5, 4, rng, dtype=np.float64)
         x = rng.normal(0, 1, (1, 8, 5))
         with ad.no_grad():
             y_base = blk(Tensor(x)).data.copy()
@@ -532,7 +532,7 @@ class TestMambaBlock:
             assert not np.array_equal(y_base[:, k:], y_pert[:, k:])
 
     def test_full_block_gradcheck_tiny_config(self, rng):
-        blk = MambaBlock(SsmConfig(d_model=4, d_state=4), rng, dtype=np.float64)
+        blk = MambaBlock(4, 4, rng, dtype=np.float64)
         x = Tensor(rng.normal(0, 1, (1, 5, 4)), requires_grad=True)
         params = [x] + [t for _, t in blk.named_params("blk")]
         f = lambda: ad.sum_(ad.mul(blk(x), blk(x)))
