@@ -300,8 +300,8 @@ def matmul(a, b) -> Tensor:
     b2 = b.data[:, None] if b_vec else b.data
     if a2.shape[-1] != b2.shape[-2]:
         raise ShapeError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
-    out2 = np.matmul(np.ascontiguousarray(a2), np.ascontiguousarray(b2))
-    out_data = out2
+    with np.errstate(over="ignore", invalid="ignore"):     # _make refuses inf/NaN
+        out_data = np.matmul(np.ascontiguousarray(a2), np.ascontiguousarray(b2))
     if b_vec:
         out_data = out_data[..., 0]
     if a_vec:
@@ -717,9 +717,11 @@ def _conv_parts(x, weight, bias):
     def run(bound):
         s, e = bound
         chunk = out[s:e].reshape(e - s, c_out, h * w)
-        np.matmul(wmat, _im2col(xv[s:e], kh, kw), out=chunk)
-        if bias is not None:
-            chunk += bias.data[:, None]
+        # an inf/NaN is refused by the caller's finiteness check, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(wmat, _im2col(xv[s:e], kh, kw), out=chunk)
+            if bias is not None:
+                chunk += bias.data[:, None]
 
     def backward_fn(g):
         gmat = g.reshape(b, c_out, h * w)

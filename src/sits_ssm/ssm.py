@@ -10,10 +10,12 @@ matrix exponential and inverse reduce to elementwise scalar formulas:
 
 with phi(z) = (e^z - 1)/z. The fused scan forms phi(delta*A) * delta as
 expm1(delta*A)/A, which has no z in a denominator, so A must be non-zero
-there. The oracles evaluate phi itself, by a series for |z| below 1e-6 to
-avoid catastrophic cancellation. Its derivative phi'(z), which the fused
-scan's backward needs for A's gradient, switches to its Taylor series below
-a dtype-dependent |z|.
+there. Its backward takes A's gradient from e^z and expm1(z)/A as well,
+with no phi'(z): the one term that cancels near z = 0 switches to its
+series below |z| = 1e-3 (``selective_scan_fused``). The oracles evaluate
+phi itself, by a series for |z| below 1e-6 to avoid catastrophic
+cancellation, and differentiate it with phi'(z), which switches to its
+Taylor series below a dtype-dependent |z|.
 
 ``selective_scan_fused`` is the one production route: the input-selective
 scan where delta, B and C are produced from the input at every step,
@@ -35,7 +37,7 @@ states are recomputed in backward instead of stored from the forward (here
 by ``MambaBlock``'s replay, one chunk at a time). It is a single pass
 over all the sequences it is given: time-major, one step at a time,
 vectorized over (B, D, N), with matmul readouts; a forward step is
-h + expm1(z) (h + u b / a), with a and 1/a laid out once per call. Under
+h + expm1(z) (h + u b / a), with 1/a laid out once per call. Under
 ``no_grad`` the forward keeps one running (B, D, N) state. When a
 gradient will be taken it keeps the whole trajectory h_0..h_L, and
 backward forms expm1(z) again at each step as it walks it.
@@ -81,12 +83,18 @@ from . import nn, pool
 from .autodiff import ShapeError, Tensor
 
 _PHI_SWITCH = 1e-6
-# the closed form of phi'(z) loses about 4 eps/|z| of its value to
-# cancellation (2e-6 at the float32 switch, 4e-13 at the float64 one);
-# below the switch four terms of its Taylor series are used instead, which
-# are within 1.5e-6 (float32) and 1.5e-14 (float64) there
+# phi'(z) serves the oracles only (``zoh_phi``). Its closed form loses
+# about 4 eps/|z| of its value to cancellation (2e-6 at the float32 switch,
+# 4e-13 at the float64 one); below the switch four terms of its Taylor
+# series are used instead, which are within 1.5e-6 (float32) and 1.5e-14
+# (float64) there
 _PHI_PRIME_SWITCH = {np.dtype(np.float32): 0.1, np.dtype(np.float64): 1e-3}
 _PHI_PRIME_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in range(3, -1, -1))
+# the fused backward's lam (delta e^z - expm1(z)/a), part of a's gradient,
+# cancels as z = delta a -> 0; below this |z| (both dtypes) four terms of
+# its series are used instead, within 1.4e-14 relative there
+_GA_SERIES_SWITCH = 1e-3
+_GA_SERIES = tuple(k / math.factorial(k + 1) for k in range(4, 0, -1))
 _SCAN_VECTOR_BUDGET = 256 * 2**10   # bytes of one block chunk's (c, D, N) scan array
 EXPAND = 2                          # inner width / d_model
 CONV_WIDTH = 4                      # causal depthwise conv taps
@@ -104,28 +112,26 @@ def _phi(z) -> np.ndarray:
         return np.where(np.abs(z) < _PHI_SWITCH, 1.0 + 0.5 * z, np.expm1(z) / z)
 
 
-def _phi_prime(z, ez=None, em=None, out=None) -> np.ndarray:
+def _phi_prime(z) -> np.ndarray:
     """d/dz[(e^z - 1)/z] = (e^z - expm1(z)/z)/z, by its Taylor series near zero.
 
-    The difference cancels as z -> 0, so below the dtype's
+    Used by the oracles only (``zoh_phi``): the fused scan's backward
+    needs no phi'. The difference cancels as z -> 0, so below the dtype's
     ``_PHI_PRIME_SWITCH`` the series sum_k (k+1) z^k/(k+2)! is used
     instead. The two are blended by a 0/1 mask rather than selected: a
     select on a mask without pattern is several times slower in numpy.
-    ``ez`` = exp(z) and ``em`` = expm1(z) may be passed in by a caller that
-    already has them.
     """
     z = np.asarray(z)
     if z.ndim == 0:
         return _phi_prime(z.reshape(1))[0]
-    ez = np.exp(z) if ez is None else ez
-    em = np.expm1(z) if em is None else em
+    ez, em = np.exp(z), np.expm1(z)
     switch = _PHI_PRIME_SWITCH.get(z.dtype, _PHI_PRIME_SWITCH[np.dtype(np.float64)])
     # z clipped to the largest |z| below the switch: the series argument,
     # equal to z exactly where the series applies
     inside = np.nextafter(z.dtype.type(switch), z.dtype.type(0))
     zs = np.clip(z, -inside, inside)
     small = np.equal(zs, z, out=np.empty_like(zs), casting="unsafe")
-    out = np.multiply(zs, _PHI_PRIME_SERIES[0], out=out)
+    out = np.multiply(zs, _PHI_PRIME_SERIES[0])
     for coef in _PHI_PRIME_SERIES[1:-1]:
         out += coef
         out *= zs
@@ -263,6 +269,30 @@ def kernel_convolve(a_bar: np.ndarray, b_bar: np.ndarray, c: np.ndarray,
     return y[:, 0] if squeeze else y
 
 
+def _ga_series(dt: np.ndarray, a_t: np.ndarray):
+    """Where a's gradient takes its series, and the series' factor there.
+
+    ``dt`` is the time-major (L, B, D) delta, ``a_t`` the (N, D) a. Returns
+    the step, sequence, state and channel indices of each z = delta a with
+    |z| < ``_GA_SERIES_SWITCH``, sorted by step, and delta z P(z) at each,
+    with P(z) = 1/2 + z/3 + z^2/8 + z^3/30: e^z - phi(z) = z P(z) + O(z^5),
+    so lam times it is lam (delta e^z - s), s = expm1(z)/a = delta phi(z).
+    """
+    # a (step, sequence, channel) triple holds a small z only if
+    # delta * min_n |a| does, so z is formed for those alone
+    t, c, d = np.nonzero(dt * np.abs(a_t).min(axis=0) < _GA_SERIES_SWITCH)
+    delta = dt[t, c, d][:, None]
+    z = delta * a_t[:, d].T
+    k, n = np.nonzero(np.abs(z) < _GA_SERIES_SWITCH)
+    z = z[k, n]
+    out = np.multiply(z, _GA_SERIES[0])
+    for coef in _GA_SERIES[1:]:
+        out += coef
+        out *= z
+    out *= delta[k, 0]
+    return t[k], c[k], n, d[k], out
+
+
 def _time_major(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2))
 
@@ -274,9 +304,9 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     u, delta: (B, L, D); a: (D, N) diagonal (negative for stability);
     b, c: (B, L, N); d_skip: (D,). Returns (B, L, D) in u's dtype, which
     is also the dtype the scan computes in. delta must be positive and a
-    non-zero: each step injects delta phi(delta a) u b with delta phi(delta a)
-    formed as expm1(delta a)/a, which is exact and needs neither phi nor a
-    series near z = 0.
+    non-zero: each step injects s u b with s = delta phi(delta a) formed as
+    expm1(delta a)/a, which is exact and needs neither phi nor a series
+    near z = 0.
 
     One pass over all B sequences on the calling thread; splitting them
     into chunks is the caller's business (``MambaBlock``). Under
@@ -286,6 +316,21 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     it from the last step to the first and forms expm1(delta a) again at
     each step. The block records a scan only while it replays one chunk
     in its backward, so the trajectory is one chunk's and short-lived.
+
+    Backward needs no phi'. With z = delta a and
+    h_{t+1} = e^z h_t + s u b, the step's a-derivative is
+    delta e^z h_t + u b (delta e^z - s)/a. So with lam = dL/dh_{t+1},
+    lam_e = lam e^z (the next lam) and lam_s = lam s (which gives b's and
+    u's gradients), a's gradient is
+
+        sum_{t,c} delta lam_e h_t + (1/a) sum_{t,c} u b (delta lam_e - lam_s),
+
+    both sums taken over the sequences each step into (N, D) float64
+    accumulators and divided by a once, after the loop. delta lam_e - lam_s
+    cancels as z -> 0: at each element with |z| < ``_GA_SERIES_SWITCH`` it
+    is replaced by its series (``_ga_series``). Those elements are found
+    once per backward, looking only where delta * min_n |a| is below the
+    switch, so a step with none of them pays nothing for the series.
     """
     u, delta, a = ad.as_tensor(u), ad.as_tensor(delta), ad.as_tensor(a)
     b, c, d_skip = ad.as_tensor(b), ad.as_tensor(c), ad.as_tensor(d_skip)
@@ -306,73 +351,71 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
         raise ValueError("selective_scan: a must be non-zero")
     dt, ut, bt, ct = (_time_major(x) for x in (dv, uv, bv, cv))
     yt = np.empty_like(ut)
-    # time-major recurrence; the state is laid out (B, N, D) so that every
-    # broadcast runs along D, and a and 1/a are laid out so once per call:
-    # a multiply that broadcasts an operand runs as many short inner loops
+    # time-major recurrence; the state is laid out (B, N, D), 1/a is laid
+    # out so once per call (a multiply that broadcasts an (N, D) operand is
+    # slower than a same-shape one), and each outer product is one einsum:
+    # np.multiply of two broadcast operands runs as many short inner loops
     hs = np.zeros((nl + 1 if keep else 1, nb) + a_t.shape, dtype=dt.dtype)
-    a_b = np.broadcast_to(a_t, hs.shape[1:]).copy()
-    inv_a = np.reciprocal(a_b)
-    em, bx = np.empty_like(a_b), np.empty_like(a_b)
+    inv_a = np.reciprocal(np.broadcast_to(a_t, hs.shape[1:]))
+    em, bx = np.empty_like(inv_a), np.empty_like(inv_a)
     for t in range(nl):
         # h_{t+1} = e^z h_t + expm1(z)/a u_t b_t with z = delta_t a, formed
         # as h_t + expm1(z) (h_t + u_t b_t / a): no e^z, no divide
         h, h1 = (hs[t], hs[t + 1]) if keep else (hs[0], hs[0])
-        np.multiply(dt[t][:, None, :], a_b, out=em)
-        np.expm1(em, out=em)
-        np.multiply(bt[t][:, :, None], ut[t][:, None, :], out=bx)
+        np.expm1(np.einsum("cd,nd->cnd", dt[t], a_t, out=em), out=em)
+        np.einsum("cn,cd->cnd", bt[t], ut[t], out=bx)
         bx *= inv_a
         bx += h
         bx *= em
         np.add(h, bx, out=h1)
         np.matmul(ct[t][:, None, :], h1, out=yt[t][:, None, :])
-    del dt, ut, bt, ct, a_b, inv_a, em, bx     # free the time-major copies and buffers early
+    del dt, ut, bt, ct, inv_a, em, bx     # free the time-major copies and buffers early
     y = np.ascontiguousarray(yt.transpose(1, 0, 2))
     del yt
     y += skipv * uv
 
     def backward_fn(g):
-        # z = delta a, e^z = 1 + expm1(z) and s = expm1(z)/a are formed per
-        # step, not stored across the call. With h_{t+1} = e^z h_t + s u b,
-        # s is delta phi(z), whose delta-derivative is e^z: only ``a``'s
-        # gradient needs phi'.
         nonlocal hs
         ut, dt, bt, ct, gt = (_time_major(x) for x in (uv, dv, bv, cv, g))
-        wt = dt * ut
         gu, gd = np.empty_like(ut), np.empty_like(ut)
         gb, gc = np.empty_like(bt), np.empty_like(ct)
         lam = np.zeros(hs.shape[1:], dtype=ut.dtype)   # dLoss/dh_t
-        ga = np.zeros_like(lam)
-        z, em, ez, s, g_z = (np.empty_like(lam) for _ in range(5))
+        inv_a = np.reciprocal(np.broadcast_to(a_t, lam.shape))
+        tmp, lam_s = np.empty_like(lam), np.empty_like(lam)
+        ga_h, ga_ub = np.zeros(a_t.shape), np.zeros(a_t.shape)
+        step = np.empty(a_t.shape, ut.dtype)
         reduced = np.empty_like(gu[0])
+        t_s, *near, series = _ga_series(dt, a_t)
+        bounds = np.searchsorted(t_s, np.arange(nl + 1))
         for t in range(nl - 1, -1, -1):
-            gy, d_t = gt[t], dt[t][:, None, :]
+            gy, d_t, u_t, b_t = gt[t], dt[t], ut[t], bt[t]
             np.matmul(hs[t + 1], gy[:, :, None], out=gc[t][:, :, None])
-            np.multiply(ct[t][:, :, None], gy[:, None, :], out=z)
-            lam += z
-            np.multiply(d_t, a_t, out=z)
-            np.expm1(z, out=em)
-            np.add(em, 1, out=ez)
-            _phi_prime(z, ez, em, out=g_z)
-            g_z *= lam
-            np.divide(em, a_t, out=s)
-            lam_s = np.multiply(lam, s, out=s)
-            np.matmul(lam_s, ut[t][:, :, None], out=gb[t][:, :, None])
-            np.matmul(bt[t][:, None, :], lam_s, out=gu[t][:, None, :])
-            lam *= ez                                # now dLoss/dh_{t-1} (before its readout)
-            lam_h = np.multiply(lam, hs[t], out=ez)
+            lam += np.einsum("cn,cd->cnd", ct[t], gy, out=tmp)
+            lo, hi = bounds[t], bounds[t + 1]
+            if hi > lo:                                 # lam (delta e^z - s) by its series
+                at_t = tuple(i[lo:hi] for i in near)
+                x_near = lam[at_t] * series[lo:hi]
+            em = np.expm1(np.einsum("cd,nd->cnd", d_t, a_t, out=tmp), out=tmp)
+            lam_em = np.multiply(em, lam, out=tmp)
+            np.multiply(lam_em, inv_a, out=lam_s)
+            lam += lam_em                               # now lam_e = dLoss/dh_t before its readout
+            np.matmul(lam_s, u_t[:, :, None], out=gb[t][:, :, None])
+            np.matmul(b_t[:, None, :], lam_s, out=gu[t][:, None, :])
+            lam_h = np.multiply(lam, hs[t], out=tmp)
             # sum over n weighted by a[n, d]: no matmul, and einsum beats (x * a).sum(1)
             np.einsum("cnd,nd->cd", lam_h, a_t, out=gd[t])
-            np.matmul(bt[t][:, None, :], lam, out=reduced[:, None, :])
-            reduced *= ut[t]
+            np.matmul(b_t[:, None, :], lam, out=reduced[:, None, :])
+            reduced *= u_t
             gd[t] += reduced
-            g_z *= wt[t][:, None, :]
-            g_z *= bt[t][:, :, None]
-            g_z += lam_h
-            g_z *= d_t
-            ga += g_z
+            ga_h += np.einsum("cd,cnd->nd", d_t, lam_h, out=step)
+            x = np.einsum("cnd,cd->cnd", lam, d_t, out=tmp)
+            x -= lam_s                                  # delta lam_e - lam_s
+            if hi > lo:
+                x[at_t] = x_near
+            ga_ub += np.einsum("cn,cd,cnd->nd", b_t, u_t, x, out=step)
         hs = None                              # free the trajectory and the step buffers early
-        del wt, lam, z, em, ez, s, g_z, lam_h, lam_s, reduced
-        ga = ga.sum(axis=0).T
+        del lam, inv_a, tmp, em, lam_em, lam_h, x, lam_s, reduced
+        ga = (ga_h + ga_ub / a_t).T.astype(ut.dtype)
         gu += skipv * gt
         gu, gd, gb, gc = (np.ascontiguousarray(x.transpose(1, 0, 2)) for x in (gu, gd, gb, gc))
         gskip = np.einsum("bld,bld->d", g, uv)

@@ -9,7 +9,7 @@ arithmetic for the segmentation scores, plain arithmetic for the loss
 identities, and the unpadded batch for the same batch with padded
 timesteps appended.
 
-Two of these routes share code with what they check, so a defect in the
+One of these routes shares code with what it checks, so a defect in the
 shared part can hit both sides alike. What still catches it:
 
 - ``unfused_conv_bn_relu`` runs ``conv2d`` and ``batchnorm``, which share
@@ -17,12 +17,12 @@ shared part can hit both sides alike. What still catches it:
   helpers with ``conv_bn_relu``. The acceptance tests' finite-difference
   checks (criterion 1) over ``conv2d``, ``batchnorm`` and
   ``spatial.ConvBlock`` cover the shared code.
-- The composite scan differentiates ``zoh_phi`` with ``_phi_prime``, which
-  the fused backward also uses for ``a``'s gradient. The fused scan forms
-  delta's gradient without phi', so a phi' defect still shows there: a
-  float64 phi' scaled by 1.001 fails ``fused_vs_composite`` at 4.8e-4.
-  The acceptance tests' finite-difference check through
-  ``ssm.MambaBlock`` covers the fused path, phi' included.
+
+The fused scan and the composite no longer share phi': the composite
+differentiates ``zoh_phi`` with ``_phi_prime``, while the fused backward
+forms ``a``'s gradient from e^z and expm1(z)/a, with its own series below
+|z| = 1e-3. So a defect in either route's ``a`` gradient shows against
+the other.
 """
 
 from __future__ import annotations
@@ -328,9 +328,11 @@ def suite_scan_kernel(report: VerifyReport, scan_fn=None, n_seeds: int = 10):
 def suite_fused_scan(report: VerifyReport, scan_fn=None):
     """The production scan against the tape-composite route, in float64, on
     33 sequences with delta in [1e-3, 0.5] and again with delta in
-    [1e-8, 1e-6], far below the series switches of phi and phi'; again on
-    9 sequences of 13 steps; plus phi' in float32 against the float64
-    reference."""
+    [1e-8, 1e-6], far below the series switches of phi, phi' and a's
+    gradient; again on 9 sequences of 13 steps, and on those with delta in
+    [1e-8, 1e-6] in a few steps of some sequences, so that one call takes
+    a's series in some steps and only its closed form in others; plus phi'
+    in float32 against the float64 reference."""
     rng = np.random.default_rng(11)
 
     def scan_args(b, l, d, n):
@@ -345,6 +347,10 @@ def suite_fused_scan(report: VerifyReport, scan_fn=None):
                scan_vs_composite(args, g, scan_fn), 1e-10)
     args, g = scan_args(9, 13, 32, 8)
     report.add("fused", "fused_vs_composite_long", scan_vs_composite(args, g, scan_fn), 1e-10)
+    args[1][2:5, 4:7] = rng.uniform(1e-8, 1e-6, (3, 3, 32))
+    args[1][7, 10] = rng.uniform(1e-8, 1e-6, 32)
+    report.add("fused", "fused_vs_composite_mixed_delta",
+               scan_vs_composite(args, g, scan_fn), 1e-10)
     z = -np.logspace(-8, np.log10(20.0), 2001)
     ref = phi_prime_reference(z)
     got = ssm._phi_prime(z.astype(np.float32)).astype(np.float64)

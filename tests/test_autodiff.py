@@ -327,6 +327,13 @@ class TestBackwardBasics:
         assert not any(off.values()) and table() == cases
 
 
+def overflowing_conv():
+    """A float32 conv2d input and weight whose output overflows: 10 * 1e38."""
+    x = np.zeros((1, 1, 3, 3), np.float32)
+    x[0, 0, 1, 1] = 1e38
+    return Tensor(x), Tensor(np.full((1, 1, 3, 3), 10.0, np.float32))
+
+
 class TestErrors:
     def test_shape_mismatch_matmul(self, rng):
         with pytest.raises(ShapeError):
@@ -344,7 +351,13 @@ class TestErrors:
         lambda: ad.exp(1000.0),
         lambda: ad.mul(Tensor(np.float32(3e38)), 10),
         lambda: ad.add(Tensor(np.float32(3e38)), 3e38),
-    ], ids=["exp", "mul", "add"])
+        lambda: ad.matmul(Tensor(np.full((1, 1), 3e38, np.float32)),
+                          Tensor(np.full((1, 1), 10.0, np.float32))),
+        lambda: ad.conv2d(*overflowing_conv()),
+        lambda: ad.conv_bn_relu(*overflowing_conv(), None, np.ones(1, np.float32),
+                                np.zeros(1, np.float32), np.zeros(1, np.float32),
+                                np.ones(1, np.float32), training=False),
+    ], ids=["exp", "mul", "add", "matmul", "conv2d", "conv_bn_relu"])
     def test_overflow_raises_only_its_typed_error(self, op):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

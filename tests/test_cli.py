@@ -467,7 +467,7 @@ class TestVerifyCommand:
         verify.suite_fused_scan(report, scan_fn=broken_scan)
         failed = [r.name for r in report.rows if not r.passed]
         assert failed == ["fused_vs_composite", "fused_vs_composite_tiny_delta",
-                          "fused_vs_composite_long"]
+                          "fused_vs_composite_long", "fused_vs_composite_mixed_delta"]
 
     @pytest.mark.parametrize("defect", ["output", "gradient", "running_buffer"])
     def test_injected_conv_bn_relu_defect_fails(self, defect):

@@ -125,7 +125,6 @@ class TestConvBnRelu:
         bitwise_for_any_worker_count(monkeypatch, lambda: verify.conv_bn_relu_pass(
             ad.conv_bn_relu, arrays, buffers, g, training))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("training", [True, False])
     def test_negative_infinite_conv_output_raises(self, monkeypatch, training):
         """-inf under a positive gamma stays -inf through the affine, and

@@ -279,16 +279,30 @@ class TestTinyDelta:
         g = rng.normal(0, 1, (self.B, self.L, self.D)).astype(dtype)
         assert scan_vs_composite(args, g) < tol
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_series_and_closed_form_steps_in_one_call(self, seed, dtype, tol):
+        """delta tiny in a few steps of some sequences and in [1e-3, 0.5]
+        elsewhere: some steps take a's series, the others only its closed
+        form."""
+        rng = np.random.default_rng(seed)
+        args = scan_inputs(rng, self.B, self.L, self.D, self.N, dtype)
+        args[1][1:4, 3:6] = rng.uniform(1e-8, 1e-6, (3, 3, self.D))
+        args[1][5, 9] = rng.uniform(1e-8, 1e-6, self.D)
+        smallest_z = (args[1] * np.abs(args[2]).min(axis=1)).min(axis=(0, 2))
+        series = smallest_z < ssm._GA_SERIES_SWITCH
+        assert series.any() and not series.all()
+        g = rng.normal(0, 1, (self.B, self.L, self.D)).astype(dtype)
+        assert scan_vs_composite(args, g) < tol
+
 
 class TestFusedScanWithoutPhi:
-    """The fused scan forms delta * phi(delta * a) as expm1(delta * a)/a:
-    phi and its series serve the oracles only."""
+    """The fused scan forms delta * phi(delta * a) as expm1(delta * a)/a, and
+    a's gradient without phi': phi, phi' and their series serve the oracles
+    only."""
 
-    def test_train_step_and_predict_never_call_phi(self, rng, monkeypatch):
-        def phi(z):
-            raise AssertionError("the production path called ssm._phi")
-
-        monkeypatch.setattr(ssm, "_phi", phi)
+    @staticmethod
+    def train_step_and_predict(rng):
         model = SitsClassifier(ModelConfig(2, 3, hidden=8, d_state=4), rng)
         series = rng.uniform(0, 1, (2, 4, 2, 3, 3)).astype(np.float32)
         batch = pad_batch([SitsSample(s, rng.integers(0, 3, (3, 3)), n)
@@ -296,6 +310,20 @@ class TestFusedScanWithoutPhi:
         trainer.train_step(model, batch, LossConfig())
         assert all(t.grad is not None for _, t in model.temporal.named_params())
         assert model.predict(batch).shape == (2, 3, 3)
+
+    def test_train_step_and_predict_never_call_phi(self, rng, monkeypatch):
+        def phi(z):
+            raise AssertionError("the production path called ssm._phi")
+
+        monkeypatch.setattr(ssm, "_phi", phi)
+        self.train_step_and_predict(rng)
+
+    def test_train_step_and_predict_never_call_phi_prime(self, rng, monkeypatch):
+        def phi_prime(z):
+            raise AssertionError("the production path called ssm._phi_prime")
+
+        monkeypatch.setattr(ssm, "_phi_prime", phi_prime)
+        self.train_step_and_predict(rng)
 
 
 def block_pass(blk, x, g, lengths=None):

@@ -123,7 +123,6 @@ class TestTrainingLoop:
                          sha(res.log_path), sha(res.epoch_log_path)))
         assert sums[0] == sums[1]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self, tmp_path):
         ds, cfg = tiny_task()
         model = SitsClassifier(cfg, np.random.default_rng(0))
