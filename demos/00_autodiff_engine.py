@@ -31,8 +31,8 @@ print(f"  d/dv                = {v.grad}")
 
 print("\n== the op registry ==")
 print(f"  {len(ad.OPS)} primitives: {', '.join(sorted(ad.OPS))}")
-r = ad.forward_primitive("relu", Tensor(np.array([-1.0, 2.0])))
-print(f"  forward_primitive('relu', [-1, 2]) -> {r.data}")
+r = ad.OPS["relu"](Tensor(np.array([-1.0, 2.0])))
+print(f"  OPS['relu']([-1, 2]) -> {r.data}")
 
 print("\n== guard rails ==")
 try:

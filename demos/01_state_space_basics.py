@@ -9,7 +9,7 @@ convolution. This script walks both routes on small examples.
 import numpy as np
 
 from sits_ssm.autodiff import Tensor
-from sits_ssm.ssm import DiscreteStep, discretize_zoh, kernel_convolve, scan_recurrence
+from sits_ssm.ssm import discretize_zoh, kernel_convolve, scan_recurrence
 
 print("== zero-order hold ==")
 print("A scalar system with decay A=-1, input gain B=2, step delta=1:")
@@ -27,12 +27,9 @@ print(" dodging the 0/0 cancellation without a visible seam)")
 print("\n== recurrence vs convolution ==")
 print("With constant A_bar=0.5, B_bar=1, C=1 and input x=[1,1,1]:")
 x = np.array([[1.0], [1.0], [1.0]])
-steps = DiscreteStep(
-    Tensor(np.full((3, 1, 1), 0.5)),
-    Tensor(np.ones((3, 1, 1)) * x[:, :, None]),
-    Tensor(np.ones((3, 1))),
-)
-y_scan = scan_recurrence(steps).data.ravel()
+y_scan = scan_recurrence(Tensor(np.full((3, 1, 1), 0.5)),
+                         Tensor(np.ones((3, 1, 1)) * x[:, :, None]),
+                         Tensor(np.ones((3, 1)))).data.ravel()
 print(f"  recurrence  h_t = 0.5 h_(t-1) + x_t  ->  y = {y_scan}")
 
 y_kernel = kernel_convolve(0.5, 1.0, 1.0, x[:, 0])
@@ -50,11 +47,10 @@ for _ in range(10):
     b_bar = rng.normal(0, 1, (d, n))
     c = rng.normal(0, 1, n)
     xs = rng.normal(0, 1, (l, d))
-    steps = DiscreteStep(
-        Tensor(np.broadcast_to(a_bar, (l, d, n)).copy()),
-        Tensor(np.broadcast_to(b_bar, (l, d, n)) * xs[:, :, None]),
-        Tensor(np.broadcast_to(c, (l, n)).copy()))
-    dev = np.abs(scan_recurrence(steps).data - kernel_convolve(a_bar, b_bar, c, xs)).max()
+    y_scan = scan_recurrence(Tensor(np.broadcast_to(a_bar, (l, d, n)).copy()),
+                             Tensor(np.broadcast_to(b_bar, (l, d, n)) * xs[:, :, None]),
+                             Tensor(np.broadcast_to(c, (l, n)).copy())).data
+    dev = np.abs(y_scan - kernel_convolve(a_bar, b_bar, c, xs)).max()
     worst = max(worst, float(dev))
 print(f"  max |recurrence - convolution| over 10 systems: {worst:.2e}")
 

@@ -47,7 +47,7 @@ print(f"  padded batch: series {batch.series.shape}, mask {batch.valid_mask.shap
       f"all valid: {bool(batch.valid_mask.all())}")
 long = generate_synthetic(seed=9, n_samples=1, num_classes=5, timesteps=45,
                           channels=3, height=8, width=8)
-sampled = sample_timesteps(long[0], 30)
+sampled = sample_timesteps(long[0])
 print(f"  a 45-step series resampled to 30 (evenly spaced): {sampled.series.shape}")
 
 with tempfile.TemporaryDirectory() as tmp:

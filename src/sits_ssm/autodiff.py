@@ -199,10 +199,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{flag}, op={self._node.op or 'leaf'})"
 
 
-def as_tensor(x, dtype=None) -> Tensor:
+def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(x, dtype=dtype)
+    return Tensor(x)
 
 
 def _check_finite(arr: np.ndarray, op: str):
@@ -417,36 +417,32 @@ def relu(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions
 
-def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(x, axis=None) -> Tensor:
     x = as_tensor(x)
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
+    out_data = x.data.sum(axis=axis)
     shape = x.shape
 
     def backward_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        g_ = g if keepdims else np.expand_dims(g, axis)
+        g_ = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(g_, shape).copy(),)
 
     return _make(np.asarray(out_data), (x,), backward_fn, "sum")
 
 
-def mean(x, axis=None, keepdims: bool = False) -> Tensor:
+def mean(x, axis=None) -> Tensor:
     x = as_tensor(x)
-    out_data = x.data.mean(axis=axis, keepdims=keepdims)
+    out_data = x.data.mean(axis=axis)
     count = x.size if axis is None else np.prod([x.shape[a] for a in np.atleast_1d(axis)])
     shape = x.shape
 
     def backward_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, shape).copy(),)
-        g_ = g if keepdims else np.expand_dims(g, axis)
+        g_ = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(g_ / count, shape).copy(),)
 
     return _make(np.asarray(out_data), (x,), backward_fn, "mean")
 
 
-def max_over_axis(x, axis: int, mask: np.ndarray | None = None, keepdims: bool = False) -> Tensor:
+def max_over_axis(x, axis: int, mask: np.ndarray | None = None) -> Tensor:
     """Maximum along one axis, optionally restricted to ``mask==True`` entries.
 
     ``mask`` is a plain boolean array broadcastable to ``x`` and is not
@@ -468,21 +464,18 @@ def max_over_axis(x, axis: int, mask: np.ndarray | None = None, keepdims: bool =
     if not recording(x):
         # no backward will read the argmax: a masked max is the same value
         if mask is None:
-            out_data = np.max(x.data, axis=axis, keepdims=keepdims)
+            out_data = np.max(x.data, axis=axis)
         else:
-            out_data = np.max(x.data, axis=axis, where=mask, initial=-np.inf, keepdims=keepdims)
+            out_data = np.max(x.data, axis=axis, where=mask, initial=-np.inf)
         return _make(out_data, (x,), None, "max_over_axis")
     work = x.data if mask is None else np.where(mask, x.data, -np.inf)
-    idx = np.argmax(work, axis=axis)
-    out_data = np.take_along_axis(work, np.expand_dims(idx, axis), axis=axis)
-    if not keepdims:
-        out_data = np.squeeze(out_data, axis=axis)
+    idx = np.expand_dims(np.argmax(work, axis=axis), axis)
+    out_data = np.squeeze(np.take_along_axis(work, idx, axis=axis), axis=axis)
     shape, dtype = x.shape, x.dtype
 
     def backward_fn(g):
         gx = np.zeros(shape, dtype)
-        g_ = g if keepdims else np.expand_dims(g, axis)
-        np.put_along_axis(gx, np.expand_dims(idx, axis), g_, axis=axis)
+        np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis=axis)
         return (gx,)
 
     return _make(out_data, (x,), backward_fn, "max_over_axis")
@@ -802,6 +795,7 @@ def depthwise_conv1d(x, weight, bias=None) -> Tensor:
 
 _BN_AXES = (0, 2, 3)      # batchnorm reduces a (B, C, H, W) stack over all but C
 _BN_CHANNEL = (1, -1, 1, 1)
+_BN_MOMENTUM, _BN_EPS = 0.1, 1e-5     # torch's defaults
 
 
 def _bn_stats(xv: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
@@ -853,7 +847,7 @@ def _bn_backward(g, xhat, gamma_c, inv_std, training: bool, out=None):
 
 
 def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
-              training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+              training: bool, momentum: float = _BN_MOMENTUM, eps: float = _BN_EPS) -> Tensor:
     """Per-channel batch normalization over a (B, C, H, W) stack.
 
     Training mode normalizes with batch statistics over axes (0, 2, 3) and
@@ -876,8 +870,7 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
 
 
 def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
-                 running_var: np.ndarray, training: bool, momentum: float = 0.1,
-                 eps: float = 1e-5) -> Tensor:
+                 running_var: np.ndarray, training: bool) -> Tensor:
     """relu(batchnorm(conv2d(x, weight, bias), ...)) as one op, bitwise equal
     to the three ops in outputs, running buffers and gradients.
 
@@ -916,10 +909,10 @@ def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
             _check_finite(xhat[bound[0]:bound[1]], "conv_bn_relu")
 
         pool._map(first_pass, bounds)
-        mu, inv_std = _bn_stats(xhat, running_mean, running_var, True, momentum, eps)
+        mu, inv_std = _bn_stats(xhat, running_mean, running_var, True, _BN_MOMENTUM, _BN_EPS)
         pool._map(finish, bounds)
     else:
-        mu, inv_std = _bn_stats(xhat, running_mean, running_var, False, momentum, eps)
+        mu, inv_std = _bn_stats(xhat, running_mean, running_var, False, _BN_MOMENTUM, _BN_EPS)
 
         def one_pass(bound):
             convolve(bound)
@@ -972,15 +965,6 @@ OPS = {
     "batchnorm": batchnorm,
     "conv_bn_relu": conv_bn_relu,
 }
-
-
-def forward_primitive(op_kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch a primitive by name. ``op_kind`` must be a registered kind."""
-    try:
-        fn = OPS[op_kind]
-    except KeyError:
-        raise KeyError(f"unknown op_kind '{op_kind}'") from None
-    return fn(*inputs, **kwargs)
 
 
 def _toposort(root: _Node) -> list[_Node]:

@@ -33,6 +33,7 @@ log = logging.getLogger(__name__)
 
 MAGIC = b"SITSDS01"
 TEMPORAL_MODES = ("pad", "sample30")
+SAMPLE_STEPS = 30     # timesteps per series in "sample30" mode
 PARCELS = (4, 9)      # Voronoi parcels per synthetic patch, inclusive range
 JITTER = 0.5          # per-sample temporal shift of the season, in timesteps
 
@@ -121,10 +122,15 @@ def generate_synthetic(seed: int, n_samples: int, num_classes: int, timesteps: i
 
     ``world_seed`` fixes the class curve definitions; splits of one task
     must share it (defaults to ``seed``) while varying ``seed`` so their
-    parcels, jitter, and noise differ.
+    parcels, jitter, and noise differ. Given ``min_valid_length`` (in
+    [1, timesteps]), each valid length is drawn from [min_valid_length,
+    timesteps]; without it every series is full length.
     """
     if num_classes < 2 or timesteps < 4:
         raise ValueError("need num_classes >= 2 and timesteps >= 4")
+    if min_valid_length is not None and not 1 <= min_valid_length <= timesteps:
+        raise ValueError(f"min_valid_length {min_valid_length} outside [1, timesteps = "
+                         f"{timesteps}]")
     if height < 2 or width < 2 or channels < 1 or n_samples < 1:
         raise ValueError("degenerate extents")
     rng = np.random.default_rng(seed)
@@ -178,15 +184,15 @@ def pad_batch(samples: list[SitsSample]) -> SitsBatch:
     return SitsBatch(series, mask, labels)
 
 
-def sample_timesteps(sample: SitsSample, count: int = 30,
-                     rng: np.random.Generator | None = None) -> SitsSample:
-    """Reduce a series to exactly ``count`` timesteps.
+def sample_timesteps(sample: SitsSample, rng: np.random.Generator | None = None) -> SitsSample:
+    """Reduce a series to exactly ``SAMPLE_STEPS`` timesteps.
 
     Deterministic evenly spaced indices when ``rng`` is None (evaluation);
     otherwise uniform random without replacement, sorted (training). A
-    series shorter than ``count`` falls back to sampling with replacement.
+    series shorter than ``SAMPLE_STEPS`` falls back to sampling with
+    replacement.
     """
-    v = sample.valid_length
+    v, count = sample.valid_length, SAMPLE_STEPS
     if rng is None:
         idx = (np.arange(count) * v) // count
     elif v < count:
@@ -210,7 +216,7 @@ def batches(samples, batch_size: int, temporal_mode: str = "pad",
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
         if temporal_mode == "sample30":
-            chunk = [sample_timesteps(s, 30, rng) for s in chunk]
+            chunk = [sample_timesteps(s, rng) for s in chunk]
         yield chunk, pad_batch(chunk)
 
 

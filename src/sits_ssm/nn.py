@@ -46,9 +46,9 @@ class Module:
             if isinstance(value, Tensor) and value.requires_grad:
                 yield name, value
 
-    def named_buffers(self, prefix: str = ""):
+    def named_buffers(self):
         """(name, ndarray) for every untrained array, in assignment order."""
-        for name, value in self._walk(prefix):
+        for name, value in self._walk(""):
             if isinstance(value, np.ndarray):
                 yield name, value
 

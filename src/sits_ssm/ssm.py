@@ -14,8 +14,8 @@ there. Its backward takes A's gradient from e^z and expm1(z)/A as well,
 with no phi'(z): the one term that cancels near z = 0 switches to its
 series below |z| = 1e-3 (``selective_scan_fused``). The oracles evaluate
 phi itself, by a series for |z| below 1e-6 to avoid catastrophic
-cancellation, and differentiate it with phi'(z), which switches to its
-Taylor series below a dtype-dependent |z|.
+cancellation, and differentiate it with phi'(z), evaluated in float64,
+which switches to its Taylor series below |z| = 1e-3.
 
 ``selective_scan_fused`` is the one production route: the input-selective
 scan where delta, B and C are produced from the input at every step,
@@ -74,7 +74,6 @@ causal, so the steps it skips could not have changed a valid output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,12 +82,11 @@ from . import nn, pool
 from .autodiff import ShapeError, Tensor
 
 _PHI_SWITCH = 1e-6
-# phi'(z) serves the oracles only (``zoh_phi``). Its closed form loses
-# about 4 eps/|z| of its value to cancellation (2e-6 at the float32 switch,
-# 4e-13 at the float64 one); below the switch four terms of its Taylor
-# series are used instead, which are within 1.5e-6 (float32) and 1.5e-14
-# (float64) there
-_PHI_PRIME_SWITCH = {np.dtype(np.float32): 0.1, np.dtype(np.float64): 1e-3}
+# phi'(z) serves the oracles only (``zoh_phi``) and is evaluated in float64.
+# Its closed form loses about 4 eps/|z| of its value to cancellation (4e-13
+# at the switch); below it four terms of its Taylor series are used
+# instead, which are within 1.5e-14 there
+_PHI_PRIME_SWITCH = 1e-3
 _PHI_PRIME_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in range(3, -1, -1))
 # the fused backward's lam (delta e^z - expm1(z)/a), part of a's gradient,
 # cancels as z = delta a -> 0; below this |z| (both dtypes) four terms of
@@ -116,34 +114,26 @@ def _phi_prime(z) -> np.ndarray:
     """d/dz[(e^z - 1)/z] = (e^z - expm1(z)/z)/z, by its Taylor series near zero.
 
     Used by the oracles only (``zoh_phi``): the fused scan's backward
-    needs no phi'. The difference cancels as z -> 0, so below the dtype's
-    ``_PHI_PRIME_SWITCH`` the series sum_k (k+1) z^k/(k+2)! is used
-    instead. The two are blended by a 0/1 mask rather than selected: a
-    select on a mask without pattern is several times slower in numpy.
+    needs no phi'. Evaluated in float64 and returned in z's dtype. The
+    difference cancels as z -> 0, so below ``_PHI_PRIME_SWITCH`` the
+    series sum_k (k+1) z^k/(k+2)! replaces it.
     """
     z = np.asarray(z)
-    if z.ndim == 0:
-        return _phi_prime(z.reshape(1))[0]
-    ez, em = np.exp(z), np.expm1(z)
-    switch = _PHI_PRIME_SWITCH.get(z.dtype, _PHI_PRIME_SWITCH[np.dtype(np.float64)])
-    # z clipped to the largest |z| below the switch: the series argument,
-    # equal to z exactly where the series applies
-    inside = np.nextafter(z.dtype.type(switch), z.dtype.type(0))
-    zs = np.clip(z, -inside, inside)
-    small = np.equal(zs, z, out=np.empty_like(zs), casting="unsafe")
-    out = np.multiply(zs, _PHI_PRIME_SERIES[0])
+    z64 = z.astype(np.float64, copy=False)
+    out = np.expm1(z64, out=np.empty(z.shape))
+    with np.errstate(divide="ignore", invalid="ignore"):    # z = 0 takes the series
+        out /= z64
+        np.subtract(np.exp(z64), out, out=out)
+        out /= z64
+    small = np.abs(z64) < _PHI_PRIME_SWITCH
+    zs = z64[small]
+    series = np.multiply(zs, _PHI_PRIME_SERIES[0])
     for coef in _PHI_PRIME_SERIES[1:-1]:
-        out += coef
-        out *= zs
-    out += _PHI_PRIME_SERIES[-1]
-    den = np.add(z, small, out=zs)      # denominator kept off zero where small
-    closed = np.divide(em, den)
-    np.subtract(ez, closed, out=closed)
-    closed /= den
-    out -= closed
-    out *= small
-    out += closed
-    return out
+        series += coef
+        series *= zs
+    series += _PHI_PRIME_SERIES[-1]
+    out[small] = series
+    return out.astype(z.dtype, copy=False)
 
 
 def discretize_zoh(a: np.ndarray, b: np.ndarray, delta: np.ndarray):
@@ -163,27 +153,17 @@ def discretize_zoh(a: np.ndarray, b: np.ndarray, delta: np.ndarray):
     return a_bar, b_bar
 
 
-@dataclass
-class DiscreteStep:
-    """Per-timestep discretized system: multiplier, input injection, readout.
-
-    a_bar, b_bar_x: (L, D, N) or (B, L, D, N); c: (L, N) or (B, L, N).
-    b_bar_x already carries the input: B_bar_t * x_t.
-    """
-    a_bar: Tensor
-    b_bar_x: Tensor
-    c: Tensor
-
-
-def scan_recurrence(steps: DiscreteStep, x=None, d_skip=None) -> Tensor:
+def scan_recurrence(a_bar, b_bar_x, c, x=None, d_skip=None) -> Tensor:
     """Run h_t = a_bar_t * h_{t-1} + b_bar_x_t; y_t = c_t . h_t (+ d_skip * x_t).
 
-    Differentiable in all tensor arguments. The state starts at zero.
-    Unbatched (L, D, N) inputs are accepted and return (L, D).
+    The per-step discretized system: multiplier a_bar and input injection
+    b_bar_x, (B, L, D, N), and readout c, (B, L, N). b_bar_x already
+    carries the input: B_bar_t * x_t. x is (B, L, D) and d_skip (D,), given
+    together or not at all. Unbatched inputs ((L, D, N), (L, N) and
+    (L, D)) are accepted and return (L, D). Differentiable in all tensor
+    arguments. The state starts at zero.
     """
-    a_bar = ad.as_tensor(steps.a_bar)
-    bx = ad.as_tensor(steps.b_bar_x)
-    c = ad.as_tensor(steps.c)
+    a_bar, bx, c = ad.as_tensor(a_bar), ad.as_tensor(b_bar_x), ad.as_tensor(c)
     unbatched = a_bar.ndim == 3
     if unbatched:
         a_bar = ad.reshape(a_bar, (1,) + a_bar.shape)
@@ -440,7 +420,7 @@ def selective_scan_composite(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     db = ad.mul(d4, ad.reshape(b, (nb, nl, 1, nn_)))
     b_bar = ad.mul(phi, db)
     bx = ad.mul(b_bar, ad.reshape(u, (nb, nl, nd, 1)))
-    return scan_recurrence(DiscreteStep(a_bar, bx, c), x=u, d_skip=d_skip)
+    return scan_recurrence(a_bar, bx, c, x=u, d_skip=d_skip)
 
 
 def zoh_phi(z: Tensor) -> Tensor:

@@ -173,11 +173,10 @@ class TestCriterion2ScanKernel:
             b_bar = rng.normal(0, 1, (d, n))
             c = rng.normal(0, 1, n)
             x = rng.normal(0, 1, (l, d))
-            steps = ssm.DiscreteStep(
+            y_scan = ssm.scan_recurrence(
                 Tensor(np.broadcast_to(a_bar, (l, d, n)).copy()),
                 Tensor(np.broadcast_to(b_bar, (l, d, n)) * x[:, :, None]),
-                Tensor(np.broadcast_to(c, (l, n)).copy()))
-            y_scan = ssm.scan_recurrence(steps).data
+                Tensor(np.broadcast_to(c, (l, n)).copy())).data
             y_kernel = ssm.kernel_convolve(a_bar, b_bar, c, x)
             worst = max(worst, float(np.abs(y_scan - y_kernel).max()))
         elapsed = time.time() - t0

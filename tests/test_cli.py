@@ -124,7 +124,7 @@ class TestPipeline:
         model.load(out / "final.ckpt")
         test = load_dataset(data / "test.sits")
         for s in test.samples:
-            want = model.predict(pad_batch([sample_timesteps(s, 30)]))[0]
+            want = model.predict(pad_batch([sample_timesteps(s)]))[0]
             raw = (pr / f"pred_{s.sample_id:05d}.pgm").read_bytes()
             header = f"P5\n{want.shape[1]} {want.shape[0]}\n255\n".encode()
             assert raw == header + want.astype(np.uint8).tobytes()
@@ -219,6 +219,21 @@ class TestExitCodes:
                       "--checkpoint", str(tmp_path / "none.ckpt")])
         assert main([command, "--out", str(out), *io, *setting]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [
+        *(["--min-length", "-1", "--seed", str(seed)] for seed in range(1, 9)),
+        ["--min-length", "21", "--timesteps", "20"],
+    ], ids=lambda setting: " ".join(setting))
+    def test_min_length_outside_the_series_is_1(self, tmp_path, capsys, setting):
+        """A value outside [1, --timesteps] (0 turns the setting off) is
+        refused by name, whatever the seed would draw."""
+        out = tmp_path / "o"
+        assert main(["gen-data", "--out", str(out), "--height", "6", "--width", "6",
+                     "--train-samples", "2", "--valid-samples", "1", "--test-samples", "1",
+                     *setting]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "min_valid_length" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["data", "checkpoint", "config"])
@@ -445,8 +460,8 @@ class TestVerifyCommand:
     def test_injected_scan_defect_fails(self):
         from sits_ssm import ssm, verify
 
-        def broken_scan(steps, **kw):
-            out = ssm.scan_recurrence(steps, **kw)
+        def broken_scan(*args, **kw):
+            out = ssm.scan_recurrence(*args, **kw)
             out.data = out.data * 1.001
             return out
         report = verify.VerifyReport()

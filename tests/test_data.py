@@ -106,30 +106,26 @@ class TestSample30:
 
     def test_eval_mode_even_spacing_60(self, rng):
         s = self.sample_of_length(rng, 60)
-        out = sample_timesteps(s, 30)
+        out = sample_timesteps(s)
         assert out.valid_length == 30
         assert np.array_equal(out.series, s.series[np.arange(0, 60, 2)])
 
     def test_train_mode_sorted_without_replacement(self, rng):
         s = self.sample_of_length(rng, 45)
-        out = sample_timesteps(s, 30, rng=np.random.default_rng(3))
+        out = sample_timesteps(s, rng=np.random.default_rng(3))
         assert out.series.shape[0] == 30
 
     def test_short_series_with_replacement_logged(self, rng, caplog):
         import logging
         s = self.sample_of_length(rng, 12)
         with caplog.at_level(logging.WARNING, logger="sits_ssm.data"):
-            out = sample_timesteps(s, 30, rng=np.random.default_rng(3))
+            out = sample_timesteps(s, rng=np.random.default_rng(3))
         assert out.series.shape[0] == 30
         assert any("replacement" in r.message for r in caplog.records)
 
     def test_deterministic_eval_mode(self, rng):
         s = self.sample_of_length(rng, 41)
-        assert np.array_equal(sample_timesteps(s, 30).series, sample_timesteps(s, 30).series)
-
-    def test_generic_count(self, rng):
-        s = self.sample_of_length(rng, 20)
-        assert sample_timesteps(s, 5).series.shape[0] == 5
+        assert np.array_equal(sample_timesteps(s).series, sample_timesteps(s).series)
 
 
 class TestContainerIO:
@@ -214,7 +210,7 @@ class TestBatches:
         ds = small_ds(n_samples=3, timesteps=45)
         rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
         got = [s for chunk, _ in batches(ds.samples, 2, "sample30", rng_a) for s in chunk]
-        want = [sample_timesteps(s, 30, rng_b) for s in ds.samples]
+        want = [sample_timesteps(s, rng_b) for s in ds.samples]
         assert all(np.array_equal(g.series, w.series) for g, w in zip(got, want))
 
     def test_unknown_mode_rejected(self):

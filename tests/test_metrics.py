@@ -102,18 +102,29 @@ class TestScores:
 
 class TestOracleAgreement:
     def test_hundred_random_pairs_match_brute_force(self):
-        rng = np.random.default_rng(42)
+        """Each pair with a random ignore set and a random eval set (own
+        generator, so the pairs are the same as without them)."""
+        rng, sets = np.random.default_rng(42), np.random.default_rng(43)
+        scored = ignoring = subset = 0
         for _ in range(100):
             k = int(rng.integers(2, 8))
             n = int(rng.integers(1, 400))
             labels = rng.integers(0, k, n)
             preds = rng.integers(0, k, n)
-            cm = ConfusionMatrix(k).accumulate(labels, preds)
-            bf_cm, oa, iou, f1, miou, mf1 = brute_force_scores(labels, preds, k)
+            ignore = set(np.flatnonzero(sets.uniform(size=k) < 0.25).tolist())
+            eval_set = np.flatnonzero(sets.uniform(size=k) < 0.6).tolist() or [k - 1]
+            if np.isin(labels, list(ignore)).all():
+                continue                                  # no scored pixel
+            scored += 1
+            ignoring += bool(ignore)
+            subset += len(eval_set) < k
+            cm = ConfusionMatrix(k, eval_set).accumulate(labels, preds, ignore_labels=ignore)
+            bf_cm, oa, iou, f1, miou, mf1 = brute_force_scores(
+                labels, preds, k, ignore_labels=ignore, eval_class_set=eval_set)
             assert np.array_equal(cm.counts, bf_cm)
             s = scores(cm)
             assert s.oa == float(oa)                      # same ints, same rounding
-            for kk in range(k):
+            for kk in eval_set:
                 if kk in iou:
                     assert s.iou[kk] == float(iou[kk])
                     assert s.f1[kk] == float(f1[kk])
@@ -121,6 +132,7 @@ class TestOracleAgreement:
                     assert np.isnan(s.iou[kk])
             assert abs(s.miou - float(miou)) < 1e-12      # fp summation order only
             assert abs(s.mf1 - float(mf1)) < 1e-12
+        assert scored > 90 and ignoring > 30 and subset > 50
 
 
 class TestMerge:

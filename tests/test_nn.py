@@ -42,5 +42,3 @@ class TestModuleWalk:
         toy = Toy()
         assert [name for name, _ in toy.named_params("toy")] == [
             "toy.w", "toy.inner.gamma", "toy.inner.beta", "toy.b"]
-        assert [name for name, _ in toy.inner.named_buffers("x")] == [
-            "x.running_mean", "x.running_var"]

@@ -14,7 +14,7 @@ from sits_ssm.autodiff import Tensor
 from sits_ssm.data import SitsSample, pad_batch
 from sits_ssm.losses import LossConfig
 from sits_ssm.model import ModelConfig, SitsClassifier
-from sits_ssm.ssm import DiscreteStep, MambaBlock
+from sits_ssm.ssm import MambaBlock
 from sits_ssm.verify import gradcheck, phi_prime_reference, scan_vs_composite
 
 from conftest import bitwise_for_any_worker_count
@@ -26,11 +26,9 @@ def lti_steps(a_bar, b_bar, c, x):
     """Broadcast constant parameters into per-step form for scan_recurrence."""
     l, d = x.shape
     n = a_bar.shape[1]
-    return DiscreteStep(
-        Tensor(np.broadcast_to(a_bar, (l, d, n)).copy()),
-        Tensor(np.broadcast_to(b_bar, (l, d, n)) * x[:, :, None]),
-        Tensor(np.broadcast_to(c, (l, n)).copy()),
-    )
+    return (Tensor(np.broadcast_to(a_bar, (l, d, n)).copy()),
+            Tensor(np.broadcast_to(b_bar, (l, d, n)) * x[:, :, None]),
+            Tensor(np.broadcast_to(c, (l, n)).copy()))
 
 
 class TestDiscretizeZoh:
@@ -77,23 +75,22 @@ class TestDiscretizeZoh:
 class TestScanRecurrence:
     def test_hand_case(self):
         x = np.array([[1.0], [1.0], [1.0]])
-        y = ssm.scan_recurrence(lti_steps(np.array([[0.5]]), np.array([[1.0]]),
-                                          np.array([1.0]), x))
+        y = ssm.scan_recurrence(*lti_steps(np.array([[0.5]]), np.array([[1.0]]),
+                                           np.array([1.0]), x))
         assert np.allclose(y.data.ravel(), [1.0, 1.5, 1.75], atol=1e-12)
 
     def test_zero_injection_gives_zero_output(self, rng):
         l, d, n = 5, 2, 3
-        steps = DiscreteStep(Tensor(rng.uniform(0.1, 0.9, (l, d, n))),
-                             Tensor(np.zeros((l, d, n))),
-                             Tensor(rng.normal(0, 1, (l, n))))
-        assert np.array_equal(ssm.scan_recurrence(steps).data, np.zeros((l, d)))
+        y = ssm.scan_recurrence(Tensor(rng.uniform(0.1, 0.9, (l, d, n))),
+                                Tensor(np.zeros((l, d, n))),
+                                Tensor(rng.normal(0, 1, (l, n))))
+        assert np.array_equal(y.data, np.zeros((l, d)))
 
     def test_length_mismatch_rejected(self, rng):
-        steps = DiscreteStep(Tensor(rng.uniform(0.1, 0.9, (4, 2, 2))),
-                             Tensor(rng.normal(0, 1, (5, 2, 2))),
-                             Tensor(rng.normal(0, 1, (4, 2))))
         with pytest.raises(ad.ShapeError):
-            ssm.scan_recurrence(steps)
+            ssm.scan_recurrence(Tensor(rng.uniform(0.1, 0.9, (4, 2, 2))),
+                                Tensor(rng.normal(0, 1, (5, 2, 2))),
+                                Tensor(rng.normal(0, 1, (4, 2))))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_kernel_on_random_lti(self, seed):
@@ -105,19 +102,19 @@ class TestScanRecurrence:
         b_bar = rng.normal(0, 1, (d, n))
         c = rng.normal(0, 1, n)
         x = rng.normal(0, 1, (l, d))
-        y_scan = ssm.scan_recurrence(lti_steps(a_bar, b_bar, c, x)).data
+        y_scan = ssm.scan_recurrence(*lti_steps(a_bar, b_bar, c, x)).data
         y_kernel = ssm.kernel_convolve(a_bar, b_bar, c, x)
         assert np.max(np.abs(y_scan - y_kernel)) < 1e-6
 
     def test_gradients(self, rng):
         l, d, n = 4, 2, 3
-        steps = DiscreteStep(Tensor(rng.uniform(0.1, 0.9, (l, d, n)), requires_grad=True),
-                             Tensor(rng.normal(0, 1, (l, d, n)), requires_grad=True),
-                             Tensor(rng.normal(0, 1, (l, n)), requires_grad=True))
+        steps = [Tensor(rng.uniform(0.1, 0.9, (l, d, n)), requires_grad=True),
+                 Tensor(rng.normal(0, 1, (l, d, n)), requires_grad=True),
+                 Tensor(rng.normal(0, 1, (l, n)), requires_grad=True)]
         x = Tensor(rng.normal(0, 1, (l, d)), requires_grad=True)
         d_skip = Tensor(rng.normal(0, 1, d), requires_grad=True)
-        f = lambda: ad.sum_(ssm.scan_recurrence(steps, x=x, d_skip=d_skip))
-        assert gradcheck(f, [steps.a_bar, steps.b_bar_x, steps.c, x, d_skip]) < TOL
+        f = lambda: ad.sum_(ssm.scan_recurrence(*steps, x=x, d_skip=d_skip))
+        assert gradcheck(f, [*steps, x, d_skip]) < TOL
 
 
 class TestKernelConvolve:
@@ -205,13 +202,11 @@ def scan_inputs(rng, b_, l, d, n, dtype=np.float64):
 
 
 class TestChunkedScan:
-    # 37 sequences of D*N = 1024; the scan is one pass, so no budget may
-    # change its result
+    # 37 sequences of D*N = 1024 in one pass; the block's chunking is
+    # checked by ``TestBlockNode.test_chunked_matches_one_chunk``
     B, L, D, N = 37, 6, 64, 16
 
-    @pytest.mark.parametrize("budget", [0, 3 * 64 * 16 * 8, ssm._SCAN_VECTOR_BUDGET, 2**62])
-    def test_matches_composite_at_every_chunking(self, rng, monkeypatch, budget):
-        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", budget)
+    def test_matches_composite(self, rng):
         args = scan_inputs(rng, self.B, self.L, self.D, self.N)
         g = rng.normal(0, 1, (self.B, self.L, self.D))
         assert scan_vs_composite(args, g) < 1e-12
@@ -235,14 +230,13 @@ class TestChunkedScan:
         assert peak < trajectory / 2
 
     def test_single_pass_without_the_pool(self, rng, monkeypatch):
-        """Only the block splits sequences: even at a one-sequence budget the
-        scan runs forward and backward without asking the pool for work."""
+        """Only the block splits sequences: the scan runs forward and
+        backward without asking the pool for work."""
         class NoPool:
             def map(self, *args, **kwargs):
                 raise AssertionError("selective_scan_fused used the pool")
             submit = map
 
-        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 0)
         monkeypatch.setattr(pool_mod, "_POOL", NoPool())
         ts = [Tensor(x, requires_grad=True)
               for x in scan_inputs(rng, self.B, self.L, self.D, self.N, np.float32)]
