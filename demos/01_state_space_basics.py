@@ -3,13 +3,16 @@
 A continuous linear system  h' = A h + B x,  y = C h  is turned into a
 discrete recurrence by zero-order hold over a step size delta, and the
 same system can be evaluated either as a recurrence or as a causal
-convolution. This script walks both routes on small examples.
+convolution. This script walks both routes on small examples. Both take
+one time-invariant system: (D, N) A_bar and B_bar, an (N,) C and an
+(L, D) input, so a single-channel, single-state system is a (1, 1) one.
+``lti_steps`` lays it out as the recurrence's per-step, batched inputs.
 """
 
 import numpy as np
 
-from sits_ssm.autodiff import Tensor
 from sits_ssm.ssm import discretize_zoh, kernel_convolve, scan_recurrence
+from sits_ssm.verify import lti_steps
 
 print("== zero-order hold ==")
 print("A scalar system with decay A=-1, input gain B=2, step delta=1:")
@@ -25,18 +28,17 @@ print("(below |delta*A| = 1e-6 the B_bar formula switches to its series,")
 print(" dodging the 0/0 cancellation without a visible seam)")
 
 print("\n== recurrence vs convolution ==")
-print("With constant A_bar=0.5, B_bar=1, C=1 and input x=[1,1,1]:")
+print("With the (1, 1) system A_bar=0.5, B_bar=1, C=1 and input x=[1,1,1]:")
+system = (np.array([[0.5]]), np.array([[1.0]]), np.array([1.0]))
 x = np.array([[1.0], [1.0], [1.0]])
-y_scan = scan_recurrence(Tensor(np.full((3, 1, 1), 0.5)),
-                         Tensor(np.ones((3, 1, 1)) * x[:, :, None]),
-                         Tensor(np.ones((3, 1)))).data.ravel()
+y_scan = scan_recurrence(*lti_steps(*system, x)).data.ravel()
 print(f"  recurrence  h_t = 0.5 h_(t-1) + x_t  ->  y = {y_scan}")
 
-y_kernel = kernel_convolve(0.5, 1.0, 1.0, x[:, 0])
+y_kernel = kernel_convolve(*system, x).ravel()
 print(f"  convolution with kernel (C B_bar, C A_bar B_bar, ...)  ->  y = {y_kernel}")
-imp = np.zeros(5)
+imp = np.zeros((5, 1))
 imp[0] = 1.0
-print(f"  the kernel itself (impulse response): {kernel_convolve(0.5, 1.0, 1.0, imp)}")
+print(f"  the kernel itself (impulse response): {kernel_convolve(*system, imp).ravel()}")
 
 print("\n== the two routes agree on random systems ==")
 rng = np.random.default_rng(0)
@@ -47,9 +49,7 @@ for _ in range(10):
     b_bar = rng.normal(0, 1, (d, n))
     c = rng.normal(0, 1, n)
     xs = rng.normal(0, 1, (l, d))
-    y_scan = scan_recurrence(Tensor(np.broadcast_to(a_bar, (l, d, n)).copy()),
-                             Tensor(np.broadcast_to(b_bar, (l, d, n)) * xs[:, :, None]),
-                             Tensor(np.broadcast_to(c, (l, n)).copy())).data
+    y_scan = scan_recurrence(*lti_steps(a_bar, b_bar, c, xs)).data[0]
     dev = np.abs(y_scan - kernel_convolve(a_bar, b_bar, c, xs)).max()
     worst = max(worst, float(dev))
 print(f"  max |recurrence - convolution| over 10 systems: {worst:.2e}")

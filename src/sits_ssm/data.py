@@ -124,7 +124,8 @@ def generate_synthetic(seed: int, n_samples: int, num_classes: int, timesteps: i
     must share it (defaults to ``seed``) while varying ``seed`` so their
     parcels, jitter, and noise differ. Given ``min_valid_length`` (in
     [1, timesteps]), each valid length is drawn from [min_valid_length,
-    timesteps]; without it every series is full length.
+    timesteps]; without it every series is full length. ``noise_sigma``
+    (finite, >= 0) is the standard deviation of the added Gaussian noise.
     """
     if num_classes < 2 or timesteps < 4:
         raise ValueError("need num_classes >= 2 and timesteps >= 4")
@@ -133,6 +134,8 @@ def generate_synthetic(seed: int, n_samples: int, num_classes: int, timesteps: i
                          f"{timesteps}]")
     if height < 2 or width < 2 or channels < 1 or n_samples < 1:
         raise ValueError("degenerate extents")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma {noise_sigma} must be finite and >= 0")
     rng = np.random.default_rng(seed)
     curves = _class_curves(np.random.default_rng(seed if world_seed is None else world_seed),
                            num_classes, channels)

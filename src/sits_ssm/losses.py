@@ -35,8 +35,8 @@ class LossConfig:
     ignore_labels: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.w0 < 0:
-            raise ValueError("w0 must be non-negative")
+        if not (np.isfinite(self.w0) and self.w0 >= 0):
+            raise ValueError(f"w0 must be finite and non-negative, got {self.w0}")
         self.ignore_labels = frozenset(self.ignore_labels)
 
 

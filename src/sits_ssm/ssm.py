@@ -23,13 +23,16 @@ fusing discretization and recurrence into one differentiable op. The
 other routes are references that the tests, ``sits-ssm verify`` and the
 benchmark's correctness gate compare it against, not alternatives to it:
 
+* ``discretize_zoh`` - A_bar and B_bar by the formulas above;
 * ``selective_scan_composite`` - the same contract built from tape
-  primitives and ``scan_recurrence``;
-* ``scan_recurrence`` - the step-by-step recurrence on pre-discretized
-  parameters (differentiable);
+  primitives, ``zoh_phi`` and ``scan_recurrence``;
+* ``scan_recurrence`` - the step-by-step recurrence on batched
+  pre-discretized (B, L, D, N) parameters (differentiable);
 * ``kernel_convolve`` - the equivalent causal convolution with kernel
-  (C B_bar, C A_bar B_bar, ..., C A_bar^(L-1) B_bar), valid only for
-  time-invariant parameters (float64 oracle, not differentiable).
+  (C B_bar, C A_bar B_bar, ..., C A_bar^(L-1) B_bar) of one time-invariant
+  system, (D, N) A_bar and B_bar and an (N,) C, over an (L, D) input
+  (float64 oracle, not differentiable; ``verify.lti_steps`` lays the same
+  system out as ``scan_recurrence``'s inputs).
 
 The fused scan is the CPU form of the hardware-aware scan of Mamba (Gu &
 Dao 2023, sec. 3.3): discretization is fused into the recurrence, and the
@@ -145,7 +148,7 @@ def discretize_zoh(a: np.ndarray, b: np.ndarray, delta: np.ndarray):
     a = np.asarray(a, dtype=np.float64) if not isinstance(a, np.ndarray) else a
     b = np.asarray(b)
     delta = np.asarray(delta)
-    if np.any(delta <= 0):
+    if not np.all(delta > 0):
         raise ValueError("discretize_zoh: delta must be positive")
     z = delta * a
     a_bar = np.exp(z)
@@ -153,38 +156,21 @@ def discretize_zoh(a: np.ndarray, b: np.ndarray, delta: np.ndarray):
     return a_bar, b_bar
 
 
-def scan_recurrence(a_bar, b_bar_x, c, x=None, d_skip=None) -> Tensor:
-    """Run h_t = a_bar_t * h_{t-1} + b_bar_x_t; y_t = c_t . h_t (+ d_skip * x_t).
+def scan_recurrence(a_bar, b_bar_x, c) -> Tensor:
+    """Run h_t = a_bar_t * h_{t-1} + b_bar_x_t; y_t = c_t . h_t.
 
     The per-step discretized system: multiplier a_bar and input injection
     b_bar_x, (B, L, D, N), and readout c, (B, L, N). b_bar_x already
-    carries the input: B_bar_t * x_t. x is (B, L, D) and d_skip (D,), given
-    together or not at all. Unbatched inputs ((L, D, N), (L, N) and
-    (L, D)) are accepted and return (L, D). Differentiable in all tensor
-    arguments. The state starts at zero.
+    carries the input: B_bar_t * x_t. Returns (B, L, D). Differentiable in
+    all three arguments. The state starts at zero.
     """
     a_bar, bx, c = ad.as_tensor(a_bar), ad.as_tensor(b_bar_x), ad.as_tensor(c)
-    unbatched = a_bar.ndim == 3
-    if unbatched:
-        a_bar = ad.reshape(a_bar, (1,) + a_bar.shape)
-        bx = ad.reshape(bx, (1,) + bx.shape)
-        c = ad.reshape(c, (1,) + c.shape)
-        if x is not None:
-            x = ad.as_tensor(x)
-            x = ad.reshape(x, (1,) + x.shape)
-    if a_bar.shape != bx.shape:
-        raise ShapeError(f"scan_recurrence: a_bar {a_bar.shape} vs b_bar_x {bx.shape}")
+    if a_bar.ndim != 4 or a_bar.shape != bx.shape:
+        raise ShapeError(f"scan_recurrence: a_bar {a_bar.shape} and b_bar_x {bx.shape} "
+                         "must both be (B, L, D, N)")
     nb, nl, nd, nn_ = a_bar.shape
     if c.shape != (nb, nl, nn_):
         raise ShapeError(f"scan_recurrence: c shape {c.shape}, expected {(nb, nl, nn_)}")
-
-    parents = [a_bar, bx, c]
-    if (x is None) != (d_skip is None):
-        raise ValueError("scan_recurrence: x and d_skip must be given together")
-    if x is not None:
-        x = ad.as_tensor(x)
-        d_skip = ad.as_tensor(d_skip)
-        parents += [x, d_skip]
 
     av, bv, cv = a_bar.data, bx.data, c.data
     hs = np.zeros((nb, nl + 1, nd, nn_), dtype=av.dtype)
@@ -192,8 +178,6 @@ def scan_recurrence(a_bar, b_bar_x, c, x=None, d_skip=None) -> Tensor:
     for t in range(nl):
         hs[:, t + 1] = av[:, t] * hs[:, t] + bv[:, t]
         y[:, t] = np.einsum("bdn,bn->bd", hs[:, t + 1], cv[:, t])
-    if x is not None:
-        y = y + x.data * d_skip.data
 
     def backward_fn(g):
         lam = np.zeros((nb, nd, nn_), dtype=av.dtype)
@@ -207,46 +191,31 @@ def scan_recurrence(a_bar, b_bar_x, c, x=None, d_skip=None) -> Tensor:
             ga[:, t] = lam * hs[:, t]
             gbx[:, t] = lam
             lam = lam * av[:, t]
-        grads = [ga, gbx, gc]
-        if x is not None:
-            grads.append(g * d_skip.data)
-            grads.append(np.einsum("bld,bld->d", g, x.data))
-        return tuple(grads)
+        return ga, gbx, gc
 
-    out = ad._make(y, parents, backward_fn, "scan_recurrence")
-    if unbatched:
-        out = ad.reshape(out, out.shape[1:])
-    return out
+    return ad._make(y, (a_bar, bx, c), backward_fn, "scan_recurrence")
 
 
 def kernel_convolve(a_bar: np.ndarray, b_bar: np.ndarray, c: np.ndarray,
                     x: np.ndarray) -> np.ndarray:
     """LTI oracle: y = x * K with K_j = C A_bar^j B_bar, causal zero padding.
 
-    Accepts scalars (single channel, single state) or (D, N) diagonal
-    parameters with x of shape (L,) or (L, D). Refuses time-varying input
-    (any parameter with a leading time axis).
+    Takes one time-invariant system: (D, N) diagonal ``a_bar`` and
+    ``b_bar``, an (N,) readout ``c`` shared by the channels, and input
+    ``x`` of shape (L, D). Returns (L, D) in float64.
     """
-    a_bar = np.atleast_2d(np.asarray(a_bar, dtype=np.float64))
-    b_bar = np.atleast_2d(np.asarray(b_bar, dtype=np.float64))
-    if a_bar.ndim > 2 or b_bar.ndim > 2 or np.asarray(c).ndim > 2:
-        raise ValueError("kernel_convolve is defined for time-invariant parameters only")
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    l, d = x.shape
-    n = a_bar.shape[1]
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim <= 1:
-        c = np.broadcast_to(np.atleast_1d(c), (d, n))
-    # K[j, d] = sum_n c[d,n] * a_bar[d,n]^j * b_bar[d,n]
+    a_bar, b_bar, c, x = (np.asarray(v, dtype=np.float64) for v in (a_bar, b_bar, c, x))
+    if x.ndim != 2 or c.ndim != 1 or not a_bar.shape == b_bar.shape == (x.shape[1], c.size):
+        raise ValueError("kernel_convolve takes one time-invariant system, (D, N) a_bar and "
+                         f"b_bar, (N,) c, (L, D) x; got {[v.shape for v in (a_bar, b_bar, c, x)]}")
+    l = x.shape[0]
+    # K[j, d] = sum_n c[n] * a_bar[d,n]^j * b_bar[d,n]
     powers = a_bar[None, :, :] ** np.arange(l)[:, None, None]
-    kernel = np.einsum("ldn,dn,dn->ld", powers, b_bar, c)
+    kernel = np.einsum("ldn,dn,n->ld", powers, b_bar, c)
     y = np.zeros_like(x)
     for t in range(l):
         y[t] = np.einsum("jd,jd->d", kernel[: t + 1], x[t::-1][: t + 1])
-    return y[:, 0] if squeeze else y
+    return y
 
 
 def _ga_series(dt: np.ndarray, a_t: np.ndarray):
@@ -409,7 +378,8 @@ def selective_scan_composite(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     """Same contract as the fused op, built from tape primitives.
 
     Materializes the discretized parameters as graph tensors, so it is
-    slower and memory-hungry; used to validate the fused path.
+    slower and memory-hungry; used to validate the fused path. The skip
+    term u * d_skip is added with ``ad.add`` after ``scan_recurrence``.
     """
     nb, nl, nd = u.shape
     nn_ = a.shape[1]
@@ -420,7 +390,7 @@ def selective_scan_composite(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     db = ad.mul(d4, ad.reshape(b, (nb, nl, 1, nn_)))
     b_bar = ad.mul(phi, db)
     bx = ad.mul(b_bar, ad.reshape(u, (nb, nl, nd, 1)))
-    return scan_recurrence(a_bar, bx, c, x=u, d_skip=d_skip)
+    return ad.add(scan_recurrence(a_bar, bx, c), ad.mul(u, d_skip))
 
 
 def zoh_phi(z: Tensor) -> Tensor:

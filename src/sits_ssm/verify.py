@@ -5,9 +5,11 @@ finite differences for gradients, the convolutional-kernel form for the
 recurrence, closed-form scalars for the discretization, the tape-composite
 scan for the fused scan, a long float64 series for phi', the three unfused
 ops for the fused conv -> batchnorm -> ReLU stage, exact rational
-arithmetic for the segmentation scores, plain arithmetic for the loss
-identities, and the unpadded batch for the same batch with padded
-timesteps appended.
+arithmetic for the segmentation scores (also under ignore and eval class
+sets), plain arithmetic for the loss identities, and the unpadded batch
+for the same batch with padded timesteps appended. ``lti_steps`` lays out
+the one time-invariant system ``ssm.kernel_convolve`` takes as the
+recurrence's inputs.
 
 One of these routes shares code with what it checks, so a defect in the
 shared part can hit both sides alike. What still catches it:
@@ -111,6 +113,29 @@ def phi_prime_reference(z) -> np.ndarray:
     return out
 
 
+def lti_steps(a_bar, b_bar, c, x) -> tuple[Tensor, Tensor, Tensor]:
+    """``ssm.scan_recurrence``'s (1, L, D, N), (1, L, D, N) and (1, L, N)
+    inputs for one time-invariant system, the one ``ssm.kernel_convolve``
+    takes: (D, N) ``a_bar`` and ``b_bar``, an (N,) ``c`` and (L, D) ``x``."""
+    l = len(x)
+    return (Tensor(np.broadcast_to(a_bar, (1, l) + a_bar.shape).copy()),
+            Tensor((b_bar * x[:, :, None])[None]),
+            Tensor(np.broadcast_to(c, (1, l) + c.shape).copy()))
+
+
+def max_rel_diff(gots, refs) -> float:
+    """Largest difference between paired arrays, each relative to its
+    reference's largest magnitude; inf if an array is missing or the two
+    differ in shape."""
+    worst = 0.0
+    for got, ref in zip(gots, refs, strict=True):
+        if got is None or ref is None or got.shape != ref.shape:
+            return math.inf
+        scale = max(float(np.abs(ref).max()), np.finfo(np.float64).tiny)
+        worst = max(worst, float(np.abs(got - ref).max()) / scale)
+    return worst
+
+
 def scan_vs_composite(args, g, scan_fn=None) -> float:
     """Largest difference between a fused scan and ``selective_scan_composite``
     over the output and all six input gradients (loss = sum(y * g)), each
@@ -124,14 +149,8 @@ def scan_vs_composite(args, g, scan_fn=None) -> float:
         ad.backward(ad.sum_(ad.mul(y, Tensor(np.asarray(g, dtype=dtype)))))
         return [y.data] + [t.grad for t in ts]
 
-    worst = 0.0
-    pairs = zip(run(scan, np.result_type(*args)), run(ssm.selective_scan_composite, np.float64))
-    for got, ref in pairs:
-        if got is None or got.shape != ref.shape:
-            return math.inf
-        scale = max(float(np.abs(ref).max()), np.finfo(np.float64).tiny)
-        worst = max(worst, float(np.abs(got - ref).max()) / scale)
-    return worst
+    return max_rel_diff(run(scan, np.result_type(*args)),
+                        run(ssm.selective_scan_composite, np.float64))
 
 
 def unfused_conv_bn_relu(x, weight, bias, gamma, beta, running_mean, running_var,
@@ -155,8 +174,8 @@ def conv_bn_relu_pass(fn, arrays, buffers, g, training: bool) -> list:
 def padding_shift(config, batch, extra: int) -> float:
     """Largest change that appending ``extra`` padded timesteps to ``batch``
     makes to a training step: over the logits, the loss and every parameter
-    gradient, each relative to its unpadded array's largest magnitude. Both
-    steps run on a fresh model from the same seed."""
+    gradient, each relative to its unpadded array's largest magnitude
+    (``max_rel_diff``). Both steps run on a fresh model from the same seed."""
     from .data import SitsBatch
     from .losses import LossConfig, classification_loss, combined_loss, reconstruction_loss
     from .model import SitsClassifier
@@ -174,13 +193,7 @@ def padding_shift(config, batch, extra: int) -> float:
         ad.backward(total)
         return [out.class_logits.data, total.data] + [p.grad for _, p in model.named_params()]
 
-    worst = 0.0
-    for got, ref in zip(step(padded), step(batch)):
-        if got is None or ref is None:
-            return math.inf
-        scale = max(float(np.abs(ref).max()), np.finfo(np.float64).tiny)
-        worst = max(worst, float(np.abs(got - ref).max()) / scale)
-    return worst
+    return max_rel_diff(step(padded), step(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +328,7 @@ def suite_scan_kernel(report: VerifyReport, scan_fn=None):
         b_bar = rng.normal(0, 1, (d, n))
         c = rng.normal(0, 1, n)  # readout shared across channels
         x = rng.normal(0, 1, (l, d))
-        y_scan = scan(Tensor(np.broadcast_to(a_bar, (l, d, n)).copy()),
-                      Tensor(np.broadcast_to(b_bar, (l, d, n)) * x[:, :, None]),
-                      Tensor(np.broadcast_to(c, (l, n)).copy())).data
+        y_scan = scan(*lti_steps(a_bar, b_bar, c, x)).data[0]
         y_kernel = ssm.kernel_convolve(a_bar, b_bar, c, x)
         worst = max(worst, float(np.max(np.abs(y_scan - y_kernel))))
     report.add("scan", "lti_scan_vs_kernel_max_abs", worst, 1e-6)
@@ -409,23 +420,38 @@ def suite_padding(report: VerifyReport):
 
 
 def suite_metrics(report: VerifyReport):
-    """Vectorized scores vs the rational brute-force oracle."""
+    """Vectorized scores vs the rational brute-force oracle on 20 random pairs,
+    then on 20 with a random ignore set and eval set each, skipping a draw
+    that leaves no scored pixel or no present eval class."""
     from . import metrics
     rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(20):
-        k = int(rng.integers(2, 7))
-        labels = rng.integers(0, k, size=64)
-        preds = rng.integers(0, k, size=64)
-        cm = metrics.ConfusionMatrix(k)
-        cm.accumulate(labels, preds)
-        s = metrics.scores(cm)
-        _, oa, iou, f1, miou, mf1 = brute_force_scores(labels, preds, k)
-        worst = max(worst, abs(s.oa - float(oa)))
-        for kk, v in iou.items():
-            worst = max(worst, abs(s.iou[kk] - float(v)))
-        worst = max(worst, abs(s.miou - float(miou)), abs(s.mf1 - float(mf1)))
-    report.add("metrics", "vectorized_vs_rational_oracle", worst, 1e-12)
+
+    def worst_deviation(with_sets: bool) -> float:
+        worst = 0.0
+        for _ in range(20):
+            k = int(rng.integers(2, 7))
+            labels = rng.integers(0, k, size=64)
+            preds = rng.integers(0, k, size=64)
+            ignore, eval_set = set(), None
+            if with_sets:
+                ignore = set(np.flatnonzero(rng.uniform(size=k) < 0.25).tolist())
+                eval_set = np.flatnonzero(rng.uniform(size=k) < 0.6).tolist() or [k - 1]
+                if np.isin(labels, list(ignore)).all():
+                    continue
+            _, oa, iou, f1, miou, mf1 = brute_force_scores(labels, preds, k, ignore, eval_set)
+            if miou is None:
+                continue
+            cm = metrics.ConfusionMatrix(k, eval_set)
+            s = metrics.scores(cm.accumulate(labels, preds, ignore))
+            worst = max(worst, abs(s.oa - float(oa)), abs(s.miou - float(miou)),
+                        abs(s.mf1 - float(mf1)),
+                        *(abs(s.iou[kk] - float(v)) for kk, v in iou.items()),
+                        *(abs(s.f1[kk] - float(v)) for kk, v in f1.items()))
+        return worst
+
+    report.add("metrics", "vectorized_vs_rational_oracle", worst_deviation(False), 1e-12)
+    report.add("metrics", "vectorized_vs_rational_oracle_ignore_eval", worst_deviation(True),
+               1e-12)
     cm = metrics.ConfusionMatrix(2)
     cm.counts = np.array([[2, 1], [0, 3]], dtype=np.int64)
     s = metrics.scores(cm)

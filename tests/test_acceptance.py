@@ -25,7 +25,7 @@ from sits_ssm.model import ModelConfig, SitsClassifier, count_parameters, \
 from sits_ssm.spatial import ClsHead, ConvBlock
 from sits_ssm.ssm import MambaBlock
 from sits_ssm.trainer import TrainConfig, evaluate, train
-from sits_ssm.verify import brute_force_scores, gradcheck
+from sits_ssm.verify import brute_force_scores, gradcheck, lti_steps
 
 
 def report(name: str, passed: bool, detail: str):
@@ -173,10 +173,7 @@ class TestCriterion2ScanKernel:
             b_bar = rng.normal(0, 1, (d, n))
             c = rng.normal(0, 1, n)
             x = rng.normal(0, 1, (l, d))
-            y_scan = ssm.scan_recurrence(
-                Tensor(np.broadcast_to(a_bar, (l, d, n)).copy()),
-                Tensor(np.broadcast_to(b_bar, (l, d, n)) * x[:, :, None]),
-                Tensor(np.broadcast_to(c, (l, n)).copy())).data
+            y_scan = ssm.scan_recurrence(*lti_steps(a_bar, b_bar, c, x)).data[0]
             y_kernel = ssm.kernel_convolve(a_bar, b_bar, c, x)
             worst = max(worst, float(np.abs(y_scan - y_kernel).max()))
         elapsed = time.time() - t0

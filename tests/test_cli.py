@@ -208,6 +208,9 @@ class TestExitCodes:
         ["train", "--eval-classes", "-1"], ["train", "--eval-classes", ","],
         ["eval", "--eval-classes", "25"], ["predict", "--eval-classes", ","],
         ["predict", "--classes", "300"],          # PGM gray levels end at 255
+        ["train", "--lr", "nan"], ["train", "--lr", "inf"],
+        ["train", "--w0", "nan"], ["train", "--w0", "inf"],
+        ["gen-data", "--noise", "-1"], ["gen-data", "--noise", "nan"],
     ], ids=lambda argv: f"{argv[0]}:{argv[1][2:]}={argv[2]}")
     def test_out_of_range_setting_is_1_before_any_io(self, tmp_path, capsys, argv):
         """Checked before the data is read (it does not exist here) and
@@ -445,6 +448,7 @@ class TestVerifyCommand:
         assert "lti_scan_vs_kernel_max_abs" in out
         assert "train_step_append_padding_max_rel" in out
         assert "conv_bn_relu_vs_unfused" in out
+        assert "vectorized_vs_rational_oracle_ignore_eval" in out
 
     def test_injected_zoh_sign_error_fails_loudly(self):
         from sits_ssm import ssm, verify

@@ -15,20 +15,11 @@ from sits_ssm.data import SitsSample, pad_batch
 from sits_ssm.losses import LossConfig
 from sits_ssm.model import ModelConfig, SitsClassifier
 from sits_ssm.ssm import MambaBlock
-from sits_ssm.verify import gradcheck, phi_prime_reference, scan_vs_composite
+from sits_ssm.verify import gradcheck, lti_steps, phi_prime_reference, scan_vs_composite
 
 from conftest import bitwise_for_any_worker_count
 
 TOL = 1e-4
-
-
-def lti_steps(a_bar, b_bar, c, x):
-    """Broadcast constant parameters into per-step form for scan_recurrence."""
-    l, d = x.shape
-    n = a_bar.shape[1]
-    return (Tensor(np.broadcast_to(a_bar, (l, d, n)).copy()),
-            Tensor(np.broadcast_to(b_bar, (l, d, n)) * x[:, :, None]),
-            Tensor(np.broadcast_to(c, (l, n)).copy()))
 
 
 class TestDiscretizeZoh:
@@ -62,6 +53,8 @@ class TestDiscretizeZoh:
             ssm.discretize_zoh(-1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             ssm.discretize_zoh(-1.0, 1.0, np.array([0.1, -0.2]))
+        with pytest.raises(ValueError):
+            ssm.discretize_zoh(-1.0, 1.0, np.nan)
 
     def test_elementwise_on_arrays(self, rng):
         a = -rng.uniform(0.5, 3.0, (4, 3))
@@ -81,15 +74,21 @@ class TestScanRecurrence:
 
     def test_zero_injection_gives_zero_output(self, rng):
         l, d, n = 5, 2, 3
-        y = ssm.scan_recurrence(Tensor(rng.uniform(0.1, 0.9, (l, d, n))),
-                                Tensor(np.zeros((l, d, n))),
-                                Tensor(rng.normal(0, 1, (l, n))))
-        assert np.array_equal(y.data, np.zeros((l, d)))
+        y = ssm.scan_recurrence(Tensor(rng.uniform(0.1, 0.9, (1, l, d, n))),
+                                Tensor(np.zeros((1, l, d, n))),
+                                Tensor(rng.normal(0, 1, (1, l, n))))
+        assert np.array_equal(y.data, np.zeros((1, l, d)))
 
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ad.ShapeError):
+            ssm.scan_recurrence(Tensor(rng.uniform(0.1, 0.9, (1, 4, 2, 2))),
+                                Tensor(rng.normal(0, 1, (1, 5, 2, 2))),
+                                Tensor(rng.normal(0, 1, (1, 4, 2))))
+
+    def test_unbatched_input_rejected(self, rng):
+        with pytest.raises(ad.ShapeError, match=r"\(B, L, D, N\)"):
             ssm.scan_recurrence(Tensor(rng.uniform(0.1, 0.9, (4, 2, 2))),
-                                Tensor(rng.normal(0, 1, (5, 2, 2))),
+                                Tensor(rng.normal(0, 1, (4, 2, 2))),
                                 Tensor(rng.normal(0, 1, (4, 2))))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -102,32 +101,33 @@ class TestScanRecurrence:
         b_bar = rng.normal(0, 1, (d, n))
         c = rng.normal(0, 1, n)
         x = rng.normal(0, 1, (l, d))
-        y_scan = ssm.scan_recurrence(*lti_steps(a_bar, b_bar, c, x)).data
+        y_scan = ssm.scan_recurrence(*lti_steps(a_bar, b_bar, c, x)).data[0]
         y_kernel = ssm.kernel_convolve(a_bar, b_bar, c, x)
         assert np.max(np.abs(y_scan - y_kernel)) < 1e-6
 
     def test_gradients(self, rng):
         l, d, n = 4, 2, 3
-        steps = [Tensor(rng.uniform(0.1, 0.9, (l, d, n)), requires_grad=True),
-                 Tensor(rng.normal(0, 1, (l, d, n)), requires_grad=True),
-                 Tensor(rng.normal(0, 1, (l, n)), requires_grad=True)]
-        x = Tensor(rng.normal(0, 1, (l, d)), requires_grad=True)
+        steps = [Tensor(rng.uniform(0.1, 0.9, (1, l, d, n)), requires_grad=True),
+                 Tensor(rng.normal(0, 1, (1, l, d, n)), requires_grad=True),
+                 Tensor(rng.normal(0, 1, (1, l, n)), requires_grad=True)]
+        x = Tensor(rng.normal(0, 1, (1, l, d)), requires_grad=True)
         d_skip = Tensor(rng.normal(0, 1, d), requires_grad=True)
-        f = lambda: ad.sum_(ssm.scan_recurrence(*steps, x=x, d_skip=d_skip))
+        f = lambda: ad.sum_(ad.add(ssm.scan_recurrence(*steps), ad.mul(x, d_skip)))
         assert gradcheck(f, [*steps, x, d_skip]) < TOL
 
 
 class TestKernelConvolve:
     def test_kernel_values(self):
         # impulse response is the kernel itself
-        imp = np.zeros(3)
+        imp = np.zeros((3, 1))
         imp[0] = 1.0
-        k = ssm.kernel_convolve(0.5, 1.0, 1.0, imp)
-        assert np.allclose(k, [1.0, 0.5, 0.25], atol=1e-15)
+        k = ssm.kernel_convolve(np.array([[0.5]]), np.array([[1.0]]), np.array([1.0]), imp)
+        assert np.allclose(k.ravel(), [1.0, 0.5, 0.25], atol=1e-15)
 
     def test_matches_scan_hand_case(self):
-        y = ssm.kernel_convolve(0.5, 1.0, 1.0, np.array([1.0, 1.0, 1.0]))
-        assert np.allclose(y, [1.0, 1.5, 1.75], atol=1e-12)
+        y = ssm.kernel_convolve(np.array([[0.5]]), np.array([[1.0]]), np.array([1.0]),
+                                np.array([[1.0], [1.0], [1.0]]))
+        assert np.allclose(y.ravel(), [1.0, 1.5, 1.75], atol=1e-12)
 
     def test_rejects_time_varying_parameters(self, rng):
         with pytest.raises(ValueError):
@@ -317,6 +317,15 @@ class TestFusedScanWithoutPhi:
             raise AssertionError("the production path called ssm._phi_prime")
 
         monkeypatch.setattr(ssm, "_phi_prime", phi_prime)
+        self.train_step_and_predict(rng)
+
+    @pytest.mark.parametrize("name", ["scan_recurrence", "zoh_phi", "selective_scan_composite",
+                                      "discretize_zoh", "kernel_convolve"])
+    def test_train_step_and_predict_never_call_an_oracle(self, rng, monkeypatch, name):
+        def oracle(*args, **kwargs):
+            raise AssertionError(f"the production path called ssm.{name}")
+
+        monkeypatch.setattr(ssm, name, oracle)
         self.train_step_and_predict(rng)
 
 
