@@ -17,13 +17,13 @@ from sits_ssm.verify import lti_steps
 print("== zero-order hold ==")
 print("A scalar system with decay A=-1, input gain B=2, step delta=1:")
 a_bar, b_bar = discretize_zoh(-1.0, 2.0, 1.0)
-print(f"  A_bar = exp(delta*A)            = {float(a_bar):.6f}  (e^-1)")
-print(f"  B_bar = phi(delta*A)*delta*B    = {float(b_bar):.6f}  (phi(z) = (e^z-1)/z)")
+print(f"  A_bar = exp(delta*A)            = {a_bar.item():.6f}  (e^-1)")
+print(f"  B_bar = phi(delta*A)*delta*B    = {b_bar.item():.6f}  (phi(z) = (e^z-1)/z)")
 
 print("\nShrinking the step, the discrete system approaches the identity:")
 for delta in (1.0, 0.1, 1e-3, 1e-9):
     a_bar, b_bar = discretize_zoh(-1.0, 1.0, delta)
-    print(f"  delta={delta:<8g} A_bar={float(a_bar):.9f}  B_bar={float(b_bar):.3e}")
+    print(f"  delta={delta:<8g} A_bar={a_bar.item():.9f}  B_bar={b_bar.item():.3e}")
 print("(below |delta*A| = 1e-6 the B_bar formula switches to its series,")
 print(" dodging the 0/0 cancellation without a visible seam)")
 
@@ -57,9 +57,9 @@ print(f"  max |recurrence - convolution| over 10 systems: {worst:.2e}")
 print("\n== stability ==")
 print("Negative A and positive delta keep every A_bar inside (0, 1), so the")
 print("state of a bounded-input run stays bounded:")
-a_bar, b_bar = discretize_zoh(-rng.uniform(0.2, 3.0, (2, 4)),
-                              rng.normal(0, 1, (2, 4)),
-                              rng.uniform(0.05, 0.8, (2, 4)))
+a_bar, b_bar = (t.data for t in discretize_zoh(-rng.uniform(0.2, 3.0, (2, 4)),
+                                               rng.normal(0, 1, (2, 4)),
+                                               rng.uniform(0.05, 0.8, (2, 4))))
 print(f"  A_bar range: [{a_bar.min():.4f}, {a_bar.max():.4f}]")
 h = np.zeros((2, 4))
 peak = 0.0

@@ -30,7 +30,7 @@ y = selective_scan_fused(
     Tensor(np.broadcast_to(c_vec, (b_, l, n)).copy()),
     Tensor(np.zeros(d)))
 a_bar, b_bar = discretize_zoh(a, b_vec[None, :], np.full((d, n), delta))
-y_ref = kernel_convolve(a_bar, b_bar, c_vec, u[0])
+y_ref = kernel_convolve(a_bar.data, b_bar.data, c_vec, u[0])
 print(f"  max |selective(const) - kernel| = {np.abs(y.data[0] - y_ref).max():.2e}")
 
 print("\n== the gated block ==")

@@ -419,7 +419,8 @@ def relu(x) -> Tensor:
 
 def sum_(x, axis=None) -> Tensor:
     x = as_tensor(x)
-    out_data = x.data.sum(axis=axis)
+    with np.errstate(over="ignore", invalid="ignore"):     # _make refuses inf/NaN
+        out_data = x.data.sum(axis=axis)
     shape = x.shape
 
     def backward_fn(g):
@@ -431,7 +432,8 @@ def sum_(x, axis=None) -> Tensor:
 
 def mean(x, axis=None) -> Tensor:
     x = as_tensor(x)
-    out_data = x.data.mean(axis=axis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_data = x.data.mean(axis=axis)
     count = x.size if axis is None else np.prod([x.shape[a] for a in np.atleast_1d(axis)])
     shape = x.shape
 
@@ -613,9 +615,10 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
 
 def softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x.data - x.data.max(axis=axis, keepdims=True)
+        e = np.exp(z)
+        out_data = e / e.sum(axis=axis, keepdims=True)
 
     def backward_fn(g):
         s = out_data
@@ -646,9 +649,10 @@ def cross_entropy_logits(logits, labels: np.ndarray, keep: np.ndarray | None = N
         raise ValueError("cross_entropy_logits: label outside [0, K)")
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    nll = lse - z[np.arange(m), labels]
-    out_data = np.asarray(nll[keep].mean(), dtype=z.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+        nll = lse - z[np.arange(m), labels]
+        out_data = np.asarray(nll[keep].mean(), dtype=z.dtype)
 
     def backward_fn(g):
         p = np.exp(z - lse[:, None])
@@ -768,14 +772,16 @@ def depthwise_conv1d(x, weight, bias=None) -> Tensor:
     xv, wv = x.data, weight.data
     # tap i reads s = k-1-i steps back: out[:, t] += x[:, t-s] * w[:, i] for t >= s
     taps = [(i, k - 1 - i) for i in range(k) if k - 1 - i < l]
-    out = np.zeros(xv.shape, dtype=xv.dtype)
-    for i, s in taps:
-        out[:, s:] += xv[:, :l - s] * wv[:, i]
     parents = [x, weight]
     if bias is not None:
         bias = as_tensor(bias)
-        out = out + bias.data
         parents.append(bias)
+    out = np.zeros(xv.shape, dtype=xv.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):     # _make refuses inf/NaN
+        for i, s in taps:
+            out[:, s:] += xv[:, :l - s] * wv[:, i]
+        if bias is not None:
+            out = out + bias.data
 
     def backward_fn(g):
         gw = np.zeros_like(wv)
@@ -803,11 +809,15 @@ def _bn_stats(xv: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
     """The per-channel mean and 1/std that batchnorm normalizes ``xv`` with,
     shaped to broadcast over it. Training takes the batch's and folds them
     into the running buffers in place (unbiased variance, torch convention);
-    inference takes the running buffers."""
+    inference takes the running buffers. Batch statistics that overflow
+    raise ``NonFiniteError`` before the buffers are touched."""
     if training:
         m = xv.size // xv.shape[1]
-        mu = xv.mean(axis=_BN_AXES)
-        var = xv.var(axis=_BN_AXES)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = xv.mean(axis=_BN_AXES)
+            var = xv.var(axis=_BN_AXES)
+        if not (np.isfinite(mu).all() and np.isfinite(var).all()):
+            raise NonFiniteError("batchnorm: batch statistics are non-finite")
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum

@@ -74,9 +74,6 @@ class SitsClassifier(nn.Module):
         self.rbranch = nn.Linear(config.hidden, config.input_channels, rng, bias=True, dtype=dtype)
 
     # ------------------------------------------------------------------
-    def named_parameters(self):
-        return self.named_params()
-
     def count_parameters(self) -> int:
         return sum(int(t.size) for _, t in self.named_parameters())
 
@@ -140,7 +137,7 @@ class SitsClassifier(nn.Module):
     # ------------------------------------------------------------------
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Every array the checkpoint holds: parameters, then buffers."""
-        state = {name: t.data for name, t in self.named_params()}
+        state = {name: t.data for name, t in self.named_parameters()}
         state.update(self.named_buffers())
         return state
 
@@ -181,4 +178,4 @@ def count_parameters(config: ModelConfig) -> int:
 
 def spatial_encoder_parameter_count(config: ModelConfig) -> int:
     model = SitsClassifier(config)
-    return sum(int(t.size) for _, t in model.spatial.named_params())
+    return sum(int(t.size) for _, t in model.spatial.named_parameters())

@@ -12,7 +12,7 @@ attributes in assignment order, so a layer declares each array once, in
 * anything else (``None``, configs, numbers, untracked tensors) holds no
   state.
 
-``named_params`` / ``named_buffers`` give the flat name->array views that
+``named_parameters`` / ``named_buffers`` give the flat name->array views that
 the optimizer and the checkpoint writer use. Reassigning an attribute
 keeps its place in the order. ``shadow`` copies a layer's structure over
 the same arrays, with parameters of its own, so that concurrent passes
@@ -40,7 +40,7 @@ class Module:
             else:
                 yield name, value
 
-    def named_params(self, prefix: str = ""):
+    def named_parameters(self, prefix: str = ""):
         """(name, Tensor) for every tracked tensor, in assignment order."""
         for name, value in self._walk(prefix):
             if isinstance(value, Tensor) and value.requires_grad:

@@ -23,9 +23,9 @@ fusing discretization and recurrence into one differentiable op. The
 other routes are references that the tests, ``sits-ssm verify`` and the
 benchmark's correctness gate compare it against, not alternatives to it:
 
-* ``discretize_zoh`` - A_bar and B_bar by the formulas above;
+* ``discretize_zoh`` - A_bar and B_bar by the formulas above, on the tape;
 * ``selective_scan_composite`` - the same contract built from tape
-  primitives, ``zoh_phi`` and ``scan_recurrence``;
+  primitives: ``discretize_zoh``, then ``scan_recurrence``;
 * ``scan_recurrence`` - the step-by-step recurrence on batched
   pre-discretized (B, L, D, N) parameters (differentiable);
 * ``kernel_convolve`` - the equivalent causal convolution with kernel
@@ -102,58 +102,43 @@ CONV_WIDTH = 4                      # causal depthwise conv taps
 DT_MIN, DT_MAX = 1e-3, 1e-1         # range of the initial step sizes delta
 
 
-def _phi(z) -> np.ndarray:
-    """(e^z - 1)/z with series fallback 1 + z/2 below ``_PHI_SWITCH``.
-
-    Used by the oracles only; the fused scan forms delta * phi(delta * a)
-    as expm1(delta * a)/a, which has no z in a denominator.
-    """
-    z = np.asarray(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(z) < _PHI_SWITCH, 1.0 + 0.5 * z, np.expm1(z) / z)
-
-
 def _phi_prime(z) -> np.ndarray:
     """d/dz[(e^z - 1)/z] = (e^z - expm1(z)/z)/z, by its Taylor series near zero.
 
     Used by the oracles only (``zoh_phi``): the fused scan's backward
-    needs no phi'. Evaluated in float64 and returned in z's dtype. The
-    difference cancels as z -> 0, so below ``_PHI_PRIME_SWITCH`` the
-    series sum_k (k+1) z^k/(k+2)! replaces it.
+    needs no phi'. Takes and returns float64. The difference cancels as
+    z -> 0, so below ``_PHI_PRIME_SWITCH`` the series
+    sum_k (k+1) z^k/(k+2)! replaces it.
     """
-    z = np.asarray(z)
-    z64 = z.astype(np.float64, copy=False)
-    out = np.expm1(z64, out=np.empty(z.shape))
+    z = np.asarray(z, dtype=np.float64)
+    out = np.expm1(z, out=np.empty(z.shape))
     with np.errstate(divide="ignore", invalid="ignore"):    # z = 0 takes the series
-        out /= z64
-        np.subtract(np.exp(z64), out, out=out)
-        out /= z64
-    small = np.abs(z64) < _PHI_PRIME_SWITCH
-    zs = z64[small]
+        out /= z
+        np.subtract(np.exp(z), out, out=out)
+        out /= z
+    small = np.abs(z) < _PHI_PRIME_SWITCH
+    zs = z[small]
     series = np.multiply(zs, _PHI_PRIME_SERIES[0])
     for coef in _PHI_PRIME_SERIES[1:-1]:
         series += coef
         series *= zs
     series += _PHI_PRIME_SERIES[-1]
     out[small] = series
-    return out.astype(z.dtype, copy=False)
+    return out
 
 
-def discretize_zoh(a: np.ndarray, b: np.ndarray, delta: np.ndarray):
-    """Zero-order-hold discretization of diagonal continuous parameters.
+def discretize_zoh(a, b, delta) -> tuple[Tensor, Tensor]:
+    """Zero-order-hold discretization of diagonal continuous parameters on
+    the tape: A_bar = exp(z), B_bar = phi(z) (delta b) with z = delta a.
 
-    All arguments broadcast elementwise. ``delta`` must be positive.
-    Returns (A_bar, B_bar).
+    Takes tensors or arrays, which broadcast elementwise; ``delta`` must be
+    positive. Returns (A_bar, B_bar) as tensors.
     """
-    a = np.asarray(a, dtype=np.float64) if not isinstance(a, np.ndarray) else a
-    b = np.asarray(b)
-    delta = np.asarray(delta)
-    if not np.all(delta > 0):
+    delta = ad.as_tensor(delta)
+    if not np.all(delta.data > 0):
         raise ValueError("discretize_zoh: delta must be positive")
-    z = delta * a
-    a_bar = np.exp(z)
-    b_bar = _phi(z) * delta * b
-    return a_bar, b_bar
+    z = ad.mul(delta, a)
+    return ad.exp(z), ad.mul(zoh_phi(z), ad.mul(delta, b))
 
 
 def scan_recurrence(a_bar, b_bar_x, c) -> Tensor:
@@ -375,31 +360,31 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
 
 def selective_scan_composite(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
                              c: Tensor, d_skip: Tensor) -> Tensor:
-    """Same contract as the fused op, built from tape primitives.
-
-    Materializes the discretized parameters as graph tensors, so it is
-    slower and memory-hungry; used to validate the fused path. The skip
-    term u * d_skip is added with ``ad.add`` after ``scan_recurrence``.
+    """Same contract as the fused op, built from tape primitives:
+    ``discretize_zoh``, ``scan_recurrence`` on B_bar u, and the skip term
+    u * d_skip with ``ad.add``. Materializes the discretized parameters as
+    graph tensors, so it is slower and memory-hungry; used to validate the
+    fused path.
     """
     nb, nl, nd = u.shape
     nn_ = a.shape[1]
-    d4 = ad.reshape(delta, (nb, nl, nd, 1))
-    z = ad.mul(d4, ad.reshape(a, (1, 1, nd, nn_)))
-    a_bar = ad.exp(z)
-    phi = zoh_phi(z)
-    db = ad.mul(d4, ad.reshape(b, (nb, nl, 1, nn_)))
-    b_bar = ad.mul(phi, db)
+    a_bar, b_bar = discretize_zoh(ad.reshape(a, (1, 1, nd, nn_)), ad.reshape(b, (nb, nl, 1, nn_)),
+                                  ad.reshape(delta, (nb, nl, nd, 1)))
     bx = ad.mul(b_bar, ad.reshape(u, (nb, nl, nd, 1)))
     return ad.add(scan_recurrence(a_bar, bx, c), ad.mul(u, d_skip))
 
 
-def zoh_phi(z: Tensor) -> Tensor:
-    """Differentiable (e^z - 1)/z with the same series fallback as _phi."""
+def zoh_phi(z) -> Tensor:
+    """Differentiable phi(z) = (e^z - 1)/z, by its series 1 + z/2 below
+    ``_PHI_SWITCH``, where the closed form cancels; its backward is phi'
+    (``_phi_prime``)."""
     z = ad.as_tensor(z)
-    out = _phi(z.data)
+    zv = z.data
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(np.abs(zv) < _PHI_SWITCH, 1.0 + 0.5 * zv, np.expm1(zv) / zv)
 
     def backward_fn(g):
-        return (g * _phi_prime(z.data),)
+        return (g * _phi_prime(zv),)
 
     return ad._make(out, (z,), backward_fn, "zoh_phi")
 
@@ -473,7 +458,7 @@ class MambaBlock(nn.Module):
             raise ShapeError(f"mamba_block: lengths must be {nb} values in [1, {nl}]")
         padded = np.arange(nl) >= lengths[:, None]            # (B, L) steps beyond a length
         bounds = pool._chunk_bounds(nb, self.a_log.size * x.dtype.itemsize, _SCAN_VECTOR_BUDGET)
-        params = [t for _, t in self.named_params()]
+        params = [t for _, t in self.named_parameters()]
         dtype = np.result_type(x.dtype, *(p.dtype for p in params))
         y = np.zeros((nb, nl, d_model), dtype=dtype)
         keep = ad.recording(x, *params)
@@ -505,7 +490,7 @@ class MambaBlock(nn.Module):
                 ad._backprop(out._node, np.ascontiguousarray(g[s:e, :xi.shape[1]]))
                 if gx is not None:
                     gx[s:e, :xi.shape[1]] = xi.grad
-                return [t.grad for _, t in twin.named_params()]
+                return [t.grad for _, t in twin.named_parameters()]
 
             parts = pool._map(backward, kept)
             return (gx, *(pool._sum_in_order(p) for p in zip(*parts)))

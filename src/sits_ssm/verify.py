@@ -2,7 +2,8 @@
 
 Each suite re-derives expected values along a second route: central
 finite differences for gradients, the convolutional-kernel form for the
-recurrence, closed-form scalars for the discretization, the tape-composite
+recurrence, closed-form scalars for the discretization that the
+tape-composite scan runs (``ssm.discretize_zoh``), the tape-composite
 scan for the fused scan, a long float64 series for phi', the three unfused
 ops for the fused conv -> batchnorm -> ReLU stage, exact rational
 arithmetic for the segmentation scores (also under ignore and eval class
@@ -191,7 +192,7 @@ def padding_shift(config, batch, extra: int) -> float:
         total, _ = combined_loss(classification_loss(out.class_logits, b.labels), l_tp,
                                  LossConfig())
         ad.backward(total)
-        return [out.class_logits.data, total.data] + [p.grad for _, p in model.named_params()]
+        return [out.class_logits.data, total.data] + [p.grad for _, p in model.named_parameters()]
 
     return max_rel_diff(step(padded), step(batch))
 
@@ -296,7 +297,8 @@ class VerifyReport:
 
 
 def suite_zoh(report: VerifyReport, zoh_fn=None):
-    """Closed-form scalar checks of the zero-order-hold discretization."""
+    """Closed-form scalar checks of ``ssm.discretize_zoh``, the zero-order
+    hold that the composite scan, the fused scan's oracle, runs."""
     fn = zoh_fn or ssm.discretize_zoh
     cases = [
         # (a, delta, b, expected_a_bar, expected_b_bar)
@@ -306,13 +308,13 @@ def suite_zoh(report: VerifyReport, zoh_fn=None):
     ]
     for i, (a, d, b, ea, eb) in enumerate(cases):
         ab, bb = fn(np.float64(a), np.float64(b), np.float64(d))
-        report.add("zoh", f"closed_form_{i}_a_bar", abs(float(ab) - ea), 1e-12)
-        report.add("zoh", f"closed_form_{i}_b_bar", abs(float(bb) - eb), 1e-12)
+        report.add("zoh", f"closed_form_{i}_a_bar", abs(ab.item() - ea), 1e-12)
+        report.add("zoh", f"closed_form_{i}_b_bar", abs(bb.item() - eb), 1e-12)
     # series fallback continuity: exact formula vs series at |delta*a| = 1e-5
     a, d, b = -1.0, 1e-5, 1.0
     _, bb = fn(np.float64(a), np.float64(b), np.float64(d))
     exact = (np.expm1(d * a) / (d * a)) * d * b
-    report.add("zoh", "series_vs_exact_at_1e-5", abs(float(bb) - exact) / abs(exact), 1e-9)
+    report.add("zoh", "series_vs_exact_at_1e-5", abs(bb.item() - exact) / abs(exact), 1e-9)
 
 
 def suite_scan_kernel(report: VerifyReport, scan_fn=None):
@@ -340,8 +342,8 @@ def suite_fused_scan(report: VerifyReport, scan_fn=None):
     [1e-8, 1e-6], far below the series switches of phi, phi' and a's
     gradient; again on 9 sequences of 13 steps, and on those with delta in
     [1e-8, 1e-6] in a few steps of some sequences, so that one call takes
-    a's series in some steps and only its closed form in others; plus phi'
-    in float32 against the float64 reference."""
+    a's series in some steps and only its closed form in others; plus the
+    composite's phi' against a 30-term series reference."""
     rng = np.random.default_rng(11)
 
     def scan_args(b, l, d, n):
@@ -362,8 +364,8 @@ def suite_fused_scan(report: VerifyReport, scan_fn=None):
                scan_vs_composite(args, g, scan_fn), 1e-10)
     z = -np.logspace(-8, np.log10(20.0), 2001)
     ref = phi_prime_reference(z)
-    got = ssm._phi_prime(z.astype(np.float32)).astype(np.float64)
-    report.add("fused", "phi_prime_float32_max_rel", float(np.max(np.abs(got - ref) / ref)), 1e-5)
+    got = ssm._phi_prime(z)
+    report.add("fused", "phi_prime_max_rel", float(np.max(np.abs(got - ref) / ref)), 1e-10)
 
 
 def suite_spatial(report: VerifyReport, fused_fn=None):

@@ -13,7 +13,6 @@ from fractions import Fraction
 import numpy as np
 
 from sits_ssm import autodiff as ad
-from sits_ssm import ssm
 from sits_ssm.autodiff import Tensor
 from sits_ssm.cli import main
 from sits_ssm.data import generate_synthetic, pad_batch
@@ -25,7 +24,8 @@ from sits_ssm.model import ModelConfig, SitsClassifier, count_parameters, \
 from sits_ssm.spatial import ClsHead, ConvBlock
 from sits_ssm.ssm import MambaBlock
 from sits_ssm.trainer import TrainConfig, evaluate, train
-from sits_ssm.verify import brute_force_scores, gradcheck, lti_steps
+from sits_ssm.verify import (VerifyReport, brute_force_scores, gradcheck, suite_scan_kernel,
+                             suite_zoh)
 
 
 def report(name: str, passed: bool, detail: str):
@@ -106,21 +106,21 @@ class TestCriterion1Gradients:
             blk = MambaBlock(4, 4, rng, dtype=np.float64)
             seq = Tensor(rng.normal(0, 1, (2, 5, 4)), requires_grad=True)
             err = gradcheck(lambda: ad.sum_(blk(seq)),
-                            [seq] + [t for _, t in blk.named_params("m")],
+                            [seq] + [t for _, t in blk.named_parameters("m")],
                             max_components=8, rng=rng)
             worst["mamba_block"] = max(worst.get("mamba_block", 0.0), err)
 
             enc = ConvBlock(2, 3, rng, dtype=np.float64)
             xe = Tensor(rng.normal(0, 1, (1, 2, 4, 4)), requires_grad=True)
             err = gradcheck(lambda: ad.mean(ad.mul(enc(xe, training=True), 2.0)),
-                            [xe] + [t for _, t in enc.named_params("e")],
+                            [xe] + [t for _, t in enc.named_parameters("e")],
                             max_components=8, rng=rng)
             worst["conv_block"] = max(worst.get("conv_block", 0.0), err)
 
             head = ClsHead(3, 4, rng, dtype=np.float64)
             xh = Tensor(rng.normal(0, 1, (1, 3, 4, 4)), requires_grad=True)
             err = gradcheck(lambda: ad.mean(head(xh, training=True)),
-                            [xh] + [t for _, t in head.named_params("h")],
+                            [xh] + [t for _, t in head.named_parameters("h")],
                             max_components=8, rng=rng)
             worst["cls_head"] = max(worst.get("cls_head", 0.0), err)
 
@@ -163,45 +163,32 @@ class TestCriterion1Gradients:
 class TestCriterion2ScanKernel:
     def test_scan_matches_kernel(self):
         t0 = time.time()
-        worst = 0.0
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            l = int(rng.integers(4, 33))
-            d = int(rng.integers(1, 9))
-            n = int(rng.integers(1, 9))
-            a_bar = rng.uniform(0.05, 0.95, (d, n))
-            b_bar = rng.normal(0, 1, (d, n))
-            c = rng.normal(0, 1, n)
-            x = rng.normal(0, 1, (l, d))
-            y_scan = ssm.scan_recurrence(*lti_steps(a_bar, b_bar, c, x)).data[0]
-            y_kernel = ssm.kernel_convolve(a_bar, b_bar, c, x)
-            worst = max(worst, float(np.abs(y_scan - y_kernel).max()))
+        rows = VerifyReport()
+        suite_scan_kernel(rows)
         elapsed = time.time() - t0
-        report("2 scan vs kernel", worst < 1e-6 and elapsed < 10,
-               f"max abs dev {worst:.3e} < 1e-6 over 10 LTI systems, {elapsed:.1f}s < 10s")
+        (row,) = rows.rows
+        report("2 scan vs kernel", rows.ok() and elapsed < 10,
+               f"max abs dev {row.value:.3e} < {row.threshold:.0e} over 10 LTI systems, "
+               f"{elapsed:.1f}s < 10s")
 
 
 class TestCriterion3Zoh:
     def test_closed_forms_and_series(self):
         t0 = time.time()
-        errs = []
-        cases = [(-1.0, 1.0, 2.0, np.exp(-1.0), (1.0 - np.exp(-1.0)) * 2.0),
-                 (1.0, np.log(2.0), 1.0, 2.0, 1.0),
-                 (-1.0, 1e-9, 1.0, np.exp(-1e-9), 1e-9 * (1.0 - 0.5e-9))]
-        for a, d, b, ea, eb in cases:
-            ab, bb = ssm.discretize_zoh(np.float64(a), np.float64(b), np.float64(d))
-            errs += [abs(float(ab) - ea), abs(float(bb) - eb)]
-        closed_ok = max(errs) < 1e-12
-        # series fallback against the exact formula at |delta*a| = 1e-5
-        _, bb = ssm.discretize_zoh(-1.0, 1.0, 1e-5)
+        rows = VerifyReport()
+        suite_zoh(rows)
+        closed = [r for r in rows.rows if r.name.startswith("closed_form_")]
+        (series_row,) = [r for r in rows.rows if r.name.startswith("series_")]
+        # the series branch itself against the exact value at |delta*a| = 1e-5
         exact = np.expm1(-1e-5) / (-1e-5) * 1e-5
         series = (1.0 + 0.5 * -1e-5) * 1e-5
-        series_err = max(abs(float(bb) - exact), abs(series - exact)) / abs(exact)
+        series_err = max(series_row.value, abs(series - exact) / abs(exact))
         elapsed = time.time() - t0
         report("3 zoh closed forms",
-               closed_ok and series_err < 1e-9 and elapsed < 1,
-               f"closed-form err {max(errs):.2e} < 1e-12, series err {series_err:.2e} "
-               f"< 1e-9, {elapsed:.2f}s < 1s")
+               rows.ok() and series_err < series_row.threshold and elapsed < 1,
+               f"closed-form err {max(r.value for r in closed):.2e} < "
+               f"{max(r.threshold for r in closed):.0e}, series err {series_err:.2e} "
+               f"< {series_row.threshold:.0e}, {elapsed:.2f}s < 1s")
 
 
 class TestCriterion4Causality:

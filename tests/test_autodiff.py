@@ -328,6 +328,19 @@ def overflowing_conv():
     return Tensor(x), Tensor(np.full((1, 1, 3, 3), 10.0, np.float32))
 
 
+def overflowing_stats():
+    """A float32 conv2d input and weight whose output is finite (at most
+    2.7e20) but whose batch variance overflows."""
+    return (Tensor(np.full((2, 1, 4, 4), 3e19, np.float32)),
+            Tensor(np.ones((3, 1, 3, 3), np.float32)))
+
+
+def bn_args():
+    """gamma, beta and the running mean and variance of 3 float32 channels."""
+    return (np.ones(3, np.float32), np.full(3, 0.5, np.float32), np.zeros(3, np.float32),
+            np.ones(3, np.float32))
+
+
 class TestErrors:
     def test_shape_mismatch_matmul(self, rng):
         with pytest.raises(ShapeError):
@@ -351,12 +364,36 @@ class TestErrors:
         lambda: ad.conv_bn_relu(*overflowing_conv(), None, np.ones(1, np.float32),
                                 np.zeros(1, np.float32), np.zeros(1, np.float32),
                                 np.ones(1, np.float32), training=False),
-    ], ids=["exp", "mul", "add", "matmul", "conv2d", "conv_bn_relu"])
+        lambda: ad.batchnorm(ad.conv2d(*overflowing_stats()), *bn_args(), training=True),
+        lambda: ad.conv_bn_relu(*overflowing_stats(), None, *bn_args(), training=True),
+        lambda: ad.depthwise_conv1d(Tensor(np.full((1, 3, 2), 3e38, np.float32)),
+                                    Tensor(np.full((2, 4), 10.0, np.float32))),
+        lambda: ad.sum_(Tensor(np.full(2, 3e38, np.float32))),
+        lambda: ad.mean(Tensor(np.full(2, 3e38, np.float32))),
+        lambda: ad.softmax(Tensor(np.array([[np.inf, 1.0]], np.float32))),
+        lambda: ad.cross_entropy_logits(Tensor(np.array([[3e38, -3e38]], np.float32)),
+                                        np.array([1])),
+    ], ids=["exp", "mul", "add", "matmul", "conv2d", "conv_bn_relu", "batchnorm_stats",
+            "conv_bn_relu_stats", "depthwise_conv1d", "sum", "mean", "softmax",
+            "cross_entropy_logits"])
     def test_overflow_raises_only_its_typed_error(self, op):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError):
                 op()
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_overflowing_statistics_leave_the_running_buffers(self, fused):
+        gamma, beta, running_mean, running_var = bn_args()
+        with pytest.raises(NonFiniteError):
+            if fused:
+                ad.conv_bn_relu(*overflowing_stats(), None, gamma, beta, running_mean,
+                                running_var, training=True)
+            else:
+                ad.batchnorm(ad.conv2d(*overflowing_stats()), gamma, beta, running_mean,
+                             running_var, training=True)
+        assert np.array_equal(running_mean, np.zeros(3))
+        assert np.array_equal(running_var, np.ones(3))
 
 
 class TestMaxWithoutTape:

@@ -451,11 +451,12 @@ class TestVerifyCommand:
         assert "vectorized_vs_rational_oracle_ignore_eval" in out
 
     def test_injected_zoh_sign_error_fails_loudly(self):
+        from sits_ssm import autodiff as ad
         from sits_ssm import ssm, verify
 
         def broken_zoh(a, b, delta):
             a_bar, b_bar = ssm.discretize_zoh(a, b, delta)
-            return a_bar, -b_bar
+            return a_bar, ad.mul(b_bar, -1.0)
         report = verify.VerifyReport()
         verify.suite_zoh(report, zoh_fn=broken_zoh)
         assert not report.ok()

@@ -219,7 +219,7 @@ class TestParameterAccounting:
     def test_rbranch_linear_count(self):
         cfg = ModelConfig(input_channels=10, num_classes=20)
         model = SitsClassifier(cfg)
-        n = sum(t.size for _, t in model.rbranch.named_params("r"))
+        n = sum(t.size for _, t in model.rbranch.named_parameters("r"))
         assert n == 128 * 10 + 10 == 1290
 
     def test_full_reference_config_within_band(self):

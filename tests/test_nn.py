@@ -28,9 +28,9 @@ class Toy(nn.Module):
 class TestModuleWalk:
     def test_params_in_assignment_order(self):
         toy = Toy()
-        names = [name for name, _ in toy.named_params()]
+        names = [name for name, _ in toy.named_parameters()]
         assert names == ["w", "inner.gamma", "inner.beta", "b"]
-        assert dict(toy.named_params())["w"].data[0] == 3.0
+        assert dict(toy.named_parameters())["w"].data[0] == 3.0
 
     def test_buffers_in_assignment_order(self):
         toy = Toy()
@@ -40,5 +40,5 @@ class TestModuleWalk:
 
     def test_prefix(self):
         toy = Toy()
-        assert [name for name, _ in toy.named_params("toy")] == [
+        assert [name for name, _ in toy.named_parameters("toy")] == [
             "toy.w", "toy.inner.gamma", "toy.inner.beta", "toy.b"]

@@ -37,7 +37,7 @@ class TestConvBlock:
     def test_gradcheck_small_input(self, rng):
         blk = ConvBlock(2, 3, rng, dtype=np.float64)
         x = Tensor(rng.normal(0, 1, (1, 2, 4, 4)), requires_grad=True)
-        params = [x] + [t for _, t in blk.named_params("b")]
+        params = [x] + [t for _, t in blk.named_parameters("b")]
         f = lambda: ad.mean(ad.mul(blk(x, training=True), 2.0))
         assert gradcheck(f, params, max_components=20, rng=np.random.default_rng(2)) < TOL
 
@@ -84,7 +84,7 @@ class TestClsHead:
     def test_gradcheck(self, rng):
         head = ClsHead(3, 4, rng, dtype=np.float64)
         x = Tensor(rng.normal(0, 1, (1, 3, 4, 4)), requires_grad=True)
-        params = [x] + [t for _, t in head.named_params("h")]
+        params = [x] + [t for _, t in head.named_parameters("h")]
         f = lambda: ad.mean(head(x, training=True))
         assert gradcheck(f, params, max_components=20, rng=np.random.default_rng(4)) < TOL
 
