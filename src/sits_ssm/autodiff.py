@@ -36,6 +36,14 @@ not check again; a NaN in a leaf is caught by the first op that computes
 with it. ``conv_bn_relu`` checks each frame chunk on the pool, before its
 ReLU, which would turn -inf into 0.
 
+One floating-point error policy: numpy computes quietly and a finiteness
+check raises (an inf gradient from a backward makes ``Adam.step`` skip the
+step). Its one object, ``_quiet``, numpy's error state set to ignore all,
+decorates every op that does arithmetic, ``_backprop`` (so every backward),
+``ssm.selective_scan_fused``, ``ssm.zoh_phi`` and ``trainer.Adam.step``.
+That state is a context variable, so it reaches ``pool._map``'s tasks.
+Only the decorator form nests: one instance entered twice as a block raises.
+
 Threading: tensor values are immutable after creation (gradient
 accumulation is the one exception), and a forward+backward pass is
 single-threaded with respect to its graph. Values may be handed between
@@ -76,6 +84,8 @@ _CONV_FRAME_BUDGET = 8 * 2**20
 
 # a context variable, so each thread starts with recording on
 _GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
+# the one floating-point error policy, applied as a decorator (see above)
+_quiet = np.errstate(all="ignore")
 
 
 class ShapeError(ValueError):
@@ -243,6 +253,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # elementwise binary ops
 
+@_quiet
 def _binary(a, b, fwd, op):
     """The operands as tensors and ``fwd`` of their values."""
     # as a 0-d float64 array, a Python number would promote float32 operands
@@ -255,8 +266,7 @@ def _binary(a, b, fwd, op):
     else:
         a, b = as_tensor(a), as_tensor(b)
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return a, b, fwd(a.data, b.data)
+        return a, b, fwd(a.data, b.data)
     except ValueError as e:
         raise ShapeError(f"{op}: {a.shape} vs {b.shape}") from e
 
@@ -290,6 +300,7 @@ def mul(a, b) -> Tensor:
     return _make(out_data, (a, b), backward_fn, "mul")
 
 
+@_quiet
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy's vector promotion rules for 1-D operands."""
     a, b = as_tensor(a), as_tensor(b)
@@ -300,8 +311,7 @@ def matmul(a, b) -> Tensor:
     b2 = b.data[:, None] if b_vec else b.data
     if a2.shape[-1] != b2.shape[-2]:
         raise ShapeError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):     # _make refuses inf/NaN
-        out_data = np.matmul(np.ascontiguousarray(a2), np.ascontiguousarray(b2))
+    out_data = np.matmul(np.ascontiguousarray(a2), np.ascontiguousarray(b2))
     if b_vec:
         out_data = out_data[..., 0]
     if a_vec:
@@ -334,12 +344,12 @@ def matmul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 # elementwise unary ops
 
+@_quiet
 def _unary(x, fwd, dfn, op, of_output=False):
     """``fwd`` of x's values; backward is ``dfn(g, v)``, where v is the
     output if ``of_output`` and the input otherwise, the one array kept."""
     x = as_tensor(x)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out_data = fwd(x.data)
+    out_data = fwd(x.data)
     kept = out_data if of_output else x.data
 
     def backward_fn(g):
@@ -358,8 +368,7 @@ def exp(x) -> Tensor:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1 + e^-x); where e^-x overflows to inf the result is the limit 0
     out = np.negative(x, out=np.empty_like(x))
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
+    np.exp(out, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
 
@@ -417,10 +426,10 @@ def relu(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions
 
+@_quiet
 def sum_(x, axis=None) -> Tensor:
     x = as_tensor(x)
-    with np.errstate(over="ignore", invalid="ignore"):     # _make refuses inf/NaN
-        out_data = x.data.sum(axis=axis)
+    out_data = x.data.sum(axis=axis)
     shape = x.shape
 
     def backward_fn(g):
@@ -430,10 +439,10 @@ def sum_(x, axis=None) -> Tensor:
     return _make(np.asarray(out_data), (x,), backward_fn, "sum")
 
 
+@_quiet
 def mean(x, axis=None) -> Tensor:
     x = as_tensor(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out_data = x.data.mean(axis=axis)
+    out_data = x.data.mean(axis=axis)
     count = x.size if axis is None else np.prod([x.shape[a] for a in np.atleast_1d(axis)])
     shape = x.shape
 
@@ -613,12 +622,12 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 # softmax / cross-entropy
 
+@_quiet
 def softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = x.data - x.data.max(axis=axis, keepdims=True)
-        e = np.exp(z)
-        out_data = e / e.sum(axis=axis, keepdims=True)
+    z = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    out_data = e / e.sum(axis=axis, keepdims=True)
 
     def backward_fn(g):
         s = out_data
@@ -627,6 +636,7 @@ def softmax(x, axis: int = -1) -> Tensor:
     return _make(out_data, (x,), backward_fn, "softmax")
 
 
+@_quiet
 def cross_entropy_logits(logits, labels: np.ndarray, keep: np.ndarray | None = None) -> Tensor:
     """Mean negative log-softmax probability of the true class.
 
@@ -649,10 +659,9 @@ def cross_entropy_logits(logits, labels: np.ndarray, keep: np.ndarray | None = N
         raise ValueError("cross_entropy_logits: label outside [0, K)")
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-        nll = lse - z[np.arange(m), labels]
-        out_data = np.asarray(nll[keep].mean(), dtype=z.dtype)
+    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    nll = lse - z[np.arange(m), labels]
+    out_data = np.asarray(nll[keep].mean(), dtype=z.dtype)
 
     def backward_fn(g):
         p = np.exp(z - lse[:, None])
@@ -714,11 +723,9 @@ def _conv_parts(x, weight, bias):
     def run(bound):
         s, e = bound
         chunk = out[s:e].reshape(e - s, c_out, h * w)
-        # an inf/NaN is refused by the caller's finiteness check, not warned of
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(wmat, _im2col(xv[s:e], kh, kw), out=chunk)
-            if bias is not None:
-                chunk += bias.data[:, None]
+        np.matmul(wmat, _im2col(xv[s:e], kh, kw), out=chunk)
+        if bias is not None:
+            chunk += bias.data[:, None]
 
     def backward_fn(g):
         gmat = g.reshape(b, c_out, h * w)
@@ -739,6 +746,7 @@ def _conv_parts(x, weight, bias):
     return parents, out, bounds, run, backward_fn
 
 
+@_quiet
 def conv2d(x, weight, bias=None) -> Tensor:
     """2-D convolution (cross-correlation), odd kernel, stride 1, 'same' padding.
 
@@ -759,6 +767,7 @@ def conv2d(x, weight, bias=None) -> Tensor:
     return _make(out, parents, backward_fn, "conv2d")
 
 
+@_quiet
 def depthwise_conv1d(x, weight, bias=None) -> Tensor:
     """Causal depthwise convolution along the sequence axis.
 
@@ -777,11 +786,10 @@ def depthwise_conv1d(x, weight, bias=None) -> Tensor:
         bias = as_tensor(bias)
         parents.append(bias)
     out = np.zeros(xv.shape, dtype=xv.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):     # _make refuses inf/NaN
-        for i, s in taps:
-            out[:, s:] += xv[:, :l - s] * wv[:, i]
-        if bias is not None:
-            out = out + bias.data
+    for i, s in taps:
+        out[:, s:] += xv[:, :l - s] * wv[:, i]
+    if bias is not None:
+        out = out + bias.data
 
     def backward_fn(g):
         gw = np.zeros_like(wv)
@@ -805,19 +813,20 @@ _BN_MOMENTUM, _BN_EPS = 0.1, 1e-5     # torch's defaults
 
 
 def _bn_stats(xv: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
-              training: bool, momentum: float, eps: float):
+              training: bool, momentum: float, eps: float, op: str):
     """The per-channel mean and 1/std that batchnorm normalizes ``xv`` with,
     shaped to broadcast over it. Training takes the batch's and folds them
     into the running buffers in place (unbiased variance, torch convention);
-    inference takes the running buffers. Batch statistics that overflow
-    raise ``NonFiniteError`` before the buffers are touched."""
+    inference takes the running buffers. Non-finite batch statistics
+    raise ``NonFiniteError``, naming the calling ``op``, before the buffers
+    are touched; an inf or NaN anywhere in ``xv`` makes one of them
+    non-finite, so this also checks ``xv``."""
     if training:
         m = xv.size // xv.shape[1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            mu = xv.mean(axis=_BN_AXES)
-            var = xv.var(axis=_BN_AXES)
+        mu = xv.mean(axis=_BN_AXES)
+        var = xv.var(axis=_BN_AXES)
         if not (np.isfinite(mu).all() and np.isfinite(var).all()):
-            raise NonFiniteError("batchnorm: batch statistics are non-finite")
+            raise NonFiniteError(f"{op}: batch statistics are non-finite")
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
@@ -856,6 +865,7 @@ def _bn_backward(g, xhat, gamma_c, inv_std, training: bool, out=None):
     return gx, g_gamma, g_beta
 
 
+@_quiet
 def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
               training: bool, momentum: float = _BN_MOMENTUM, eps: float = _BN_EPS) -> Tensor:
     """Per-channel batch normalization over a (B, C, H, W) stack.
@@ -867,7 +877,8 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 4 or x.shape[1] != gamma.size:
         raise ShapeError(f"batchnorm: input {x.shape} vs {gamma.size} channels")
-    mu, inv_std = _bn_stats(x.data, running_mean, running_var, training, momentum, eps)
+    mu, inv_std = _bn_stats(x.data, running_mean, running_var, training, momentum, eps,
+                            "batchnorm")
     gamma_c, beta_c = gamma.data.reshape(_BN_CHANNEL), beta.data.reshape(_BN_CHANNEL)
     xhat = np.empty(x.shape, np.result_type(x.data, mu, inv_std))
     out_data = np.empty(x.shape, np.result_type(xhat, gamma_c, beta_c))
@@ -879,6 +890,7 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
     return _make(out_data, (x, gamma, beta), backward_fn, "batchnorm")
 
 
+@_quiet
 def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
                  running_var: np.ndarray, training: bool) -> Tensor:
     """relu(batchnorm(conv2d(x, weight, bias), ...)) as one op, bitwise equal
@@ -888,12 +900,13 @@ def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
     the pool: the batchnorm affine, then a check for NaN/Inf, which also
     catches a non-finite conv output, then the ReLU, all in place. Inference
     normalizes with the running buffers, so that is one pool pass. Training
-    checks each conv chunk as it is made, takes the batch statistics over
-    the whole conv output (``_bn_stats``), and finishes the chunks in a
-    second pass. Unless the result is recorded, no whole-stack array but
-    the conv output is made. When it is, the op keeps the normalized conv
-    output and its own output, and backward is the ReLU mask, batchnorm's
-    backward over the whole stack, then conv2d's chunked backward.
+    convolves every chunk first, takes the batch statistics over the whole
+    conv output (``_bn_stats``, whose check covers every conv value), and
+    finishes the chunks in a second pass. Unless the result is recorded, no
+    whole-stack array but the conv output is made. When it is, the op keeps
+    the normalized conv output and its own output, and backward is the ReLU
+    mask, batchnorm's backward over the whole stack, then conv2d's chunked
+    backward.
     """
     conv_parents, xhat, bounds, convolve, conv_backward = _conv_parts(x, weight, bias)
     gamma, beta = as_tensor(gamma), as_tensor(beta)
@@ -913,22 +926,15 @@ def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
         _check_finite(out[s:e], "conv_bn_relu")
         np.maximum(out[s:e], 0.0, out=out[s:e])
 
+    def one_pass(bound):
+        convolve(bound)
+        finish(bound)
+
     if training:
-        def first_pass(bound):
-            convolve(bound)
-            _check_finite(xhat[bound[0]:bound[1]], "conv_bn_relu")
-
-        pool._map(first_pass, bounds)
-        mu, inv_std = _bn_stats(xhat, running_mean, running_var, True, _BN_MOMENTUM, _BN_EPS)
-        pool._map(finish, bounds)
-    else:
-        mu, inv_std = _bn_stats(xhat, running_mean, running_var, False, _BN_MOMENTUM, _BN_EPS)
-
-        def one_pass(bound):
-            convolve(bound)
-            finish(bound)
-
-        pool._map(one_pass, bounds)
+        pool._map(convolve, bounds)
+    mu, inv_std = _bn_stats(xhat, running_mean, running_var, training, _BN_MOMENTUM, _BN_EPS,
+                            "conv_bn_relu")
+    pool._map(finish if training else one_pass, bounds)
 
     conv_dtype = xhat.dtype
 
@@ -1015,6 +1021,7 @@ def backward(loss: Tensor):
     _backprop(loss._node, np.ones_like(loss.data))
 
 
+@_quiet
 def _backprop(root: _Node, seed: np.ndarray):
     """Reverse pass from ``root`` with d(objective)/d(root) = ``seed``.
 

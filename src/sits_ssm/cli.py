@@ -17,7 +17,9 @@ absent). Checkpoints, logs and metrics hold none of these, so two runs
 on different machines can still be compared byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 data/shape error (a path that
-cannot be read included), 3 verification failure.
+cannot be read included, and a series with a non-finite value), 3
+verification failure, 4 training diverged (``TrainingDivergedError``;
+no ``final.ckpt`` is written).
 """
 
 from __future__ import annotations
@@ -38,12 +40,13 @@ from .data import DatasetFormatError
 from .losses import LossConfig
 from .metrics import eval_classes
 from .model import ModelConfig, SitsClassifier
-from .trainer import TrainConfig, evaluate, train
+from .trainer import TrainConfig, TrainingDivergedError, evaluate, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFY = 3
+EXIT_DIVERGED = 4
 
 
 class UsageError(Exception):
@@ -195,6 +198,8 @@ def _check_dataset_fits(ds, cfg: dict, path):
         if x.series.shape[1:] != chw:
             raise ShapeError(f"{path}: sample {i} has (C, H, W) {x.series.shape[1:]}, "
                              f"sample 0 has {chw}")
+        if not np.isfinite(x.series).all():
+            raise DatasetFormatError(f"{path}: sample {i} has a non-finite value")
     top = max(int(x.label_map.max()) for x in ds.samples)
     if top >= cfg["classes"]:
         raise ShapeError(f"{path}: label {top} outside [0, {cfg['classes']})")
@@ -356,6 +361,9 @@ def main(argv=None) -> int:
             ShapeError, NonFiniteError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except TrainingDivergedError as e:
+        print(e, file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

@@ -111,13 +111,10 @@ def _phi_prime(z) -> np.ndarray:
     sum_k (k+1) z^k/(k+2)! replaces it.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = np.expm1(z, out=np.empty(z.shape))
-    with np.errstate(divide="ignore", invalid="ignore"):    # z = 0 takes the series
-        out /= z
-        np.subtract(np.exp(z), out, out=out)
-        out /= z
     small = np.abs(z) < _PHI_PRIME_SWITCH
-    zs = z[small]
+    zb, zs = z[~small], z[small]
+    out = np.empty(z.shape)
+    out[~small] = (np.exp(zb) - np.expm1(zb) / zb) / zb
     series = np.multiply(zs, _PHI_PRIME_SERIES[0])
     for coef in _PHI_PRIME_SERIES[1:-1]:
         series += coef
@@ -231,6 +228,7 @@ def _time_major(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
+@ad._quiet
 def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
                          c: Tensor, d_skip: Tensor) -> Tensor:
     """Input-selective scan with per-step ZOH discretization, one fused op.
@@ -374,14 +372,14 @@ def selective_scan_composite(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     return ad.add(scan_recurrence(a_bar, bx, c), ad.mul(u, d_skip))
 
 
+@ad._quiet
 def zoh_phi(z) -> Tensor:
     """Differentiable phi(z) = (e^z - 1)/z, by its series 1 + z/2 below
     ``_PHI_SWITCH``, where the closed form cancels; its backward is phi'
     (``_phi_prime``)."""
     z = ad.as_tensor(z)
     zv = z.data
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(np.abs(zv) < _PHI_SWITCH, 1.0 + 0.5 * zv, np.expm1(zv) / zv)
+    out = np.where(np.abs(zv) < _PHI_SWITCH, 1.0 + 0.5 * zv, np.expm1(zv) / zv)
 
     def backward_fn(g):
         return (g * _phi_prime(zv),)

@@ -51,6 +51,11 @@ class TrainConfig:
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8    # the reference recipe's Adam settings
 
 
+class TrainingDivergedError(RuntimeError):
+    """The model's values went non-finite: two train steps in a row, or a
+    validation forward."""
+
+
 class Adam:
     """Bias-corrected Adam. Steps with non-finite gradients are skipped."""
 
@@ -61,6 +66,7 @@ class Adam:
         self.m = [np.zeros_like(t.data, dtype=np.float64) for _, t in self.params]
         self.v = [np.zeros_like(t.data, dtype=np.float64) for _, t in self.params]
 
+    @ad._quiet
     def step(self):
         for (name, t) in self.params:
             if t.grad is not None and not np.all(np.isfinite(t.grad)):
@@ -160,12 +166,13 @@ def train(model: SitsClassifier, train_set, valid_set, cfg: TrainConfig,
                     report = train_step(model, batch, cfg.loss)
                 except NonFiniteError as e:
                     consecutive_bad += 1
-                    log.warning("epoch %d step %d: %s (strike %d)", epoch, step_idx, e,
-                                consecutive_bad)
+                    # info, like the epoch's skip count: a second strike's error repeats the cause
+                    log.info("epoch %d step %d: %s (strike %d)", epoch, step_idx, e,
+                             consecutive_bad)
                     if consecutive_bad >= 2:
-                        raise RuntimeError(
+                        raise TrainingDivergedError(
                             f"training diverged: non-finite loss twice in a row "
-                            f"(epoch {epoch}, step {step_idx})") from e
+                            f"(epoch {epoch}, step {step_idx}): {e}") from e
                     step_idx += 1
                     continue
                 consecutive_bad = 0
@@ -179,8 +186,12 @@ def train(model: SitsClassifier, train_set, valid_set, cfg: TrainConfig,
                      adam_skipped)
             skipped_steps += adam_skipped
             if valid_set is not None and len(valid_set):
-                s = evaluate(model, valid_set, cfg.loss, cfg.batch_size, cfg.temporal_mode,
-                             eval_class_set=cfg.eval_class_set)
+                try:
+                    s = evaluate(model, valid_set, cfg.loss, cfg.batch_size, cfg.temporal_mode,
+                                 eval_class_set=cfg.eval_class_set)
+                except NonFiniteError as e:
+                    raise TrainingDivergedError(
+                        f"training diverged: validation after epoch {epoch}: {e}") from e
                 improved = s.mf1 > best_mf1
                 if improved:
                     best_mf1, best_epoch = s.mf1, epoch

@@ -12,6 +12,7 @@ import pytest
 from sits_ssm import autodiff as ad
 from sits_ssm import nn
 from sits_ssm import pool as pool_mod
+from sits_ssm import ssm
 from sits_ssm.autodiff import NonFiniteError, ShapeError, Tensor
 from sits_ssm.verify import gradcheck
 
@@ -373,9 +374,22 @@ class TestErrors:
         lambda: ad.softmax(Tensor(np.array([[np.inf, 1.0]], np.float32))),
         lambda: ad.cross_entropy_logits(Tensor(np.array([[3e38, -3e38]], np.float32)),
                                         np.array([1])),
+        # inference normalizes with the running buffers: gamma * xhat overflows
+        lambda: ad.batchnorm(Tensor(np.full((1, 1, 2, 2), 10.0, np.float32)),
+                             np.full(1, 3e38, np.float32), np.zeros(1, np.float32),
+                             np.zeros(1, np.float32), np.ones(1, np.float32), training=False),
+        lambda: ad.conv_bn_relu(Tensor(np.ones((1, 1, 3, 3), np.float32)),
+                                Tensor(np.ones((1, 1, 3, 3), np.float32)), None,
+                                np.full(1, 3e38, np.float32), np.zeros(1, np.float32),
+                                np.zeros(1, np.float32), np.ones(1, np.float32),
+                                training=False),
+        lambda: ssm.selective_scan_fused(*(Tensor(np.full(shape, v, np.float32)) for shape, v in (
+            ((1, 2, 1), 3e38), ((1, 2, 1), 0.1), ((1, 1), -1.0), ((1, 2, 1), 1.0),
+            ((1, 2, 1), 1.0), ((1,), 10.0)))),
     ], ids=["exp", "mul", "add", "matmul", "conv2d", "conv_bn_relu", "batchnorm_stats",
             "conv_bn_relu_stats", "depthwise_conv1d", "sum", "mean", "softmax",
-            "cross_entropy_logits"])
+            "cross_entropy_logits", "batchnorm_inference", "conv_bn_relu_inference_gamma",
+            "selective_scan_fused"])
     def test_overflow_raises_only_its_typed_error(self, op):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -394,6 +408,27 @@ class TestErrors:
                              running_var, training=True)
         assert np.array_equal(running_mean, np.zeros(3))
         assert np.array_equal(running_var, np.ones(3))
+
+    def test_overflowing_gradient_is_inf_without_warning(self):
+        """A finite forward (3e9) whose gradient (3e39) overflows float32."""
+        x = Tensor(np.float32(1e-30), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = ad.mul(ad.mul(x, 3e38), 10.0)
+            ad.backward(y)
+        assert np.isfinite(y.item()) and np.isinf(x.grad)
+
+    def test_overflowing_conv2d_gradient_in_pool_tasks(self, monkeypatch):
+        """conv2d's backward chunks run as pool tasks, in the caller's context."""
+        monkeypatch.setattr(ad, "_CONV_FRAME_BUDGET", 1)       # one frame per chunk
+        x = Tensor(np.full((2, 1, 3, 3), 1e-30, np.float32), requires_grad=True)
+        w = Tensor(np.full((1, 1, 3, 3), 3e38, np.float32), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = ad.conv2d(x, w)
+            ad.backward(ad.sum_(ad.mul(y, 10.0)))
+        assert np.isfinite(y.data).all()
+        assert np.isinf(x.grad).all() and np.isfinite(w.grad).all()
 
 
 class TestMaxWithoutTape:
@@ -652,10 +687,25 @@ class TestStructuralInvariants:
         assert np.allclose(out.data, x.data, atol=1e-12)
 
     def test_batchnorm_updates_running_stats(self, rng):
-        x = f64(rng, 8, 2, 3, 3, requires_grad=False)
-        rm, rv = np.zeros(2), np.ones(2)
-        ad.batchnorm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, training=True)
-        assert not np.allclose(rm, 0.0)
+        """One training step of batchnorm and of conv_bn_relu folds momentum
+        0.1 of the batch mean and of the unbiased (torch) batch variance
+        into the buffers, here by hand in float64. m = 72 values per
+        channel, so a dropped m/(m-1) shows."""
+        x = rng.normal(0.5, 2.0, (8, 1, 3, 3))
+        w, b = rng.normal(0, 1, (2, 1, 3, 3)), rng.normal(0, 1, 2)
+        conv_out = ad.conv2d(x, w, b).data
+        per_channel = conv_out.transpose(1, 0, 2, 3).reshape(2, -1)
+        m = per_channel.shape[1]
+        mean = per_channel.sum(axis=1) / m
+        var = ((per_channel - mean[:, None]) ** 2).sum(axis=1) / (m - 1)
+        for fused in (False, True):
+            rm, rv = np.zeros(2), np.ones(2)
+            if fused:
+                ad.conv_bn_relu(x, w, b, np.ones(2), np.zeros(2), rm, rv, training=True)
+            else:
+                ad.batchnorm(conv_out, np.ones(2), np.zeros(2), rm, rv, training=True)
+            assert np.allclose(rm, 0.1 * mean, rtol=1e-12, atol=0)
+            assert np.allclose(rv, 0.9 + 0.1 * var, rtol=1e-12, atol=0)
 
     def test_dtype_follows_inputs(self):
         x32 = Tensor(np.ones(3, dtype=np.float32))

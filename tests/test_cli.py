@@ -1,7 +1,10 @@
 """Operator surface: subcommands, flags, config files, manifests, exit codes."""
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +192,45 @@ class TestExitCodes:
         rc = main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
                    "--channels", "5", "--classes", "3", "--hidden", "8"])
         assert rc == 2
+
+    def test_non_finite_series_is_2_before_any_io(self, tmp_path, capsys):
+        """A NaN in the data is the data's fault: exit 2, not a diverged run's 4."""
+        data = tmp_path / "d"
+        gen(data)
+        ds = load_dataset(data / "train.sits")
+        ds.samples[1].series[0, 0, 0, 0] = np.nan
+        save_dataset(ds, data / "train.sits")
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(data), "--out", str(out), *SMALL]) == 2
+        assert "sample 1 has a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, cause", [
+        ([], "validation after epoch 0"),                 # one step, then validation
+        (["--batch-size", "2"], "twice in a row"),        # two train steps in a row
+    ], ids=["validation", "two_strikes"])
+    def test_diverged_run_is_4(self, tmp_path, extra, cause):
+        """lr 1e30 sends the weights to ~1e30 in one step, and the next
+        forward overflows: exit 4 with one line on stderr and no
+        final.ckpt, also with numpy's warnings as errors."""
+        data, out = tmp_path / "d", tmp_path / "o"
+        assert main(["gen-data", "--out", str(data), "--classes", "3", "--channels", "2",
+                     "--timesteps", "6", "--height", "6", "--width", "6",
+                     "--train-samples", "8", "--valid-samples", "8",
+                     "--test-samples", "1"]) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parent.parent),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "sits_ssm", "train",
+             "--data", str(data), "--out", str(out), "--lr", "1e30", "--classes", "3",
+             "--channels", "2", "--hidden", "4", "--d-state", "2", *extra],
+            env=env, capture_output=True, text=True, timeout=300)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 4, proc.stderr[-2000:]
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert lines[0].startswith("training diverged") and cause in lines[0]
+        assert not (out / "final.ckpt").exists()
 
     def test_bad_config_key_is_1(self, tmp_path):
         data = tmp_path / "d"

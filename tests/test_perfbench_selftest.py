@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_perfbench_selftest_passes():
-    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
-                          capture_output=True, text=True, timeout=600)
+    # the tests' warning rule (pyproject.toml) does not reach a subprocess
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "perfbench/selftest.py"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "selftest: ok" in proc.stdout

@@ -3,6 +3,7 @@ checkpoint round trips."""
 
 import hashlib
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,17 @@ class TestAdam:
         opt.step()
         third = opt.m[0].copy()
         assert np.all(np.abs(third) < np.abs(opt.m[0]) + 1e-12)
+
+    def test_overflowing_update_is_applied_without_warning(self):
+        """The float64 update 1e39 overflows float32 in the cast to the
+        parameter's dtype: the parameter becomes -inf, and no numpy warning."""
+        p = Tensor(np.ones(2, np.float32), requires_grad=True)
+        opt = Adam([("p", p)], lr=1e39)
+        p.grad = np.ones(2, np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert opt.step()
+        assert np.isneginf(p.data).all()
 
     def test_single_step_hand_oracle(self):
         # from zero state: m_hat = g, v_hat = g^2, step = lr*g/(|g|+eps)
