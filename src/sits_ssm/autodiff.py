@@ -51,18 +51,21 @@ threads; independent graphs may run in parallel. Three ops use the
 package's one thread pool (``pool``), each as one node of the outer graph,
 and all follow its one protocol: cut the leading axis with
 ``pool._chunk_bounds``, run one task per chunk with ``pool._map``, and add
-the chunks' partial gradients with ``pool._sum_in_order``.
+the chunks' partial gradients with ``pool._map_sum`` as the chunks finish,
+so about one partial per worker is alive, not one per chunk.
 ``ssm.MambaBlock`` is the one place that splits pixel sequences. Its
 forward runs each chunk under ``no_grad`` and keeps only the chunk's
 input; its backward replays each chunk as a sub-graph of its own, recorded
 whatever grad mode backward runs under, over parameter copies whose
 ``grad`` only that chunk touches. The selective scan inside a chunk is a
 single pass on that chunk's thread. ``conv2d`` splits the frames of its
-(B, C, H, W) stack: each chunk's im2col + GEMM writes its slice of the
-output, and backward recomputes the chunk's columns. ``conv_bn_relu``
-runs on conv2d's chunks and has each chunk finish its own output slice:
-the batchnorm affine, the check, the ReLU. No pool task asks the pool for
-work.
+(B, C, H, W) stack into chunks whose im2col columns fit
+``_CONV_FRAME_BUDGET``, or of one frame, as for the paper's 128-channel
+conv: each chunk's im2col + GEMM writes its slice of the output, and backward recomputes the
+chunk's columns, so a task's scratch stays about one frame's.
+``conv_bn_relu`` runs on conv2d's chunks and has each chunk finish its
+own output slice: the batchnorm affine, the check, the ReLU. No pool task
+asks the pool for work.
 Grad mode is per thread (and per asyncio task): ``no_grad()`` in one
 thread leaves tape recording on in every other.
 """
@@ -78,9 +81,11 @@ import numpy as np
 from . import pool
 
 DEFAULT_DTYPE = np.float32
-# bytes of one conv2d frame chunk's im2col columns (C_in*kh*kw*H*W each):
-# 7 frames of the paper's 128-channel 3x3 conv on 16x16
-_CONV_FRAME_BUDGET = 8 * 2**20
+# bytes of one conv2d frame chunk's im2col columns (C_in*kh*kw*H*W each),
+# which bound its backward scratch too: one frame of the paper's 128-channel
+# 3x3 conv on 16x16 (1.18 MB; a chunk has at least one frame), 7 of a
+# 16-channel one
+_CONV_FRAME_BUDGET = 2**20
 
 # a context variable, so each thread starts with recording on
 _GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
@@ -701,8 +706,11 @@ def _col2im(gcols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
 def _conv_parts(x, weight, bias):
     """A conv2d's checked operands and its chunked work, for ``conv2d`` and
     ``conv_bn_relu``: the parents, the empty (B, C_out, H, W) output, its
-    frame chunks, the task that fills one chunk of the output, and the
-    backward function, which keeps no output values."""
+    frame chunks (``_CONV_FRAME_BUDGET`` bytes of columns each, at least one
+    frame), the task that fills one chunk of the output, and the backward
+    function, which keeps no output values. Backward writes each chunk's
+    slice of the input gradient, and ``pool._map_sum`` adds the chunks'
+    weight-gradient partials in chunk order as they finish."""
     x, weight = as_tensor(x), as_tensor(weight)
     c_out, c_in, kh, kw = weight.shape
     if x.ndim != 4 or x.shape[1] != c_in:
@@ -736,9 +744,9 @@ def _conv_parts(x, weight, bias):
             part = np.einsum("bop,bkp->ok", gmat[s:e], _im2col(xv[s:e], kh, kw), optimize=True)
             if gx is not None:
                 gx[s:e] = _col2im(np.matmul(wmat.T, gmat[s:e]), gx[s:e].shape, kh, kw)
-            return part
+            return [part]
 
-        gw = pool._sum_in_order(pool._map(backward, bounds)).reshape(weight.shape)
+        gw = pool._map_sum(backward, bounds)[0].reshape(weight.shape)
         if bias is not None:
             return gx, gw, gmat.sum(axis=(0, 2))
         return gx, gw
@@ -755,12 +763,13 @@ def conv2d(x, weight, bias=None) -> Tensor:
 
     Every frame is convolved on its own, so the B frames run as chunks on
     the shared pool, each chunk's im2col columns fitting
-    ``_CONV_FRAME_BUDGET``. A chunk writes its GEMM straight into its slice
-    of the output; backward recomputes its columns instead of keeping them,
-    writes its slice of the input gradient, and returns its part of the
-    weight gradient, which ``pool._sum_in_order`` adds up. Output and input
-    gradient equal the whole-batch op bitwise; the weight gradient is
-    bitwise the same for any worker count.
+    ``_CONV_FRAME_BUDGET`` (1 MiB: one frame of the paper's 128-channel
+    conv). A chunk writes its GEMM straight into its slice of the output;
+    backward recomputes its columns instead of keeping them, writes its
+    slice of the input gradient, and returns its part of the weight
+    gradient, which ``pool._map_sum`` adds up in chunk order as the chunks
+    finish. Output and input gradient equal the whole-batch op bitwise; the
+    weight gradient is bitwise the same for any worker count.
     """
     parents, out, bounds, run, backward_fn = _conv_parts(x, weight, bias)
     pool._map(run, bounds)
@@ -896,9 +905,10 @@ def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
     """relu(batchnorm(conv2d(x, weight, bias), ...)) as one op, bitwise equal
     to the three ops in outputs, running buffers and gradients.
 
-    Each conv frame chunk (``conv2d``'s) finishes its own output slice on
-    the pool: the batchnorm affine, then a check for NaN/Inf, which also
-    catches a non-finite conv output, then the ReLU, all in place. Inference
+    Each conv frame chunk (``conv2d``'s, one frame of the paper's
+    128-channel conv) finishes its own output slice on the pool: the
+    batchnorm affine, then a check for NaN/Inf, which also catches a
+    non-finite conv output, then the ReLU, all in place. Inference
     normalizes with the running buffers, so that is one pool pass. Training
     convolves every chunk first, takes the batch statistics over the whole
     conv output (``_bn_stats``, whose check covers every conv value), and
@@ -906,7 +916,8 @@ def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
     whole-stack array but the conv output is made. When it is, the op keeps
     the normalized conv output and its own output, and backward is the ReLU
     mask, batchnorm's backward over the whole stack, then conv2d's chunked
-    backward.
+    backward, whose weight-gradient partials ``pool._map_sum`` adds as the
+    chunks finish.
     """
     conv_parents, xhat, bounds, convolve, conv_backward = _conv_parts(x, weight, bias)
     gamma, beta = as_tensor(gamma), as_tensor(beta)

@@ -2,9 +2,13 @@
 
 ``ssm.MambaBlock`` splits pixel sequences, and ``autodiff.conv2d`` and
 ``autodiff.conv_bn_relu`` split frames: each cuts its leading axis with
-``_chunk_bounds`` under a byte budget of its own, runs one task per chunk
-with ``_map``, and adds the chunks' partial gradients with
-``_sum_in_order``. The pool is created at first use, with one worker per
+``_chunk_bounds`` under a byte budget of its own and runs one task per
+chunk, with ``_map`` where each task writes its own slice, and with
+``_map_sum`` where the tasks return partial gradients to be added up.
+``_map_sum`` adds each partial into the first chunk's as soon as it and
+every earlier one are done, and keeps no more than one task per worker
+ahead of the adds, so about one partial per worker is alive at a time,
+not one per chunk. The pool is created at first use, with one worker per
 CPU the process may run on; numpy releases the GIL inside its kernels.
 Chunk boundaries depend only on the item count and the budget, never on
 the number of workers, and the partials are added in chunk order, so
@@ -15,6 +19,7 @@ This module imports nothing from the package.
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import os
 import threading
@@ -69,10 +74,36 @@ def _map(fn, items: list) -> list:
     return list(_pool().map(lambda item: ctx.copy().run(fn, item), items))
 
 
-def _sum_in_order(parts):
-    """The sum of the chunks' partial results, added in chunk order into
-    the first one, so that it does not depend on which thread made which."""
-    total, *rest = parts
-    for part in rest:
-        total += part
-    return total
+def _map_sum(fn, items: list) -> list:
+    """The chunk-order sums of fn(item) over the items, run on the pool; a
+    single item runs inline.
+
+    Each fn(item) is a list of arrays, and each array is added in place into
+    the first item's as soon as it and every earlier item are done, so the
+    sums do not depend on which thread made which part. Besides the task
+    whose part is added next, at most one task per worker is submitted, so
+    no more than workers + 1 results are alive besides the sums, however
+    many items there are. Tasks run as in ``_map``.
+    """
+    if len(items) == 1:
+        return fn(items[0])
+    ctx, ahead = contextvars.copy_context(), worker_count()
+    todo = collections.deque()
+    sums = None
+
+    def add_next():
+        nonlocal sums
+        parts = todo.popleft().result()
+        if sums is None:
+            sums = parts
+        else:
+            for total, part in zip(sums, parts):
+                total += part
+
+    for item in items:
+        todo.append(_pool().submit(ctx.copy().run, fn, item))
+        if len(todo) > ahead:
+            add_next()
+    while todo:
+        add_next()
+    return sums

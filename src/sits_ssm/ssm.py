@@ -64,14 +64,17 @@ tape node, checkpointed at the chunk boundary (Chen et al. 2016,
 arXiv:1604.06174): its forward runs each chunk under ``no_grad`` and
 keeps only the chunk's input; its backward replays each chunk with the
 tape on, over a ``shadow`` of the block, runs that chunk's backward at
-once, and adds the parameter gradients with ``pool._sum_in_order``. So
-only the chunks being replayed are ever recorded, one per worker, and
-the scan's trajectory is a chunk's. Chunk boundaries depend only on the
-budget and every chunk is computed the same way whichever thread runs
-it, so results are bitwise identical for any number of workers, and the
-working arrays stay chunk-sized. Given each sequence's valid length, a
-chunk runs only up to the longest one among its sequences; the block is
-causal, so the steps it skips could not have changed a valid output.
+once, and adds the parameter gradients with ``pool._map_sum``, each
+chunk's into the first one's as soon as it and every earlier chunk are
+done. So only the chunks being replayed are ever recorded, one per
+worker, the scan's trajectory is a chunk's, and about one chunk's
+parameter gradients per worker are alive, not one set per chunk. Chunk
+boundaries depend only on the budget and every chunk is computed the same
+way whichever thread runs it, so results are bitwise identical for any
+number of workers, and the working arrays stay chunk-sized. Given each
+sequence's valid length, a chunk runs only up to the longest one among
+its sequences; the block is causal, so the steps it skips could not have
+changed a valid output.
 """
 
 from __future__ import annotations
@@ -443,9 +446,10 @@ class MambaBlock(nn.Module):
         runs ``_forward`` again over a ``shadow`` of this block with the tape
         on, whatever grad mode backward is called under, and runs its own
         backward at once; the node lets go of a chunk's input as its replay
-        starts. The parameter gradients are added with
-        ``pool._sum_in_order``, so the results do not depend on the number
-        of workers. A single chunk takes the same route, inline.
+        starts. ``pool._map_sum`` adds each chunk's parameter gradients in
+        chunk order as the replays finish, so about one set per worker is
+        alive and the results do not depend on the number of workers. A
+        single chunk takes the same route, inline.
         """
         d_model = self.in_proj.weight.shape[0]
         if x.ndim != 3 or x.shape[2] != d_model:
@@ -490,8 +494,7 @@ class MambaBlock(nn.Module):
                     gx[s:e, :xi.shape[1]] = xi.grad
                 return [t.grad for _, t in twin.named_parameters()]
 
-            parts = pool._map(backward, kept)
-            return (gx, *(pool._sum_in_order(p) for p in zip(*parts)))
+            return (gx, *pool._map_sum(backward, kept))
 
         return ad._make(y, (x, *params), backward_fn, "mamba_block")
 

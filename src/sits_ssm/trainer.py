@@ -97,7 +97,8 @@ class TrainResult:
     log_path: Path
     epoch_log_path: Path
     history: list[LossReport] = field(default_factory=list)
-    # batches with no scored pixel, which never reach train_step, plus the
+    # batches with no scored pixel, which never reach train_step, steps whose
+    # forward raised NonFiniteError (a strike the run went on past), and the
     # steps whose non-finite gradients Adam did not apply
     skipped_steps: int = 0
 
@@ -173,6 +174,7 @@ def train(model: SitsClassifier, train_set, valid_set, cfg: TrainConfig,
                         raise TrainingDivergedError(
                             f"training diverged: non-finite loss twice in a row "
                             f"(epoch {epoch}, step {step_idx}): {e}") from e
+                    skipped_steps += 1
                     step_idx += 1
                     continue
                 consecutive_bad = 0

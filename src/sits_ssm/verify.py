@@ -371,7 +371,7 @@ def suite_fused_scan(report: VerifyReport, scan_fn=None):
 def suite_spatial(report: VerifyReport, fused_fn=None):
     """The fused conv -> BN -> ReLU stage against the three unfused ops, in
     float64, in training and inference mode, over 5 frames of 128 channels
-    (two conv frame chunks): output, running buffers and every gradient
+    (five conv frame chunks): output, running buffers and every gradient
     must be the same bits."""
     fn = fused_fn or ad.conv_bn_relu
     rng = np.random.default_rng(13)
@@ -462,10 +462,19 @@ def suite_metrics(report: VerifyReport):
 
 
 def suite_losses(report: VerifyReport):
-    """Weighting identities of the combined objective."""
+    """Weighting identities of the combined objective, and the positional
+    ramp that ``reconstruction_loss`` builds over ragged valid lengths."""
     from . import losses
     pw = losses.positional_weights(4)
     report.add("loss", "pw_L4", float(np.abs(pw - np.array([0.25, 0.5, 0.75, 1.0])).max()), 1e-15)
+    rng = np.random.default_rng(17)
+    target, recon = rng.normal(0, 1, (2, 2, 4, 3, 2, 2))
+    mask = np.array([[True, True, True, True], [True, True, False, False]])
+    per_step = ((recon - target) ** 2).mean(axis=(2, 3, 4))
+    by_hand = (0.25 * per_step[0, 0] + 0.5 * per_step[0, 1] + 0.75 * per_step[0, 2]
+               + 1.0 * per_step[0, 3] + 0.5 * per_step[1, 0] + 1.0 * per_step[1, 1]) / 2
+    got = losses.reconstruction_loss(Tensor(target), Tensor(recon), mask).item()
+    report.add("loss", "reconstruction_ramp_ragged", abs(got - by_hand) / by_hand, 1e-12)
     l_cls = Tensor(np.float64(0.8), requires_grad=False)
     l_tp = Tensor(np.float64(0.4), requires_grad=False)
     cfg = losses.LossConfig(w0=0.03)

@@ -765,3 +765,12 @@ class TestChunkedConv2d:
                 tracemalloc.stop()
         assert y.shape == (240, 128, 16, 16)
         assert peak < columns / 4
+
+    @pytest.mark.parametrize("frames, channels, chunks", [(60, 128, 60), (40, 16, 6)])
+    def test_default_budget_chunks(self, frames, channels, chunks):
+        """A paper-width 128-channel frame's 3x3 columns on 16x16 (1.18 MB)
+        are a chunk of their own, and 40 frames of 16 channels run as several
+        chunks, so on both workers."""
+        x = Tensor(np.zeros((frames, channels, 16, 16), np.float32))
+        w = Tensor(np.zeros((channels, channels, 3, 3), np.float32))
+        assert len(ad._conv_parts(x, w, None)[2]) == chunks

@@ -548,6 +548,25 @@ class TestVerifyCommand:
         verify.suite_spatial(report, fused_fn=broken_stage)
         assert [r.name for r in report.rows if not r.passed] == ["conv_bn_relu_vs_unfused"]
 
+    def test_injected_reversed_ramp_fails(self, monkeypatch):
+        """reconstruction_loss with its positional ramp reversed over each
+        sample's valid steps: the loss of the series reversed within them."""
+        from sits_ssm import autodiff as ad
+        from sits_ssm import losses, verify
+        loss = losses.reconstruction_loss
+
+        def reversed_ramp(target, reconstruction, valid_mask, use_pw=True):
+            counts = valid_mask.sum(axis=1, keepdims=True)
+            steps = np.arange(valid_mask.shape[1])
+            order = np.where(steps < counts, counts - 1 - steps, steps)[:, :, None, None, None]
+            flip = [ad.Tensor(np.take_along_axis(t.data, order, axis=1))
+                    for t in (target, reconstruction)]
+            return loss(*flip, valid_mask, use_pw)
+        monkeypatch.setattr(losses, "reconstruction_loss", reversed_ramp)
+        report = verify.VerifyReport()
+        verify.suite_losses(report)
+        assert [r.name for r in report.rows if not r.passed] == ["reconstruction_ramp_ragged"]
+
     def test_verification_failure_exit_code_is_3(self, monkeypatch, capsys):
         from sits_ssm import verify
         bad = verify.VerifyReport()

@@ -1,16 +1,21 @@
 """The package's shared thread pool: chunk boundaries, grad mode in its
-tasks, and the pool across fork."""
+tasks, chunk-order sums and their memory, and the pool across fork."""
 
+import functools
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sits_ssm import autodiff as ad
 from sits_ssm import pool
+
+from conftest import bitwise_for_any_worker_count
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -45,6 +50,41 @@ def test_a_tasks_grad_mode_stays_in_the_task():
 
     assert pool._map(task, list(range(6))) == [True] * 6
     assert ad.grad_enabled()
+
+
+def test_map_sum_adds_in_chunk_order_bitwise_for_any_worker_count(monkeypatch):
+    """float32 partials whose sum depends on the order of the adds: the
+    sums are the left-to-right ones, whichever worker finishes first."""
+    rng = np.random.default_rng(0)
+    parts = [(rng.normal(0, 1, 64) * 10.0 ** rng.integers(-4, 8, 64)).astype(np.float32)
+             for _ in range(9)]
+    in_order = functools.reduce(np.add, parts)
+    assert not np.array_equal(in_order, functools.reduce(np.add, parts[::-1]))
+
+    def task(i):
+        return [parts[i].copy(), -parts[i]]
+
+    sums = bitwise_for_any_worker_count(monkeypatch, lambda: pool._map_sum(task, range(9)))
+    assert np.array_equal(sums[0], in_order)
+    assert np.array_equal(sums[1], functools.reduce(np.add, [-p for p in parts]))
+
+
+def test_map_sum_keeps_about_one_partial_per_worker():
+    """16 fresh 4 MB partials: summing them as they finish holds the sum
+    and the parts of the tasks in flight, never all 16."""
+    part_bytes = 4 * 2**20
+
+    def task(i):
+        return [np.full(part_bytes // 4, i, np.float32)]
+
+    tracemalloc.start()
+    try:
+        (total,) = pool._map_sum(task, range(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(total == sum(range(16)))
+    assert peak < (pool.worker_count() + 3) * part_bytes
 
 
 # The parent runs a chunked conv2d, so its pool has live workers, then

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sits_ssm import trainer as trainer_mod
-from sits_ssm.autodiff import Tensor
+from sits_ssm.autodiff import NonFiniteError, Tensor
 from sits_ssm.data import generate_synthetic, pad_batch  # noqa: F401
 from sits_ssm.losses import LossConfig
 from sits_ssm.model import ModelConfig, SitsClassifier
@@ -170,6 +170,27 @@ class TestTrainingLoop:
         counts = [r.getMessage() for r in caplog.records if "steps skipped" in r.getMessage()]
         assert counts == [f"epoch {e}: 1 optimizer steps skipped for non-finite gradients"
                           for e in (0, 1)]
+
+    def test_one_strike_is_counted_without_a_log_row(self, tmp_path, monkeypatch):
+        """A step whose forward raises NonFiniteError once is skipped: it is
+        counted, like an all-ignored batch, and gets no log row."""
+        ds, cfg = tiny_task(n=4)
+        model = SitsClassifier(cfg, np.random.default_rng(0))
+        calls = []
+
+        def striking_step(model_, batch, loss_cfg):
+            calls.append(batch)
+            if len(calls) == 2:
+                raise NonFiniteError("conv_bn_relu produced non-finite values")
+            return train_step(model_, batch, loss_cfg)
+
+        monkeypatch.setattr(trainer_mod, "train_step", striking_step)
+        tc = TrainConfig(epochs=1, learning_rate=1e-3, batch_size=1, seed=0,
+                         loss=LossConfig())
+        res = train(model, ds, None, tc, tmp_path / "strike")
+        assert len(calls) == 4                      # 4 samples, batches of 1
+        assert res.skipped_steps == 1 and len(res.history) == 3
+        assert len(open(res.log_path).readlines()) == 1 + 3
 
     def test_batch_with_no_scored_pixel_is_skipped(self, tmp_path, caplog):
         """A batch whose every label is ignored never reaches train_step: it
