@@ -24,9 +24,9 @@ print(f"  dy/dx (central differences)        -> {float(fd):.6f}")
 print("\n== arrays, broadcasting, reuse ==")
 w = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
 v = Tensor(np.array([2.0, 1.0]), requires_grad=True)
-out = ad.sum_(ad.mul(ad.matmul(w, v), v))     # v used twice: grads accumulate
+out = ad.sum_(ad.mul(ad.matmul(v, w), v))     # v used twice: grads accumulate
 ad.backward(out)
-print(f"  d/dW sum((W v) * v) =\n{np.array2string(w.grad, prefix='  ')}")
+print(f"  d/dW sum((v W) * v) =\n{np.array2string(w.grad, prefix='  ')}")
 print(f"  d/dv                = {v.grad}")
 
 print("\n== the op registry ==")

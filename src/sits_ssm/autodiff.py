@@ -1,12 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A ``Tensor`` wraps a numpy array. Every operation on tensors is a
-function of this module (``add(a, b)``, ``matmul(a, b)``,
+function of this module (``add(a, b)``, ``matmul(x, w)``,
 ``reshape(x, shape)``): a ``Tensor`` has no arithmetic operators or
 tensor methods. An op records itself on an implicit tape when
 ``recording`` says so: grad mode is on and some input is tracked.
 ``backward(loss)`` on a scalar result replays the tape in reverse
 topological order and accumulates gradients into every tracked leaf.
+
+Each op has one operand form, the one the package passes: ``matmul(x, w)``
+is ``x @ w`` for a (K, N) weight, the convolutions take a bias, and
+``max_over_axis`` a validity mask; the elementwise ops broadcast.
 
 Memory: the tape links each tensor's ``_Node`` (its gradient and backward
 link), not the tensor itself, so an intermediate array lives until
@@ -61,8 +65,8 @@ whatever grad mode backward runs under, over parameter copies whose
 single pass on that chunk's thread. ``conv2d`` splits the frames of its
 (B, C, H, W) stack into chunks whose im2col columns fit
 ``_CONV_FRAME_BUDGET``, or of one frame, as for the paper's 128-channel
-conv: each chunk's im2col + GEMM writes its slice of the output, and backward recomputes the
-chunk's columns, so a task's scratch stays about one frame's.
+conv: each chunk's im2col + GEMM writes its output slice, and backward
+recomputes the chunk's columns, so a task's scratch stays one frame's.
 ``conv_bn_relu`` runs on conv2d's chunks and has each chunk finish its
 own output slice: the batchnorm affine, the check, the ReLU. No pool task
 asks the pool for work.
@@ -158,8 +162,6 @@ class Tensor:
     __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
@@ -306,44 +308,22 @@ def mul(a, b) -> Tensor:
 
 
 @_quiet
-def matmul(a, b) -> Tensor:
-    """Matrix product with numpy's vector promotion rules for 1-D operands."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 1 or b.ndim < 1:
-        raise ShapeError("matmul requires at least 1-D operands")
-    a_vec, b_vec = a.ndim == 1, b.ndim == 1
-    a2 = a.data[None, :] if a_vec else a.data
-    b2 = b.data[:, None] if b_vec else b.data
-    if a2.shape[-1] != b2.shape[-2]:
-        raise ShapeError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
-    out_data = np.matmul(np.ascontiguousarray(a2), np.ascontiguousarray(b2))
-    if b_vec:
-        out_data = out_data[..., 0]
-    if a_vec:
-        out_data = out_data[..., 0] if b_vec else out_data[..., 0, :]
+def matmul(x, w) -> Tensor:
+    """``x @ w`` for a layer's (K, N) weight ``w`` along the last axis of
+    ``x`` (..., K; a 1-D ``x`` is one row); any other ``w`` is a ShapeError.
+    Backward is two 2-D GEMMs over the flattened leading axes of ``x``."""
+    x, w = as_tensor(x), as_tensor(w)
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"matmul: {x.shape} @ {w.shape}, expected (..., K) @ (K, N)")
+    out_data = np.matmul(np.ascontiguousarray(x.data), np.ascontiguousarray(w.data))
+    k, n = w.shape
 
     def backward_fn(g):
-        if b.ndim == 2 and a.ndim > 2:
-            # a layer's weight applied along the last axis: two 2-D GEMMs over
-            # the flattened leading axes, no batch of outer products
-            k, n = b.shape
-            g2 = g.reshape(-1, n)
-            gb = a.data.reshape(-1, k).T @ g2
-            return (g2 @ b.data.T).reshape(a.shape), gb
-        g2 = g
-        if a_vec:
-            g2 = np.expand_dims(g2, -1 if b_vec else -2)
-        if b_vec:
-            g2 = np.expand_dims(g2, -1)
-        ga = np.matmul(g2, np.swapaxes(b2, -1, -2))
-        gb = np.matmul(np.swapaxes(a2, -1, -2), g2)
-        if a_vec:
-            ga = ga.reshape(ga.shape[:-2] + (ga.shape[-1],))
-        if b_vec:
-            gb = gb[..., 0]
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        g2 = g.reshape(-1, n)
+        gw = x.data.reshape(-1, k).T @ g2
+        return (g2 @ w.data.T).reshape(x.shape), gw
 
-    return _make(out_data, (a, b), backward_fn, "matmul")
+    return _make(out_data, (x, w), backward_fn, "matmul")
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +438,8 @@ def mean(x, axis=None) -> Tensor:
     return _make(np.asarray(out_data), (x,), backward_fn, "mean")
 
 
-def max_over_axis(x, axis: int, mask: np.ndarray | None = None) -> Tensor:
-    """Maximum along one axis, optionally restricted to ``mask==True`` entries.
+def max_over_axis(x, axis: int, mask: np.ndarray) -> Tensor:
+    """Maximum along one axis over the ``mask==True`` entries only.
 
     ``mask`` is a plain boolean array broadcastable to ``x`` and is not
     differentiated. Each reduced slice must contain at least one valid
@@ -468,23 +448,19 @@ def max_over_axis(x, axis: int, mask: np.ndarray | None = None) -> Tensor:
     copy of ``x``; the values are the same.
     """
     x = as_tensor(x)
-    if mask is not None:
-        # checked before it is broadcast: a slice of the broadcast mask is
-        # empty only if the slice of the mask it repeats is
-        mask = np.asarray(mask, bool)
-        if np.broadcast_shapes(mask.shape, x.shape) != x.shape:
-            raise ShapeError(f"max_over_axis: mask {mask.shape} vs input {x.shape}")
-        mask = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)
-        if not mask.any(axis=axis).all():
-            raise ValueError("max_over_axis: empty valid set along axis")
+    # checked before it is broadcast: a slice of the broadcast mask is
+    # empty only if the slice of the mask it repeats is
+    mask = np.asarray(mask, bool)
+    if np.broadcast_shapes(mask.shape, x.shape) != x.shape:
+        raise ShapeError(f"max_over_axis: mask {mask.shape} vs input {x.shape}")
+    mask = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)
+    if not mask.any(axis=axis).all():
+        raise ValueError("max_over_axis: empty valid set along axis")
     if not recording(x):
         # no backward will read the argmax: a masked max is the same value
-        if mask is None:
-            out_data = np.max(x.data, axis=axis)
-        else:
-            out_data = np.max(x.data, axis=axis, where=mask, initial=-np.inf)
+        out_data = np.max(x.data, axis=axis, where=mask, initial=-np.inf)
         return _make(out_data, (x,), None, "max_over_axis")
-    work = x.data if mask is None else np.where(mask, x.data, -np.inf)
+    work = np.where(mask, x.data, -np.inf)
     idx = np.expand_dims(np.argmax(work, axis=axis), axis)
     out_data = np.squeeze(np.take_along_axis(work, idx, axis=axis), axis=axis)
     shape, dtype = x.shape, x.dtype
@@ -711,7 +687,7 @@ def _conv_parts(x, weight, bias):
     function, which keeps no output values. Backward writes each chunk's
     slice of the input gradient, and ``pool._map_sum`` adds the chunks'
     weight-gradient partials in chunk order as they finish."""
-    x, weight = as_tensor(x), as_tensor(weight)
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     c_out, c_in, kh, kw = weight.shape
     if x.ndim != 4 or x.shape[1] != c_in:
         raise ShapeError(f"conv2d: input {x.shape} does not match weight {weight.shape}")
@@ -722,18 +698,14 @@ def _conv_parts(x, weight, bias):
     wmat = weight.data.reshape(c_out, c_in * kh * kw)
     bounds = pool._chunk_bounds(b, wmat.shape[1] * h * w * xv.dtype.itemsize,
                                 _CONV_FRAME_BUDGET)
-    parents = [x, weight]
-    if bias is not None:
-        bias = as_tensor(bias)
-        parents.append(bias)
+    parents = (x, weight, bias)
     out = np.empty((b, c_out, h, w), dtype=np.result_type(*(p.data for p in parents)))
 
     def run(bound):
         s, e = bound
         chunk = out[s:e].reshape(e - s, c_out, h * w)
         np.matmul(wmat, _im2col(xv[s:e], kh, kw), out=chunk)
-        if bias is not None:
-            chunk += bias.data[:, None]
+        chunk += bias.data[:, None]
 
     def backward_fn(g):
         gmat = g.reshape(b, c_out, h * w)
@@ -747,15 +719,13 @@ def _conv_parts(x, weight, bias):
             return [part]
 
         gw = pool._map_sum(backward, bounds)[0].reshape(weight.shape)
-        if bias is not None:
-            return gx, gw, gmat.sum(axis=(0, 2))
-        return gx, gw
+        return gx, gw, gmat.sum(axis=(0, 2))
 
     return parents, out, bounds, run, backward_fn
 
 
 @_quiet
-def conv2d(x, weight, bias=None) -> Tensor:
+def conv2d(x, weight, bias) -> Tensor:
     """2-D convolution (cross-correlation), odd kernel, stride 1, 'same' padding.
 
     x: (B, C_in, H, W); weight: (C_out, C_in, kh, kw); bias: (C_out,).
@@ -777,28 +747,23 @@ def conv2d(x, weight, bias=None) -> Tensor:
 
 
 @_quiet
-def depthwise_conv1d(x, weight, bias=None) -> Tensor:
+def depthwise_conv1d(x, weight, bias) -> Tensor:
     """Causal depthwise convolution along the sequence axis.
 
     x: (B, L, D); weight: (D, K); bias: (D,). Output t only sees inputs
     at positions <= t (left zero padding of K-1).
     """
-    x, weight = as_tensor(x), as_tensor(weight)
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.ndim != 3 or weight.ndim != 2 or x.shape[2] != weight.shape[0]:
         raise ShapeError(f"depthwise_conv1d: input {x.shape} vs weight {weight.shape}")
     l, k = x.shape[1], weight.shape[1]
     xv, wv = x.data, weight.data
     # tap i reads s = k-1-i steps back: out[:, t] += x[:, t-s] * w[:, i] for t >= s
     taps = [(i, k - 1 - i) for i in range(k) if k - 1 - i < l]
-    parents = [x, weight]
-    if bias is not None:
-        bias = as_tensor(bias)
-        parents.append(bias)
     out = np.zeros(xv.shape, dtype=xv.dtype)
     for i, s in taps:
         out[:, s:] += xv[:, :l - s] * wv[:, i]
-    if bias is not None:
-        out = out + bias.data
+    out = out + bias.data
 
     def backward_fn(g):
         gw = np.zeros_like(wv)
@@ -806,11 +771,9 @@ def depthwise_conv1d(x, weight, bias=None) -> Tensor:
         for i, s in taps:
             gw[:, i] = np.einsum("bld,bld->d", g[:, s:], xv[:, :l - s])
             gx[:, :l - s] += g[:, s:] * wv[:, i]
-        if bias is not None:
-            return gx, gw, g.sum(axis=(0, 1))
-        return gx, gw
+        return gx, gw, g.sum(axis=(0, 1))
 
-    return _make(out, parents, backward_fn, "depthwise_conv1d")
+    return _make(out, (x, weight, bias), backward_fn, "depthwise_conv1d")
 
 
 # ---------------------------------------------------------------------------

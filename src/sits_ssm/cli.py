@@ -217,6 +217,9 @@ def _check_scored(ds, ignore: frozenset, path):
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve(args)
+    if cfg["classes"] > data_mod.MAX_LABEL + 1:
+        raise UsageError(f".sits stores labels as u16: classes must be at most "
+                         f"{data_mod.MAX_LABEL + 1}, got {cfg['classes']}")
     min_len = cfg["min_length"] or None
     try:    # every split is made before anything is written
         splits = {split: data_mod.generate_synthetic(

@@ -32,6 +32,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 MAGIC = b"SITSDS01"
+MAX_LABEL = 2**16 - 1  # labels are stored as u16
 TEMPORAL_MODES = ("pad", "sample30")
 SAMPLE_STEPS = 30     # timesteps per series in "sample30" mode
 PARCELS = (4, 9)      # Voronoi parcels per synthetic patch, inclusive range
@@ -227,6 +228,10 @@ def batches(samples, batch_size: int, temporal_mode: str = "pad",
 # container I/O
 
 def save_dataset(dataset: SitsDataset, path):
+    """Write a ``.sits`` container; a label u16 cannot hold raises first."""
+    for s in dataset.samples:
+        if s.label_map.min() < 0 or s.label_map.max() > MAX_LABEL:
+            raise ValueError(f"sample {s.sample_id}: a label outside u16's [0, {MAX_LABEL}]")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(dataset.samples)))

@@ -73,15 +73,16 @@ def classification_loss(logits: Tensor, labels: np.ndarray, ignore_labels=()) ->
     return ad.cross_entropy_logits(flat, lab, keep)
 
 
-def reconstruction_loss(target, reconstruction: Tensor, valid_mask: np.ndarray | None = None,
+def reconstruction_loss(target, reconstruction: Tensor, valid_mask: np.ndarray,
                         use_pw: bool = True) -> Tensor:
     """Weighted squared-error between the input series and its reconstruction.
 
-    Both arguments are (N, L, C, H, W). Per (sample, timestep) the squared
-    error is averaged over channels and pixels; timesteps are weighted by
-    the positional ramp over each sample's valid length (or uniformly when
-    ``use_pw`` is off), summed over valid timesteps, and averaged over the
-    batch. Padded timesteps contribute nothing.
+    Both arguments are (N, L, C, H, W); ``valid_mask`` (N, L) marks each
+    sample's valid timesteps. Per (sample, timestep) the squared error is
+    averaged over channels and pixels; timesteps are weighted by the
+    positional ramp over each sample's valid length (or uniformly when
+    ``use_pw`` is off), summed over the valid ones, and averaged over the
+    batch.
     """
     reconstruction = ad.as_tensor(reconstruction)
     target = ad.as_tensor(target)
@@ -89,8 +90,6 @@ def reconstruction_loss(target, reconstruction: Tensor, valid_mask: np.ndarray |
         raise ShapeError(
             f"reconstruction_loss: target {target.shape} vs reconstruction {reconstruction.shape}")
     n, l = reconstruction.shape[:2]
-    if valid_mask is None:
-        valid_mask = np.ones((n, l), dtype=bool)
     valid_mask = np.asarray(valid_mask, dtype=bool)
     if valid_mask.shape != (n, l):
         raise ShapeError(f"reconstruction_loss: mask {valid_mask.shape} != {(n, l)}")

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from sits_ssm import autodiff as ad
 from sits_ssm.autodiff import Tensor
@@ -66,19 +67,23 @@ class TestCriterion1Gradients:
             gmm = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
             bta = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
             x4 = Tensor(rng.uniform(-1, 1, (4, 3, 2, 2)), requires_grad=True)
+            bc = Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
+            bd = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
             cases = {
                 "add": (lambda: ad.sum_(ad.add(a, v)), [a, v]),
                 "sub": (lambda: ad.sum_(ad.sub(a, b)), [a, b]),
                 "mul": (lambda: ad.sum_(ad.mul(a, v)), [a, v]),
                 "matmul": (lambda: ad.sum_(ad.matmul(m1, m2)), [m1, m2]),
-                "conv2d": (lambda: ad.sum_(ad.conv2d(xc, wc)), [xc, wc]),
-                "depthwise_conv1d": (lambda: ad.sum_(ad.depthwise_conv1d(xd, wd)), [xd, wd]),
+                "conv2d": (lambda: ad.sum_(ad.conv2d(xc, wc, bc)), [xc, wc, bc]),
+                "depthwise_conv1d": (lambda: ad.sum_(ad.depthwise_conv1d(xd, wd, bd)),
+                                     [xd, wd, bd]),
                 "exp": (lambda: ad.sum_(ad.exp(a)), [a]),
                 "softplus": (lambda: ad.sum_(ad.softplus(a)), [a]),
                 "silu": (lambda: ad.sum_(ad.silu(a)), [a]),
                 "relu": (lambda: ad.sum_(ad.relu(sp)), [sp]),
                 "sigmoid": (lambda: ad.sum_(ad.sigmoid(a)), [a]),
-                "max_over_axis": (lambda: ad.sum_(ad.max_over_axis(sp, axis=1)), [sp]),
+                "max_over_axis": (lambda: ad.sum_(ad.max_over_axis(
+                    sp, axis=1, mask=np.ones((3, 4), bool))), [sp]),
                 "mean": (lambda: ad.sum_(ad.mean(ad.mul(a, b), axis=0)), [a, b]),
                 "sum": (lambda: ad.sum_(ad.sum_(ad.mul(a, b), axis=1)), [a, b]),
                 "reshape": (lambda: ad.sum_(ad.mul(ad.reshape(a, (4, 3)), 2.0)), [a]),
@@ -267,6 +272,7 @@ class TestCriterion6Metrics:
                f"ok={hand_ok}, {elapsed:.1f}s < 10s")
 
 
+@pytest.mark.slow
 class TestCriterion7Learnability:
     def test_synthetic_task_reaches_target(self, tmp_path):
         """K=6, C=4, T=20, 16x16, 200 train / 50 test, sigma=0.02; defaults
@@ -293,6 +299,7 @@ class TestCriterion7Learnability:
                f"{elapsed:.0f}s < 1800s")
 
 
+@pytest.mark.slow
 class TestCriterion8AblationDirection:
     def test_ordering_report_only(self, tmp_path):
         """Three seeds on a sigma=0.08 task, full vs no-PW vs no-RBranch.

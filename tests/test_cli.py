@@ -175,6 +175,15 @@ class TestExitCodes:
         assert main(["train", "--nonsense"]) == 1
         assert main(["gen-data"]) == 1            # missing required --out
 
+    def test_classes_beyond_u16_is_1_before_any_io(self, tmp_path, capsys):
+        """.sits stores labels as u16, so 70000 classes cannot be written."""
+        assert main(["gen-data", "--out", str(tmp_path / "d"), "--classes", "70000",
+                     "--channels", "2", "--timesteps", "4", "--height", "4", "--width", "4",
+                     "--train-samples", "1", "--valid-samples", "1",
+                     "--test-samples", "1"]) == 1
+        assert "u16" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.sits"))
+
     def test_missing_data_is_2(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"), "--out",
                      str(tmp_path / "o"), *SMALL]) == 2

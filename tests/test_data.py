@@ -165,6 +165,16 @@ class TestContainerIO:
         with pytest.raises(DatasetFormatError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("label", [-1, 65536, 69644])
+    def test_label_outside_u16_leaves_no_file(self, tmp_path, label):
+        """Labels are stored as u16: 69644 would read back as 4108."""
+        ds = small_ds()
+        ds.samples[2].label_map[0, 0] = label
+        path = tmp_path / "ds.sits"
+        with pytest.raises(ValueError, match="u16"):
+            save_dataset(ds, path)
+        assert not path.exists()
+
     def test_empty_dataset_round_trip(self, tmp_path):
         path = tmp_path / "empty.sits"
         save_dataset(SitsDataset([], 0), path)

@@ -33,22 +33,25 @@ class TestPositionalWeights:
 class TestReconstructionLoss:
     def test_perfect_reconstruction_is_zero(self, rng):
         x = rng.uniform(0, 1, (2, 3, 2, 4, 4))
-        assert reconstruction_loss(x, Tensor(x.copy())).item() == 0.0
+        assert reconstruction_loss(x, Tensor(x.copy()), np.ones((2, 3), bool)).item() == 0.0
 
     def test_hand_case_pw_on(self):
         # one pixel, one channel, L=2, squared errors [1, 1]
         target = np.zeros((1, 2, 1, 1, 1))
         rec = Tensor(np.ones((1, 2, 1, 1, 1)))
-        assert reconstruction_loss(target, rec, use_pw=True).item() == pytest.approx(1.5)
+        mask = np.ones((1, 2), bool)
+        assert reconstruction_loss(target, rec, mask, use_pw=True).item() == pytest.approx(1.5)
 
     def test_hand_case_pw_off(self):
         target = np.zeros((1, 2, 1, 1, 1))
         rec = Tensor(np.ones((1, 2, 1, 1, 1)))
-        assert reconstruction_loss(target, rec, use_pw=False).item() == pytest.approx(2.0)
+        mask = np.ones((1, 2), bool)
+        assert reconstruction_loss(target, rec, mask, use_pw=False).item() == pytest.approx(2.0)
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ad.ShapeError):
-            reconstruction_loss(np.zeros((1, 2, 1, 2, 2)), Tensor(np.zeros((1, 3, 1, 2, 2))))
+            reconstruction_loss(np.zeros((1, 2, 1, 2, 2)), Tensor(np.zeros((1, 3, 1, 2, 2))),
+                                np.ones((1, 3), bool))
 
     def test_all_masked_sample_rejected(self):
         mask = np.array([[True, True], [False, False]])
@@ -91,11 +94,12 @@ class TestReconstructionLoss:
     def test_pixel_permutation_invariance(self, rng):
         target = rng.uniform(0, 1, (2, 3, 2, 4, 4))
         rec = rng.uniform(0, 1, (2, 3, 2, 4, 4))
-        base = reconstruction_loss(target, Tensor(rec)).item()
+        mask = np.ones((2, 3), bool)
+        base = reconstruction_loss(target, Tensor(rec), mask).item()
         perm = rng.permutation(16)
         t2 = target.reshape(2, 3, 2, 16)[..., perm].reshape(target.shape)
         r2 = rec.reshape(2, 3, 2, 16)[..., perm].reshape(rec.shape)
-        assert reconstruction_loss(t2, Tensor(r2)).item() == pytest.approx(base, rel=1e-12)
+        assert reconstruction_loss(t2, Tensor(r2), mask).item() == pytest.approx(base, rel=1e-12)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=2, max_size=8))
     @settings(deadline=None, max_examples=40)
@@ -108,7 +112,7 @@ class TestReconstructionLoss:
         def loss_of(seq):
             rec = np.sqrt(seq).reshape(1, l, 1, 1, 1)
             return reconstruction_loss(np.zeros((1, l, 1, 1, 1)), Tensor(rec),
-                                       use_pw=True).item()
+                                       np.ones((1, l), bool), use_pw=True).item()
         assert loss_of(asc) >= loss_of(desc) - 1e-12
 
     def test_gradcheck(self, rng):

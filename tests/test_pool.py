@@ -102,11 +102,12 @@ FORKED = textwrap.dedent("""
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(0, 1, (6, 3, 5, 5)))
     w = Tensor(rng.normal(0, 1, (4, 3, 3, 3)), requires_grad=True)
-    ad.conv2d(x, w)
+    b = Tensor(np.zeros(4))
+    ad.conv2d(x, w, b)
 
     pid = os.fork()
     if pid == 0:
-        ad.backward(ad.sum_(ad.conv2d(x, w)))
+        ad.backward(ad.sum_(ad.conv2d(x, w, b)))
         blk = ssm.MambaBlock(8, 4, rng)
         y = blk(Tensor(rng.normal(0, 1, (5, 4, 8)).astype(np.float32)))
         os._exit(0 if y.shape == (5, 4, 8) and w.grad is not None else 1)
