@@ -451,8 +451,10 @@ def max_over_axis(x, axis: int, mask: np.ndarray) -> Tensor:
     # checked before it is broadcast: a slice of the broadcast mask is
     # empty only if the slice of the mask it repeats is
     mask = np.asarray(mask, bool)
-    if np.broadcast_shapes(mask.shape, x.shape) != x.shape:
-        raise ShapeError(f"max_over_axis: mask {mask.shape} vs input {x.shape}")
+    try:
+        np.broadcast_to(mask, x.shape)
+    except ValueError:
+        raise ShapeError(f"max_over_axis: mask {mask.shape} vs input {x.shape}") from None
     mask = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)
     if not mask.any(axis=axis).all():
         raise ValueError("max_over_axis: empty valid set along axis")
@@ -785,7 +787,7 @@ _BN_MOMENTUM, _BN_EPS = 0.1, 1e-5     # torch's defaults
 
 
 def _bn_stats(xv: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
-              training: bool, momentum: float, eps: float, op: str):
+              training: bool, eps: float, op: str):
     """The per-channel mean and 1/std that batchnorm normalizes ``xv`` with,
     shaped to broadcast over it. Training takes the batch's and folds them
     into the running buffers in place (unbiased variance, torch convention);
@@ -799,10 +801,10 @@ def _bn_stats(xv: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
         var = xv.var(axis=_BN_AXES)
         if not (np.isfinite(mu).all() and np.isfinite(var).all()):
             raise NonFiniteError(f"{op}: batch statistics are non-finite")
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * (var * m / max(m - 1, 1))
+        running_mean *= 1.0 - _BN_MOMENTUM
+        running_mean += _BN_MOMENTUM * mu
+        running_var *= 1.0 - _BN_MOMENTUM
+        running_var += _BN_MOMENTUM * (var * m / max(m - 1, 1))
     else:
         mu = running_mean.astype(xv.dtype)
         var = running_var.astype(xv.dtype)
@@ -839,7 +841,7 @@ def _bn_backward(g, xhat, gamma_c, inv_std, training: bool, out=None):
 
 @_quiet
 def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
-              training: bool, momentum: float = _BN_MOMENTUM, eps: float = _BN_EPS) -> Tensor:
+              training: bool, eps: float = _BN_EPS) -> Tensor:
     """Per-channel batch normalization over a (B, C, H, W) stack.
 
     Training mode normalizes with batch statistics over axes (0, 2, 3) and
@@ -849,8 +851,7 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 4 or x.shape[1] != gamma.size:
         raise ShapeError(f"batchnorm: input {x.shape} vs {gamma.size} channels")
-    mu, inv_std = _bn_stats(x.data, running_mean, running_var, training, momentum, eps,
-                            "batchnorm")
+    mu, inv_std = _bn_stats(x.data, running_mean, running_var, training, eps, "batchnorm")
     gamma_c, beta_c = gamma.data.reshape(_BN_CHANNEL), beta.data.reshape(_BN_CHANNEL)
     xhat = np.empty(x.shape, np.result_type(x.data, mu, inv_std))
     out_data = np.empty(x.shape, np.result_type(xhat, gamma_c, beta_c))
@@ -906,8 +907,7 @@ def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
 
     if training:
         pool._map(convolve, bounds)
-    mu, inv_std = _bn_stats(xhat, running_mean, running_var, training, _BN_MOMENTUM, _BN_EPS,
-                            "conv_bn_relu")
+    mu, inv_std = _bn_stats(xhat, running_mean, running_var, training, _BN_EPS, "conv_bn_relu")
     pool._map(finish if training else one_pass, bounds)
 
     conv_dtype = xhat.dtype

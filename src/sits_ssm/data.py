@@ -200,7 +200,6 @@ def sample_timesteps(sample: SitsSample, rng: np.random.Generator | None = None)
     if rng is None:
         idx = (np.arange(count) * v) // count
     elif v < count:
-        log.warning("sample_timesteps: valid length %d < %d, sampling with replacement", v, count)
         idx = np.sort(rng.integers(0, v, size=count))
     else:
         idx = np.sort(rng.choice(v, size=count, replace=False))
@@ -213,10 +212,16 @@ def batches(samples, batch_size: int, temporal_mode: str = "pad",
 
     "sample30" first reduces every series to 30 timesteps with
     ``sample_timesteps`` (random when ``rng`` is given, evenly spaced
-    otherwise); "pad" batches the series as they are.
+    otherwise); "pad" batches the series as they are. A random draw logs
+    one warning if any series is shorter than 30 steps.
     """
     if temporal_mode not in TEMPORAL_MODES:
         raise ValueError(f"temporal_mode must be one of {TEMPORAL_MODES}, got {temporal_mode!r}")
+    if temporal_mode == "sample30" and rng is not None:
+        short = sum(s.valid_length < SAMPLE_STEPS for s in samples)
+        if short:
+            log.warning("batches: %d of %d series are shorter than %d steps, sampling with "
+                        "replacement", short, len(samples), SAMPLE_STEPS)
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
         if temporal_mode == "sample30":

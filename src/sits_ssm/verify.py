@@ -10,7 +10,8 @@ arithmetic for the segmentation scores (also under ignore and eval class
 sets), plain arithmetic for the loss identities, and the unpadded batch
 for the same batch with padded timesteps appended. ``lti_steps`` lays out
 the one time-invariant system ``ssm.kernel_convolve`` takes as the
-recurrence's inputs.
+recurrence's inputs. Each suite looks the route it checks up on its module
+when it runs, so tests substitute a broken route with ``monkeypatch``.
 
 One of these routes shares code with what it checks, so a defect in the
 shared part can hit both sides alike. What still catches it:
@@ -137,21 +138,24 @@ def max_rel_diff(gots, refs) -> float:
     return worst
 
 
-def scan_vs_composite(args, g, scan_fn=None) -> float:
-    """Largest difference between a fused scan and ``selective_scan_composite``
-    over the output and all six input gradients (loss = sum(y * g)), each
-    relative to the composite array's largest magnitude. The fused scan
-    runs in the inputs' dtype, the composite in float64."""
-    scan = scan_fn or ssm.selective_scan_fused
+def vjp(fn, arrays, g, *rest) -> list:
+    """``fn``'s output and the gradients of loss = sum(out * g) w.r.t. each
+    of ``arrays``, on fresh tensors over copies of them; ``rest`` follows
+    the tensors into ``fn`` as it is."""
+    ts = [Tensor(np.array(a), requires_grad=True) for a in arrays]
+    out = fn(*ts, *rest)
+    ad.backward(ad.sum_(ad.mul(out, Tensor(g, dtype=out.dtype))))
+    return [out.data] + [t.grad for t in ts]
 
-    def run(fn, dtype):
-        ts = [Tensor(np.array(x, dtype=dtype), requires_grad=True) for x in args]
-        y = fn(*ts)
-        ad.backward(ad.sum_(ad.mul(y, Tensor(np.asarray(g, dtype=dtype)))))
-        return [y.data] + [t.grad for t in ts]
 
-    return max_rel_diff(run(scan, np.result_type(*args)),
-                        run(ssm.selective_scan_composite, np.float64))
+def scan_vs_composite(args, g) -> float:
+    """``max_rel_diff`` of the output and all six input gradients (``vjp``)
+    of ``ssm.selective_scan_fused``, run in the inputs' dtype, against
+    ``selective_scan_composite``, run in float64."""
+    dtype = np.result_type(*args)
+    return max_rel_diff(vjp(ssm.selective_scan_fused, [np.asarray(a, dtype) for a in args], g),
+                        vjp(ssm.selective_scan_composite,
+                            [np.asarray(a, np.float64) for a in args], g))
 
 
 def unfused_conv_bn_relu(x, weight, bias, gamma, beta, running_mean, running_var,
@@ -163,13 +167,11 @@ def unfused_conv_bn_relu(x, weight, bias, gamma, beta, running_mean, running_var
 
 def conv_bn_relu_pass(fn, arrays, buffers, g, training: bool) -> list:
     """Output, running buffers, and the gradients of x, weight, bias, gamma
-    and beta (loss = sum(out * g)) of one pass of a conv -> BN -> ReLU stage
-    ``fn``, on fresh tensors over copies of ``arrays`` and ``buffers``."""
-    ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    and beta (``vjp``) of one pass of a conv -> BN -> ReLU stage ``fn``, on
+    copies of ``arrays`` and ``buffers``."""
     running = [b.copy() for b in buffers]
-    out = fn(*ts, *running, training)
-    ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
-    return [out.data, *running] + [t.grad for t in ts]
+    out, *grads = vjp(fn, arrays, g, *running, training)
+    return [out, *running, *grads]
 
 
 def padding_shift(config, batch, extra: int) -> float:
@@ -296,10 +298,9 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def suite_zoh(report: VerifyReport, zoh_fn=None):
+def suite_zoh(report: VerifyReport):
     """Closed-form scalar checks of ``ssm.discretize_zoh``, the zero-order
     hold that the composite scan, the fused scan's oracle, runs."""
-    fn = zoh_fn or ssm.discretize_zoh
     cases = [
         # (a, delta, b, expected_a_bar, expected_b_bar)
         (-1.0, 1.0, 2.0, np.exp(-1.0), (1.0 - np.exp(-1.0)) * 2.0),
@@ -307,19 +308,18 @@ def suite_zoh(report: VerifyReport, zoh_fn=None):
         (-1.0, 1e-9, 1.0, np.exp(-1e-9), 1e-9 * (1.0 - 0.5e-9)),
     ]
     for i, (a, d, b, ea, eb) in enumerate(cases):
-        ab, bb = fn(np.float64(a), np.float64(b), np.float64(d))
+        ab, bb = ssm.discretize_zoh(np.float64(a), np.float64(b), np.float64(d))
         report.add("zoh", f"closed_form_{i}_a_bar", abs(ab.item() - ea), 1e-12)
         report.add("zoh", f"closed_form_{i}_b_bar", abs(bb.item() - eb), 1e-12)
     # series fallback continuity: exact formula vs series at |delta*a| = 1e-5
     a, d, b = -1.0, 1e-5, 1.0
-    _, bb = fn(np.float64(a), np.float64(b), np.float64(d))
+    _, bb = ssm.discretize_zoh(np.float64(a), np.float64(b), np.float64(d))
     exact = (np.expm1(d * a) / (d * a)) * d * b
     report.add("zoh", "series_vs_exact_at_1e-5", abs(bb.item() - exact) / abs(exact), 1e-9)
 
 
-def suite_scan_kernel(report: VerifyReport, scan_fn=None):
+def suite_scan_kernel(report: VerifyReport):
     """Recurrence vs convolutional-kernel equivalence on 10 random LTI systems."""
-    scan = scan_fn or ssm.scan_recurrence
     worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -330,13 +330,13 @@ def suite_scan_kernel(report: VerifyReport, scan_fn=None):
         b_bar = rng.normal(0, 1, (d, n))
         c = rng.normal(0, 1, n)  # readout shared across channels
         x = rng.normal(0, 1, (l, d))
-        y_scan = scan(*lti_steps(a_bar, b_bar, c, x)).data[0]
+        y_scan = ssm.scan_recurrence(*lti_steps(a_bar, b_bar, c, x)).data[0]
         y_kernel = ssm.kernel_convolve(a_bar, b_bar, c, x)
         worst = max(worst, float(np.max(np.abs(y_scan - y_kernel))))
     report.add("scan", "lti_scan_vs_kernel_max_abs", worst, 1e-6)
 
 
-def suite_fused_scan(report: VerifyReport, scan_fn=None):
+def suite_fused_scan(report: VerifyReport):
     """The production scan against the tape-composite route, in float64, on
     33 sequences with delta in [1e-3, 0.5] and again with delta in
     [1e-8, 1e-6], far below the series switches of phi, phi' and a's
@@ -352,42 +352,33 @@ def suite_fused_scan(report: VerifyReport, scan_fn=None):
                 rng.normal(0, 1, (b, l, n)), rng.normal(0, 1, d)], rng.normal(0, 1, (b, l, d))
 
     args, g = scan_args(33, 5, 64, 16)
-    report.add("fused", "fused_vs_composite", scan_vs_composite(args, g, scan_fn), 1e-10)
+    report.add("fused", "fused_vs_composite", scan_vs_composite(args, g), 1e-10)
     args[1] = rng.uniform(1e-8, 1e-6, args[1].shape)
-    report.add("fused", "fused_vs_composite_tiny_delta",
-               scan_vs_composite(args, g, scan_fn), 1e-10)
+    report.add("fused", "fused_vs_composite_tiny_delta", scan_vs_composite(args, g), 1e-10)
     args, g = scan_args(9, 13, 32, 8)
-    report.add("fused", "fused_vs_composite_long", scan_vs_composite(args, g, scan_fn), 1e-10)
+    report.add("fused", "fused_vs_composite_long", scan_vs_composite(args, g), 1e-10)
     args[1][2:5, 4:7] = rng.uniform(1e-8, 1e-6, (3, 3, 32))
     args[1][7, 10] = rng.uniform(1e-8, 1e-6, 32)
-    report.add("fused", "fused_vs_composite_mixed_delta",
-               scan_vs_composite(args, g, scan_fn), 1e-10)
+    report.add("fused", "fused_vs_composite_mixed_delta", scan_vs_composite(args, g), 1e-10)
     z = -np.logspace(-8, np.log10(20.0), 2001)
     ref = phi_prime_reference(z)
     got = ssm._phi_prime(z)
     report.add("fused", "phi_prime_max_rel", float(np.max(np.abs(got - ref) / ref)), 1e-10)
 
 
-def suite_spatial(report: VerifyReport, fused_fn=None):
-    """The fused conv -> BN -> ReLU stage against the three unfused ops, in
-    float64, in training and inference mode, over 5 frames of 128 channels
-    (five conv frame chunks): output, running buffers and every gradient
-    must be the same bits."""
-    fn = fused_fn or ad.conv_bn_relu
+def suite_spatial(report: VerifyReport):
+    """``ad.conv_bn_relu`` against the three unfused ops, in float64, in
+    training and inference mode, over 5 frames of 128 channels (five conv
+    frame chunks): output, running buffers and every gradient must be the
+    same bits."""
     rng = np.random.default_rng(13)
     arrays = [rng.normal(0, 1, (5, 128, 16, 16)), rng.normal(0, 0.03, (6, 128, 3, 3)),
               rng.normal(0, 0.1, 6), rng.uniform(0.5, 1.5, 6), rng.normal(0, 0.1, 6)]
     buffers = [rng.normal(0, 0.1, 6), rng.uniform(0.5, 2.0, 6)]
     g = rng.normal(0, 1, (5, 6, 16, 16))
-    worst = 0.0
-    for training in (True, False):
-        pairs = zip(conv_bn_relu_pass(fn, arrays, buffers, g, training),
-                    conv_bn_relu_pass(unfused_conv_bn_relu, arrays, buffers, g, training))
-        for got, ref in pairs:
-            if got is None or got.shape != ref.shape:
-                worst = math.inf
-            else:
-                worst = max(worst, float(np.max(np.abs(got - ref))))
+    worst = max(max_rel_diff(*(conv_bn_relu_pass(fn, arrays, buffers, g, training)
+                               for fn in (ad.conv_bn_relu, unfused_conv_bn_relu)))
+                for training in (True, False))
     # exact: only a zero difference is below the smallest subnormal
     report.add("spatial", "conv_bn_relu_vs_unfused", worst,
                np.finfo(np.float64).smallest_subnormal)
@@ -485,8 +476,7 @@ def suite_losses(report: VerifyReport):
 
 
 def run_all() -> VerifyReport:
-    """Run every suite. Each suite that checks a route against an oracle
-    takes the route as a hook, so tests can prove it catches defects."""
+    """Run every suite (tests substitute a route with ``monkeypatch``)."""
     report = VerifyReport()
     t0 = time.time()
     suite_zoh(report)

@@ -63,8 +63,8 @@ MUTANTS = [
     Mutant("max_over_axis_mask_ignored", "autodiff.py",
            "work = np.where(mask, x.data, -np.inf)", "work = x.data"),
     Mutant("bn_running_var_biased", "autodiff.py",
-           "running_var += momentum * (var * m / max(m - 1, 1))",
-           "running_var += momentum * var"),
+           "running_var += _BN_MOMENTUM * (var * m / max(m - 1, 1))",
+           "running_var += _BN_MOMENTUM * var"),
     Mutant("matmul_weight_grad_transposed", "autodiff.py",
            "return (g2 @ w.data.T).reshape(x.shape), gw",
            "return (g2 @ w.data.T).reshape(x.shape), gw.T.reshape(gw.shape)"),
@@ -74,6 +74,8 @@ MUTANTS = [
            "return gx, gw, g.sum(axis=(0, 1))", "return gx, gw, 0 * g.sum(axis=(0, 1))"),
     Mutant("chunk_bounds_drop_last", "pool.py",
            "for s in range(0, n, size)]", "for s in range(0, n - 1, size)]"),
+    Mutant("max_rel_diff_outputs_only", "verify.py",
+           "zip(gots, refs, strict=True)", "zip(gots[:1], refs[:1])"),
 ]
 
 

@@ -359,6 +359,12 @@ class TestErrors:
         with pytest.raises(ShapeError):
             ad.add(f64(rng, 2, 3), f64(rng, 4))
 
+    @pytest.mark.parametrize("mask_shape", [(5,), (2, 3, 4, 1), (1, 2, 3, 4)],
+                             ids=["5", "2x3x4x1", "1x2x3x4"])
+    def test_max_over_axis_mask_must_broadcast_to_input(self, rng, mask_shape):
+        with pytest.raises(ShapeError):
+            ad.max_over_axis(f64(rng, 2, 3, 4), axis=1, mask=np.ones(mask_shape, bool))
+
     def test_non_finite_surfaced_not_propagated(self):
         with pytest.raises(NonFiniteError):
             ad.exp(Tensor(np.array([1000.0], dtype=np.float32)))

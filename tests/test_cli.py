@@ -496,65 +496,80 @@ class TestVerifyCommand:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
-        assert "lti_scan_vs_kernel_max_abs" in out
-        assert "train_step_append_padding_max_rel" in out
-        assert "conv_bn_relu_vs_unfused" in out
-        assert "vectorized_vs_rational_oracle_ignore_eval" in out
+        rows = [line.split()[1] for line in out.splitlines() if line.endswith(" PASS")]
+        assert rows == [
+            "closed_form_0_a_bar", "closed_form_0_b_bar", "closed_form_1_a_bar",
+            "closed_form_1_b_bar", "closed_form_2_a_bar", "closed_form_2_b_bar",
+            "series_vs_exact_at_1e-5", "lti_scan_vs_kernel_max_abs",
+            "fused_vs_composite", "fused_vs_composite_tiny_delta", "fused_vs_composite_long",
+            "fused_vs_composite_mixed_delta", "phi_prime_max_rel", "conv_bn_relu_vs_unfused",
+            "softplus_silu_chain", "mamba_block_fd", "train_step_append_padding_max_rel",
+            "vectorized_vs_rational_oracle", "vectorized_vs_rational_oracle_ignore_eval",
+            "hand_case_oa", "hand_case_mf1", "pw_L4", "reconstruction_ramp_ragged",
+            "w1_ratio", "total_equals_1p_w0_times_cls"]
 
-    def test_injected_zoh_sign_error_fails_loudly(self):
+    def test_injected_zoh_sign_error_fails_loudly(self, monkeypatch):
         from sits_ssm import autodiff as ad
         from sits_ssm import ssm, verify
+        zoh = ssm.discretize_zoh
 
         def broken_zoh(a, b, delta):
-            a_bar, b_bar = ssm.discretize_zoh(a, b, delta)
+            a_bar, b_bar = zoh(a, b, delta)
             return a_bar, ad.mul(b_bar, -1.0)
+        monkeypatch.setattr(ssm, "discretize_zoh", broken_zoh)
         report = verify.VerifyReport()
-        verify.suite_zoh(report, zoh_fn=broken_zoh)
+        verify.suite_zoh(report)
         assert not report.ok()
         assert "FAIL" in report.render()
 
-    def test_injected_scan_defect_fails(self):
+    def test_injected_scan_defect_fails(self, monkeypatch):
         from sits_ssm import ssm, verify
+        scan = ssm.scan_recurrence
 
-        def broken_scan(*args, **kw):
-            out = ssm.scan_recurrence(*args, **kw)
+        def broken_scan(*args):
+            out = scan(*args)
             out.data = out.data * 1.001
             return out
+        monkeypatch.setattr(ssm, "scan_recurrence", broken_scan)
         report = verify.VerifyReport()
-        verify.suite_scan_kernel(report, scan_fn=broken_scan)
+        verify.suite_scan_kernel(report)
         assert not report.ok()
 
     @pytest.mark.parametrize("defect", ["output", "gradient"])
-    def test_injected_fused_scan_defect_fails(self, defect):
+    def test_injected_fused_scan_defect_fails(self, monkeypatch, defect):
         from sits_ssm import autodiff as ad
         from sits_ssm import ssm, verify
+        scan = ssm.selective_scan_fused
 
         def broken_scan(*tensors):
-            y = ssm.selective_scan_fused(*tensors)
+            y = scan(*tensors)
             if defect == "gradient":
                 return ad._make(y.data, (y,), lambda g: (g * 1.001,), "perturbed")
             return ad.add(y, 1e-6)
+        monkeypatch.setattr(ssm, "selective_scan_fused", broken_scan)
         report = verify.VerifyReport()
-        verify.suite_fused_scan(report, scan_fn=broken_scan)
+        verify.suite_fused_scan(report)
         failed = [r.name for r in report.rows if not r.passed]
         assert failed == ["fused_vs_composite", "fused_vs_composite_tiny_delta",
                           "fused_vs_composite_long", "fused_vs_composite_mixed_delta"]
 
     @pytest.mark.parametrize("defect", ["output", "gradient", "running_buffer"])
-    def test_injected_conv_bn_relu_defect_fails(self, defect):
+    def test_injected_conv_bn_relu_defect_fails(self, monkeypatch, defect):
         from sits_ssm import autodiff as ad
         from sits_ssm import verify
+        stage = ad.conv_bn_relu
 
         def broken_stage(*args):
-            out = ad.conv_bn_relu(*args)
+            out = stage(*args)
             if defect == "gradient":
                 return ad._make(out.data, (out,), lambda g: (g * 1.001,), "perturbed")
             if defect == "running_buffer":
                 args[5][0] += 1e-15                  # running_mean
                 return out
             return ad.add(out, 1e-12)
+        monkeypatch.setattr(ad, "conv_bn_relu", broken_stage)
         report = verify.VerifyReport()
-        verify.suite_spatial(report, fused_fn=broken_stage)
+        verify.suite_spatial(report)
         assert [r.name for r in report.rows if not r.passed] == ["conv_bn_relu_vs_unfused"]
 
     def test_injected_reversed_ramp_fails(self, monkeypatch):

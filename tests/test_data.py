@@ -116,12 +116,16 @@ class TestSample30:
         assert out.series.shape[0] == 30
 
     def test_short_series_with_replacement_logged(self, rng, caplog):
+        """One warning per random draw over the batches, none in eval mode."""
         import logging
-        s = self.sample_of_length(rng, 12)
+        series = [self.sample_of_length(rng, t) for t in (12, 45, 8)]
         with caplog.at_level(logging.WARNING, logger="sits_ssm.data"):
-            out = sample_timesteps(s, rng=np.random.default_rng(3))
-        assert out.series.shape[0] == 30
-        assert any("replacement" in r.message for r in caplog.records)
+            out = [s for chunk, _ in batches(series, 2, "sample30", np.random.default_rng(3))
+                   for s in chunk]
+            list(batches(series, 2, "sample30"))
+        assert [s.series.shape[0] for s in out] == [30, 30, 30]
+        assert caplog.messages == [
+            "batches: 2 of 3 series are shorter than 30 steps, sampling with replacement"]
 
     def test_deterministic_eval_mode(self, rng):
         s = self.sample_of_length(rng, 41)

@@ -231,6 +231,18 @@ class TestTrainingLoop:
         res = train(model, ds, ds, tc, tmp_path / "s30")
         assert res.final_checkpoint.exists()
 
+    def test_sample30_short_series_warn_once_per_epoch(self, tmp_path, caplog):
+        ds = generate_synthetic(seed=2, n_samples=6, num_classes=3, timesteps=8,
+                                channels=2, height=4, width=4)
+        cfg = ModelConfig(input_channels=2, num_classes=3, hidden=8, d_state=4)
+        model = SitsClassifier(cfg, np.random.default_rng(0))
+        tc = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=3, seed=0,
+                         loss=LossConfig(), temporal_mode="sample30")
+        with caplog.at_level(logging.WARNING, logger="sits_ssm.data"):
+            train(model, ds, ds, tc, tmp_path / "s30")
+        assert caplog.messages == [
+            "batches: 6 of 6 series are shorter than 30 steps, sampling with replacement"] * 2
+
     def test_best_checkpoint_tracks_validation_mf1(self, tmp_path):
         ds, cfg = tiny_task(noise=0.0, n=10)
         model = SitsClassifier(cfg, np.random.default_rng(2))
