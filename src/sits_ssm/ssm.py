@@ -37,7 +37,8 @@ benchmark's correctness gate compare it against, not alternatives to it:
 The fused scan is the CPU form of the hardware-aware scan of Mamba (Gu &
 Dao 2023, sec. 3.3): discretization is fused into the recurrence, and the
 states are recomputed in backward instead of stored from the forward (here
-by ``MambaBlock``'s replay, one chunk at a time). It is a single pass
+by ``MambaBlock``'s replay, one chunk at a time, when its chunks take more
+than one wave of the pool's workers). It is a single pass
 over all the sequences it is given: time-major, one step at a time,
 vectorized over (B, D, N), with matmul readouts; a forward step is
 h + expm1(z) (h + u b / a), with 1/a laid out once per call. Under
@@ -61,14 +62,18 @@ sequences, so that the scan's (c, D, N) working arrays fit the budget
 shares for its frame chunks; it has one worker per CPU the process may
 run on, and numpy releases the GIL inside its kernels. The block is one
 tape node, checkpointed at the chunk boundary (Chen et al. 2016,
-arXiv:1604.06174): its forward runs each chunk under ``no_grad`` and
-keeps only the chunk's input; its backward replays each chunk with the
-tape on, over a ``shadow`` of the block, runs that chunk's backward at
-once, and adds the parameter gradients with ``pool._map_sum``, each
-chunk's into the first one's as soon as it and every earlier chunk are
-done. So only the chunks being replayed are ever recorded, one per
-worker, the scan's trajectory is a chunk's, and about one chunk's
-parameter gradients per worker are alive, not one set per chunk. Chunk
+arXiv:1604.06174) when its chunks outnumber the pool's workers: its
+forward runs each chunk under ``no_grad`` and keeps only the chunk's
+input; its backward replays each chunk with the tape on, over a
+``shadow`` of the block, runs that chunk's backward at once, and adds the
+parameter gradients with ``pool._map_sum``, each chunk's into the first
+one's as soon as it and every earlier chunk are done. So only the chunks
+being replayed are ever recorded, one per worker, the scan's trajectory
+is a chunk's, and about one chunk's parameter gradients per worker are
+alive, not one set per chunk. When the chunks run in one wave, no more
+of them than workers, the replay would hold every chunk's tape at once
+and save nothing: each forward chunk records over its own ``shadow``
+instead, and backward runs the kept tapes, with no second forward. Chunk
 boundaries depend only on the budget and every chunk is computed the same
 way whichever thread runs it, so results are bitwise identical for any
 number of workers, and the working arrays stay chunk-sized. Given each
@@ -249,8 +254,9 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
     running (B, N, D) state. When a gradient will be taken it keeps the
     whole (L+1, B, N, D) trajectory h_0..h_L until backward, which walks
     it from the last step to the first and forms expm1(delta a) again at
-    each step. The block records a scan only while it replays one chunk
-    in its backward, so the trajectory is one chunk's and short-lived.
+    each step. The block records a scan over one chunk only, in its
+    forward when its chunks run in one wave of the pool's workers and in
+    its backward's replay otherwise, so the trajectory is one chunk's.
 
     Backward needs no phi'. With z = delta a and
     h_{t+1} = e^z h_t + s u b, the step's a-derivative is
@@ -441,15 +447,21 @@ class MambaBlock(nn.Module):
         the longest valid length in the chunk. The block is causal, so a
         step never sees the steps after it; the output is zero at every step
         beyond a sequence's length, and backward drops the gradient there.
-        When a gradient will be taken, each chunk keeps its input and
+
+        When a gradient will be taken and the chunks outnumber the pool's
+        workers (``pool.worker_count``), each chunk keeps its input and
         nothing else. Backward replays the chunks on the pool: each one
         runs ``_forward`` again over a ``shadow`` of this block with the tape
         on, whatever grad mode backward is called under, and runs its own
         backward at once; the node lets go of a chunk's input as its replay
-        starts. ``pool._map_sum`` adds each chunk's parameter gradients in
-        chunk order as the replays finish, so about one set per worker is
-        alive and the results do not depend on the number of workers. A
-        single chunk takes the same route, inline.
+        starts. With no more chunks than workers they would all be replayed
+        at once, so each forward chunk records over its own ``shadow``
+        instead and keeps its input tensor, output and twin; backward runs
+        those tapes and lets go of each as it starts. Either way
+        ``pool._map_sum`` adds each chunk's parameter gradients in chunk
+        order as they finish, so about one set per worker is alive, and the
+        two routes and any number of workers give the same bits. A single
+        chunk records in forward, inline.
         """
         d_model = self.in_proj.weight.shape[0]
         if x.ndim != 3 or x.shape[2] != d_model:
@@ -464,31 +476,42 @@ class MambaBlock(nn.Module):
         dtype = np.result_type(x.dtype, *(p.dtype for p in params))
         y = np.zeros((nb, nl, d_model), dtype=dtype)
         keep = ad.recording(x, *params)
+        # chunks that all run in one wave would all be replayed at once too:
+        # they keep their forward's tape instead, and backward replays none
+        taped = keep and len(bounds) <= pool.worker_count()
+        x_shape, x_dtype, x_grad = x.shape, x.dtype, x.requires_grad
+
+        def record(xi):
+            xi = Tensor(xi, requires_grad=x_grad)
+            twin = self.shadow()
+            with ad._grad_mode(True):
+                return [xi, twin._forward(xi), twin]
 
         def forward(bound):
             s, e = bound
             lc = int(lengths[s:e].max())
             xi = np.ascontiguousarray(x.data[s:e, :lc])
-            with ad.no_grad():
-                out = self._forward(Tensor(xi)).data
+            if taped:
+                chunk = record(xi)
+                out = chunk[1].data
+            else:
+                chunk = [xi]
+                with ad.no_grad():
+                    out = self._forward(Tensor(xi)).data
             y[s:e, :lc] = out
             y[s:e, :lc][padded[s:e, :lc]] = 0.0
-            return [bound, xi] if keep else None
+            return [bound, *chunk] if keep else None
 
         kept = pool._map(forward, bounds)
-        x_shape, x_dtype, x_grad = x.shape, x.dtype, x.requires_grad
 
         def backward_fn(g):
             g = np.where(padded[:, :, None], 0.0, g) if padded.any() else g
             gx = np.zeros(x_shape, x_dtype) if x_grad else None
 
-            def backward(record):
-                (s, e), xi = record
-                record.clear()                    # free the chunk's input as it is replayed
-                xi = Tensor(xi, requires_grad=x_grad)
-                twin = self.shadow()
-                with ad._grad_mode(True):
-                    out = twin._forward(xi)
+            def backward(kept_chunk):
+                (s, e), *chunk = kept_chunk
+                kept_chunk.clear()                # the node lets go of the chunk as it is used
+                xi, out, twin = chunk if taped else record(*chunk)
                 ad._backprop(out._node, np.ascontiguousarray(g[s:e, :xi.shape[1]]))
                 if gx is not None:
                     gx[s:e, :xi.shape[1]] = xi.grad

@@ -80,7 +80,8 @@ def gradcheck(f, tensors: list[Tensor], max_components: int | None = None,
     """Max relative error between tape gradients and finite differences.
 
     Error per component is |a - n| / max(1, |a|, |n|), so tiny gradients
-    are compared absolutely and large ones relatively.
+    are compared absolutely and large ones relatively; inf if a probed
+    component is not finite on either side.
     """
     for t in tensors:
         t.zero_grad()
@@ -94,6 +95,8 @@ def gradcheck(f, tensors: list[Tensor], max_components: int | None = None,
         if not probed.any():
             continue
         a, n = a[probed], n[probed]
+        if not (np.isfinite(a).all() and np.isfinite(n).all()):
+            return math.inf
         err = np.abs(a - n) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
         worst = max(worst, float(err.max()))
     return worst
@@ -127,11 +130,12 @@ def lti_steps(a_bar, b_bar, c, x) -> tuple[Tensor, Tensor, Tensor]:
 
 def max_rel_diff(gots, refs) -> float:
     """Largest difference between paired arrays, each relative to its
-    reference's largest magnitude; inf if an array is missing or the two
-    differ in shape."""
+    reference's largest magnitude; inf if an array is missing, the two
+    differ in shape or either holds a value that is not finite."""
     worst = 0.0
     for got, ref in zip(gots, refs, strict=True):
-        if got is None or ref is None or got.shape != ref.shape:
+        if (got is None or ref is None or got.shape != ref.shape
+                or not (np.isfinite(got).all() and np.isfinite(ref).all())):
             return math.inf
         scale = max(float(np.abs(ref).max()), np.finfo(np.float64).tiny)
         worst = max(worst, float(np.abs(got - ref).max()) / scale)

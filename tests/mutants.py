@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml", "BENCHMARK.json")
 TIMEOUT = 1800      # seconds per check run
 
 
@@ -76,6 +76,9 @@ MUTANTS = [
            "for s in range(0, n, size)]", "for s in range(0, n - 1, size)]"),
     Mutant("max_rel_diff_outputs_only", "verify.py",
            "zip(gots, refs, strict=True)", "zip(gots[:1], refs[:1])"),
+    Mutant("two_wave_block_records", "ssm.py",
+           "taped = keep and len(bounds) <= pool.worker_count()",
+           "taped = keep and len(bounds) <= pool.worker_count() + 1"),
 ]
 
 

@@ -535,7 +535,7 @@ class TestVerifyCommand:
         verify.suite_scan_kernel(report)
         assert not report.ok()
 
-    @pytest.mark.parametrize("defect", ["output", "gradient"])
+    @pytest.mark.parametrize("defect", ["output", "gradient", "nan_gradient"])
     def test_injected_fused_scan_defect_fails(self, monkeypatch, defect):
         from sits_ssm import autodiff as ad
         from sits_ssm import ssm, verify
@@ -545,6 +545,8 @@ class TestVerifyCommand:
             y = scan(*tensors)
             if defect == "gradient":
                 return ad._make(y.data, (y,), lambda g: (g * 1.001,), "perturbed")
+            if defect == "nan_gradient":
+                return ad._make(y.data, (y,), lambda g: (g * np.nan,), "perturbed")
             return ad.add(y, 1e-6)
         monkeypatch.setattr(ssm, "selective_scan_fused", broken_scan)
         report = verify.VerifyReport()
@@ -590,6 +592,24 @@ class TestVerifyCommand:
         report = verify.VerifyReport()
         verify.suite_losses(report)
         assert [r.name for r in report.rows if not r.passed] == ["reconstruction_ramp_ragged"]
+
+    @pytest.mark.parametrize("got, ref", [([np.nan, 1.0, 1.0], [1.0, 1.0, 1.0]),
+                                          ([1.0, 1.0, 1.0], [1.0, np.nan, 1.0])],
+                             ids=["nan_in_got", "nan_in_ref"])
+    def test_max_rel_diff_fails_a_nan(self, got, ref):
+        from sits_ssm import verify
+        assert verify.max_rel_diff([np.ones(2), np.array(got)],
+                                   [np.ones(2), np.array(ref)]) == np.inf
+
+    def test_gradcheck_fails_a_nan_analytic_gradient(self):
+        from sits_ssm import autodiff as ad
+        from sits_ssm import verify
+        x = ad.Tensor(np.linspace(0.5, 1.5, 4), requires_grad=True)
+
+        def f():
+            y = ad._make(x.data * 2.0, (x,), lambda g: (g * np.nan,), "nan_grad")
+            return ad.sum_(y)
+        assert verify.gradcheck(f, [x]) == np.inf
 
     def test_verification_failure_exit_code_is_3(self, monkeypatch, capsys):
         from sits_ssm import verify

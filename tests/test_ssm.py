@@ -385,7 +385,9 @@ class TestBlockNode:
             assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
 
     def test_node_keeps_neither_its_input_nor_the_chunk_outputs(self, rng, monkeypatch):
+        """Three chunks on one worker: two waves, so the chunks replay."""
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * 16 * 4 * 8)   # 3 float64 sequences
+        monkeypatch.setattr(pool_mod, "worker_count", lambda: 1)
         outputs = []
         forward = MambaBlock._forward
 
@@ -415,9 +417,11 @@ class TestBlockNode:
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
-    def test_recorded_block_keeps_less_than_its_input(self, rng):
-        """Between forward and backward the block keeps each chunk's input
-        (here views of x) and no activation of its own."""
+    def test_recorded_block_keeps_less_than_its_input(self, rng, monkeypatch):
+        """Four chunks on one worker: between forward and backward the
+        block keeps each chunk's input (here views of x) and no activation
+        of its own."""
+        monkeypatch.setattr(pool_mod, "worker_count", lambda: 1)
         blk = MambaBlock(32, 16, rng)
         x = Tensor(rng.normal(0, 1, (256, 20, 32)).astype(np.float32), requires_grad=True)
         tracemalloc.start()
@@ -433,9 +437,10 @@ class TestBlockNode:
 
     @pytest.mark.parametrize("recording", [True, False])
     def test_chunks_follow_the_callers_grad_mode(self, rng, monkeypatch, recording):
-        """Forward chunks never record; backward replays every chunk with
-        the tape on."""
+        """Four chunks on one worker: forward chunks never record; backward
+        replays every chunk with the tape on."""
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 0)
+        monkeypatch.setattr(pool_mod, "worker_count", lambda: 1)
         seen = []
         scan = ssm.selective_scan_fused
 
@@ -456,6 +461,71 @@ class TestBlockNode:
         if recording:
             ad.backward(ad.sum_(y))
             assert seen[4:] == [(True, True)] * 4
+
+    @pytest.mark.parametrize("workers, replays", [(4, 0), (3, 4)], ids=["one_wave", "two_waves"])
+    def test_one_wave_records_its_chunks_in_forward(self, rng, monkeypatch, workers, replays):
+        """Four chunks on as many workers record in forward, and backward
+        scans none of them again; on one worker fewer they replay."""
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 0)
+        monkeypatch.setattr(pool_mod, "worker_count", lambda: workers)
+        seen = []
+        scan = ssm.selective_scan_fused
+
+        def spy(u, *args):
+            seen.append((ad.grad_enabled(), u.requires_grad))
+            return scan(u, *args)
+
+        monkeypatch.setattr(ssm, "selective_scan_fused", spy)
+        blk = MambaBlock(*self.CFG, rng)
+        y = blk(Tensor(rng.normal(0, 1, (4, self.L, 8)).astype(np.float32), requires_grad=True))
+        assert seen == [(not replays, not replays)] * 4
+        ad.backward(ad.sum_(y))
+        assert seen[4:] == [(True, True)] * replays
+
+    @pytest.mark.parametrize("lengths", [None, [6, 2, 5, 1, 3, 3, 4, 6, 2]], ids=["full", "ragged"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_wave_matches_the_replay_bitwise(self, rng, monkeypatch, dtype, lengths):
+        """Three chunks on one worker replay, on three they keep their
+        forward's tape: one scan per chunk instead of two, same bits."""
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 3 * 16 * 4 * np.dtype(dtype).itemsize)
+        scans = []
+        scan = ssm.selective_scan_fused
+
+        def spy(*args):
+            scans.append(args[0].shape)
+            return scan(*args)
+
+        monkeypatch.setattr(ssm, "selective_scan_fused", spy)
+        blk = MambaBlock(*self.CFG, rng, dtype=dtype)
+        x = rng.normal(0, 1, (9, self.L, 8)).astype(dtype)
+        g = rng.normal(0, 1, (9, self.L, 8)).astype(dtype)
+        runs, counts = [], []
+        for workers in (1, 3):
+            monkeypatch.setattr(pool_mod, "worker_count", lambda w=workers: w)
+            runs.append(block_pass(blk, x, g, lengths))
+            counts.append(len(scans))
+            scans.clear()
+        assert counts == [6, 3]
+        for got, ref in zip(*runs):
+            assert got.dtype == dtype and np.array_equal(got, ref)
+
+    def test_one_wave_keeps_the_chunk_outputs_until_backward(self, rng, monkeypatch):
+        monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 0)
+        monkeypatch.setattr(pool_mod, "worker_count", lambda: 4)
+        outputs = []
+        forward = MambaBlock._forward
+
+        def spy(blk, x):
+            out = forward(blk, x)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(MambaBlock, "_forward", spy)
+        blk = MambaBlock(*self.CFG, rng)
+        y = blk(Tensor(rng.normal(0, 1, (4, self.L, 8)).astype(np.float32), requires_grad=True))
+        assert len(outputs) == 4 and all(r() is not None for r in outputs)
+        ad.backward(ad.sum_(y))
+        assert len(outputs) == 4 and all(r() is None for r in outputs)
 
     @pytest.mark.parametrize("budget", [0, 2**62], ids=["six_chunks", "one_chunk"])
     def test_backward_under_no_grad_matches_backward_outside_it(self, rng, monkeypatch, budget):
