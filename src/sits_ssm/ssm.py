@@ -456,8 +456,9 @@ class MambaBlock(nn.Module):
         backward at once; the node lets go of a chunk's input as its replay
         starts. With no more chunks than workers they would all be replayed
         at once, so each forward chunk records over its own ``shadow``
-        instead and keeps its input tensor, output and twin; backward runs
-        those tapes and lets go of each as it starts. Either way
+        instead and keeps its input tensor, its output's tape node (no
+        values) and its twin; backward runs those tapes and lets go of each
+        as it starts. Either way
         ``pool._map_sum`` adds each chunk's parameter gradients in chunk
         order as they finish, so about one set per worker is alive, and the
         two routes and any number of workers give the same bits. A single
@@ -482,18 +483,20 @@ class MambaBlock(nn.Module):
         x_shape, x_dtype, x_grad = x.shape, x.dtype, x.requires_grad
 
         def record(xi):
+            # the chunk's output values and what backward keeps of it: its
+            # input, the tape node of its output (no values) and the twin
             xi = Tensor(xi, requires_grad=x_grad)
             twin = self.shadow()
             with ad._grad_mode(True):
-                return [xi, twin._forward(xi), twin]
+                out = twin._forward(xi)
+            return out.data, [xi, out._node, twin]
 
         def forward(bound):
             s, e = bound
             lc = int(lengths[s:e].max())
             xi = np.ascontiguousarray(x.data[s:e, :lc])
             if taped:
-                chunk = record(xi)
-                out = chunk[1].data
+                out, chunk = record(xi)
             else:
                 chunk = [xi]
                 with ad.no_grad():
@@ -511,8 +514,8 @@ class MambaBlock(nn.Module):
             def backward(kept_chunk):
                 (s, e), *chunk = kept_chunk
                 kept_chunk.clear()                # the node lets go of the chunk as it is used
-                xi, out, twin = chunk if taped else record(*chunk)
-                ad._backprop(out._node, np.ascontiguousarray(g[s:e, :xi.shape[1]]))
+                xi, node, twin = chunk if taped else record(*chunk)[1]
+                ad._backprop(node, np.ascontiguousarray(g[s:e, :xi.shape[1]]))
                 if gx is not None:
                     gx[s:e, :xi.shape[1]] = xi.grad
                 return [t.grad for _, t in twin.named_parameters()]

@@ -509,29 +509,38 @@ class TestBlockNode:
         for got, ref in zip(*runs):
             assert got.dtype == dtype and np.array_equal(got, ref)
 
-    def test_one_wave_keeps_the_chunk_outputs_until_backward(self, rng, monkeypatch):
+    def test_one_wave_keeps_the_chunk_tapes_until_backward(self, rng, monkeypatch):
+        """Four chunks on four workers: each chunk's twin (and the tape
+        through it) lives from forward to backward; its output values are
+        copied into the block's output and not kept."""
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", 0)
         monkeypatch.setattr(pool_mod, "worker_count", lambda: 4)
-        outputs = []
+        twins, outputs = [], []
         forward = MambaBlock._forward
 
         def spy(blk, x):
             out = forward(blk, x)
+            twins.append(weakref.ref(blk))
             outputs.append(weakref.ref(out.data))
             return out
 
         monkeypatch.setattr(MambaBlock, "_forward", spy)
         blk = MambaBlock(*self.CFG, rng)
         y = blk(Tensor(rng.normal(0, 1, (4, self.L, 8)).astype(np.float32), requires_grad=True))
-        assert len(outputs) == 4 and all(r() is not None for r in outputs)
+        assert len(twins) == 4 and all(r() is not None for r in twins)
+        assert all(r() is None for r in outputs)
         ad.backward(ad.sum_(y))
-        assert len(outputs) == 4 and all(r() is None for r in outputs)
+        assert len(twins) == 4 and all(r() is None for r in twins)
 
-    @pytest.mark.parametrize("budget", [0, 2**62], ids=["six_chunks", "one_chunk"])
-    def test_backward_under_no_grad_matches_backward_outside_it(self, rng, monkeypatch, budget):
-        """Six chunks on the pool, or one inline: backward records the
-        replays whatever grad mode it is called under."""
+    @pytest.mark.parametrize("budget, workers", [(0, 1), (0, 6), (2**62, 1)],
+                             ids=["six_chunks", "six_chunks_one_wave", "one_chunk"])
+    def test_backward_under_no_grad_matches_backward_outside_it(self, rng, monkeypatch,
+                                                                budget, workers):
+        """A backward called under ``no_grad`` gives the same bits: six
+        chunks on one worker replay with the tape on whatever the grad mode;
+        six on six workers, or one inline, run the tapes kept from forward."""
         monkeypatch.setattr(ssm, "_SCAN_VECTOR_BUDGET", budget)
+        monkeypatch.setattr(pool_mod, "worker_count", lambda: workers)
         blk = MambaBlock(*self.CFG, rng)
         x = rng.normal(0, 1, (6, self.L, 8)).astype(np.float32)
         g = rng.normal(0, 1, (6, self.L, 8)).astype(np.float32)
