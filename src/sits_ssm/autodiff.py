@@ -57,11 +57,14 @@ and all follow its one protocol: cut the leading axis with
 ``pool._chunk_bounds``, run one task per chunk with ``pool._map``, and add
 the chunks' partial gradients with ``pool._map_sum`` as the chunks finish,
 so about one partial per worker is alive, not one per chunk.
-``ssm.MambaBlock`` is the one place that splits pixel sequences. Its
-forward runs each chunk under ``no_grad`` and keeps only the chunk's
-input; its backward replays each chunk as a sub-graph of its own, recorded
-whatever grad mode backward runs under, over parameter copies whose
-``grad`` only that chunk touches. The selective scan inside a chunk is a
+``ssm.MambaBlock`` is the one place that splits pixel sequences. When its
+chunks outnumber the pool's workers, its forward runs each chunk under
+``no_grad`` and keeps only the chunk's input, and its backward replays
+each chunk as a sub-graph of its own, recorded whatever grad mode backward
+runs under, over parameter copies whose ``grad`` only that chunk touches.
+When they run in one wave, no more chunks than workers, its forward
+records each chunk's sub-graph over such copies instead, and its backward
+runs those tapes with no replay. The selective scan inside a chunk is a
 single pass on that chunk's thread. ``conv2d`` splits the frames of its
 (B, C, H, W) stack into chunks whose im2col columns fit
 ``_CONV_FRAME_BUDGET``, or of one frame, as for the paper's 128-channel

@@ -132,6 +132,15 @@ def train_step(model: SitsClassifier, batch, loss_cfg: LossConfig) -> LossReport
 
 def train(model: SitsClassifier, train_set, valid_set, cfg: TrainConfig,
           out_dir) -> TrainResult:
+    """Train with Adam for ``cfg.epochs`` epochs, each over the training set
+    in a fresh seeded shuffle, writing logs and checkpoints to ``out_dir``.
+
+    After each epoch the model is scored on ``valid_set``, if given, and
+    saved as ``best.ckpt`` when its mF1 beats every earlier epoch's: of
+    epochs that tie on the highest mF1, the first wins. ``final.ckpt``
+    holds the last epoch's weights (and ``best.ckpt`` too when no
+    validation ran).
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)

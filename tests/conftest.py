@@ -17,18 +17,20 @@ def f64(rng, *shape, lo=-1.0, hi=1.0, requires_grad=True):
 
 
 def bitwise_for_any_worker_count(monkeypatch, run):
-    """Run ``run()`` on the package pool swapped for pools of 1, 2 and 5
-    workers, with a short thread switch interval so that chunks interleave.
-    Every array it returns must be float32 and bitwise the same on each
-    pool; returns the 1-worker result."""
+    """Run ``run()`` on the package pool swapped for pools of 1, 2, 5 and 40
+    workers, with ``pool.worker_count`` patched to match (so the block's
+    route choice moves too) and a short thread switch interval so that
+    chunks interleave. Every array it returns must be float32 and bitwise
+    the same on each pool; returns the 1-worker result."""
     from sits_ssm import pool
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for workers in (1, 2, 5):
+        for workers in (1, 2, 5, 40):
             with ThreadPoolExecutor(workers) as executor:
                 monkeypatch.setattr(pool, "_POOL", executor)
+                monkeypatch.setattr(pool, "worker_count", lambda w=workers: w)
                 results.append(run())
     finally:
         sys.setswitchinterval(interval)

@@ -79,6 +79,24 @@ MUTANTS = [
     Mutant("two_wave_block_records", "ssm.py",
            "taped = keep and len(bounds) <= pool.worker_count()",
            "taped = keep and len(bounds) <= pool.worker_count() + 1"),
+    Mutant("phi_prime_series_coefficient", "ssm.py",
+           "acc += (k + 1) / math.factorial(k + 2)", "acc += k / math.factorial(k + 2)"),
+    Mutant("phi_prime_closed_form", "ssm.py",
+           "out[~near] = (np.exp(zf) * (zf - 1.0) + 1.0) / (zf * zf)",
+           "out[~near] = (np.exp(zf) * (zf - 1.0) + 1.0) / (zf * zf) * (1 + 1e-7)"),
+    Mutant("sample30_train_unsorted", "data.py",
+           "idx = np.sort(rng.choice(v, size=count, replace=False))",
+           "idx = rng.choice(v, size=count, replace=False)"),
+    Mutant("sample30_short_unsorted", "data.py",
+           "idx = np.sort(rng.integers(0, v, size=count))", "idx = rng.integers(0, v, size=count)"),
+    Mutant("checkpoint_repeated_names", "checkpoint.py",
+           "if name in out:", "if False:"),
+    Mutant("sits_trailing_bytes", "data.py",
+           "if fh.read(1):", "if False:"),
+    Mutant("no_shuffle", "trainer.py",
+           "rng.permutation(len(train_set))", "np.arange(len(train_set))"),
+    Mutant("best_on_tie", "trainer.py",
+           "improved = s.mf1 > best_mf1", "improved = s.mf1 >= best_mf1"),
 ]
 
 

@@ -502,7 +502,7 @@ class TestVerifyCommand:
             "closed_form_1_b_bar", "closed_form_2_a_bar", "closed_form_2_b_bar",
             "series_vs_exact_at_1e-5", "lti_scan_vs_kernel_max_abs",
             "fused_vs_composite", "fused_vs_composite_tiny_delta", "fused_vs_composite_long",
-            "fused_vs_composite_mixed_delta", "phi_prime_max_rel", "conv_bn_relu_vs_unfused",
+            "fused_vs_composite_mixed_delta", "conv_bn_relu_vs_unfused",
             "softplus_silu_chain", "mamba_block_fd", "train_step_append_padding_max_rel",
             "vectorized_vs_rational_oracle", "vectorized_vs_rational_oracle_ignore_eval",
             "hand_case_oa", "hand_case_mf1", "pw_L4", "reconstruction_ramp_ragged",

@@ -111,9 +111,19 @@ class TestSample30:
         assert np.array_equal(out.series, s.series[np.arange(0, 60, 2)])
 
     def test_train_mode_sorted_without_replacement(self, rng):
-        s = self.sample_of_length(rng, 45)
-        out = sample_timesteps(s, rng=np.random.default_rng(3))
-        assert out.series.shape[0] == 30
+        """Each series holds its step index: a valid length v of 30 or more
+        gives 30 strictly increasing indices, a shorter one 30 non-decreasing
+        ones (drawn with replacement), all within [0, v)."""
+        for t, v in ((45, 45), (45, 33), (30, 30), (12, 12), (20, 8)):
+            steps = np.arange(t, dtype=np.float32)[:, None, None, None]
+            s = SitsSample(np.broadcast_to(steps, (t, 2, 4, 4)).copy(),
+                           rng.integers(0, 3, (4, 4)), v)
+            for seed in range(10):
+                out = sample_timesteps(s, rng=np.random.default_rng(seed))
+                idx = out.series[:, 0, 0, 0].astype(np.int64)
+                assert out.valid_length == 30 and np.array_equal(out.series, s.series[idx])
+                assert idx.min() >= 0 and idx.max() < v
+                assert (np.diff(idx) > 0).all() if v >= 30 else (np.diff(idx) >= 0).all()
 
     def test_short_series_with_replacement_logged(self, rng, caplog):
         """One warning per random draw over the batches, none in eval mode."""

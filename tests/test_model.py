@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 
 from sits_ssm import autodiff as ad
+from sits_ssm import pool, ssm
 from sits_ssm.autodiff import Tensor
 from sits_ssm.data import SitsBatch
+from sits_ssm.losses import LossConfig
 from sits_ssm.model import ModelConfig, SitsClassifier, count_parameters
+from sits_ssm.trainer import Adam, train_step
 from sits_ssm.verify import gradcheck, padding_shift
+
+from conftest import bitwise_for_any_worker_count
 
 
 def tiny_model(channels=3, classes=4, hidden=8, seed=0, **kw):
@@ -213,6 +218,32 @@ class TestPrecision:
         out = model.forward(random_batch(rng), training=True)
         assert seen == [[np.dtype(np.float32)] * 6]      # u, delta, a, b, c, d_skip
         assert out.class_logits.dtype == np.float32
+
+
+class TestHostIndependence:
+    def test_train_steps_and_predict_bitwise_for_any_worker_count(self, rng, monkeypatch):
+        """At the learnability shape (K6 C4 T20 16x16, hidden 16, state 8,
+        batch 2) the block cuts 512 sequences into 2 chunks: replayed on 1
+        worker, kept from the forward on 2, 5 and 40. Two train steps with
+        Adam and a predict give the same bits on each."""
+        assert len(pool._chunk_bounds(512, 32 * 8 * 4, ssm._SCAN_VECTOR_BUDGET)) == 2
+        batch = random_batch(rng, n=2, t=20, c=4, h=16, w=16, classes=6)
+
+        def run():
+            model = SitsClassifier(ModelConfig(4, 6, hidden=16, d_state=8),
+                                   np.random.default_rng(0))
+            optim = Adam(list(model.named_parameters()), 1e-3)
+            out = []
+            for _ in range(2):
+                optim.zero_grad()
+                report = train_step(model, batch, LossConfig())
+                optim.step()
+                out.append(np.float32([report.l_cls, report.l_tp, report.total]))
+                out += [t.grad.copy() for _, t in model.named_parameters()]
+            out += [a.copy() for a in model.state_arrays().values()]
+            return out + [model.predict_logits(batch)]
+
+        bitwise_for_any_worker_count(monkeypatch, run)
 
 
 class TestParameterAccounting:

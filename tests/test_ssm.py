@@ -1,6 +1,7 @@
 """Discretization closed forms, scan/kernel equivalence, selectivity, the
 single-pass fused scan, and the chunked gated block contracts."""
 
+import decimal
 import tracemalloc
 import weakref
 
@@ -15,7 +16,7 @@ from sits_ssm.data import SitsSample, pad_batch
 from sits_ssm.losses import LossConfig
 from sits_ssm.model import ModelConfig, SitsClassifier
 from sits_ssm.ssm import MambaBlock
-from sits_ssm.verify import gradcheck, lti_steps, phi_prime_reference, scan_vs_composite
+from sits_ssm.verify import gradcheck, lti_steps, scan_vs_composite
 
 from conftest import bitwise_for_any_worker_count
 
@@ -570,20 +571,27 @@ class TestBlockNode:
 
 
 class TestPhiPrime:
+    """``ssm._phi_prime`` against (e^z (z - 1) + 1)/z^2 evaluated with 60
+    significant digits, where its cancellation costs no float64 digit."""
     Z = -np.logspace(-8, np.log10(20.0), 4001)
 
-    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10)])
-    def test_relative_error_over_the_scan_range(self, dtype, tol):
-        z = self.Z.astype(dtype)
-        got = ssm._phi_prime(z)
-        assert got.dtype == dtype
-        ref = phi_prime_reference(z.astype(np.float64))
-        assert np.max(np.abs(got.astype(np.float64) - ref) / ref) <= tol
+    @staticmethod
+    def exact(z):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            d = [decimal.Decimal(float(v)) for v in z]
+            return np.array([float((v.exp() * (v - 1) + 1) / (v * v)) for v in d])
+
+    def test_relative_error_over_the_scan_range(self):
+        got = ssm._phi_prime(self.Z)
+        assert got.dtype == np.float64
+        ref = self.exact(self.Z)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
     def test_scalar_zero_and_positive_arguments(self):
         assert float(ssm._phi_prime(0.0)) == 0.5
         z = np.array([1e-7, 0.05, 0.5, 3.0])
-        assert np.allclose(ssm._phi_prime(z), phi_prime_reference(z), rtol=1e-12)
+        assert np.max(np.abs(ssm._phi_prime(z) / self.exact(z) - 1)) <= 1e-14
 
 
 class TestMambaBlock:

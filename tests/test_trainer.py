@@ -10,8 +10,10 @@ import pytest
 
 from sits_ssm import trainer as trainer_mod
 from sits_ssm.autodiff import NonFiniteError, Tensor
+from sits_ssm.checkpoint import load_checkpoint
 from sits_ssm.data import generate_synthetic, pad_batch  # noqa: F401
 from sits_ssm.losses import LossConfig
+from sits_ssm.metrics import Scores
 from sits_ssm.model import ModelConfig, SitsClassifier
 from sits_ssm.trainer import Adam, TrainConfig, evaluate, train, train_step
 
@@ -242,6 +244,44 @@ class TestTrainingLoop:
             train(model, ds, ds, tc, tmp_path / "s30")
         assert caplog.messages == [
             "batches: 6 of 6 series are shorter than 30 steps, sampling with replacement"] * 2
+
+    def test_each_epoch_sees_a_fresh_permutation(self, tmp_path, monkeypatch):
+        """Every epoch hands ``data.batches`` the whole training set, each
+        in its own order."""
+        ds, cfg = tiny_task()
+        orders = []
+        batches = trainer_mod.data_mod.batches
+
+        def recording(samples, *args):
+            orders.append([s.sample_id for s in samples])
+            return batches(samples, *args)
+
+        monkeypatch.setattr(trainer_mod.data_mod, "batches", recording)
+        tc = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=4, seed=0,
+                         loss=LossConfig())
+        train(SitsClassifier(cfg, np.random.default_rng(0)), ds, None, tc, tmp_path / "order")
+        assert len(orders) == 2
+        assert all(sorted(o) == [s.sample_id for s in ds.samples] for o in orders)
+        assert orders[0] != orders[1]
+
+    def test_first_of_tied_epochs_is_best(self, tmp_path, monkeypatch):
+        """Two epochs that score the same mF1: ``best.ckpt`` holds the first."""
+        ds, cfg = tiny_task()
+        weights = []
+
+        def tied(model_, *args, **kwargs):
+            weights.append({k: v.copy() for k, v in model_.state_arrays().items()})
+            return Scores(oa=0.5, iou=np.full(3, 0.5), f1=np.full(3, 0.5), miou=0.5,
+                          mf1=0.5, present=np.ones(3, bool))
+
+        monkeypatch.setattr(trainer_mod, "evaluate", tied)
+        tc = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=4, seed=0,
+                         loss=LossConfig())
+        res = train(SitsClassifier(cfg, np.random.default_rng(0)), ds, ds, tc, tmp_path / "tie")
+        assert res.best_epoch == 0 and len(weights) == 2
+        best = load_checkpoint(res.best_checkpoint)
+        assert all(np.array_equal(best[k], w) for k, w in weights[0].items())
+        assert not all(np.array_equal(best[k], w) for k, w in weights[1].items())
 
     def test_best_checkpoint_tracks_validation_mf1(self, tmp_path):
         ds, cfg = tiny_task(noise=0.0, n=10)
