@@ -66,10 +66,11 @@ When they run in one wave, no more chunks than workers, its forward
 records each chunk's sub-graph over such copies instead, and its backward
 runs those tapes with no replay. The selective scan inside a chunk is a
 single pass on that chunk's thread. ``conv2d`` splits the frames of its
-(B, C, H, W) stack into chunks whose im2col columns fit
-``_CONV_FRAME_BUDGET``, or of one frame, as for the paper's 128-channel
-conv: each chunk's im2col + GEMM writes its output slice, and backward
-recomputes the chunk's columns, so a task's scratch stays one frame's.
+(B, C, H, W) stack into chunks sized by ``_CONV_FRAME_BUDGET``, or of one
+frame, as for the paper's 128-channel conv: each chunk takes its columns
+as contiguous slices of its zero-padded frames, one GEMM writes its output
+slice, and backward recomputes the chunk's columns, so a task's scratch
+stays about one frame's.
 ``conv_bn_relu`` runs on conv2d's chunks and has each chunk finish its
 own output slice: the batchnorm affine, the check, the ReLU. No pool task
 asks the pool for work.
@@ -81,6 +82,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -88,10 +90,11 @@ import numpy as np
 from . import pool
 
 DEFAULT_DTYPE = np.float32
-# bytes of one conv2d frame chunk's im2col columns (C_in*kh*kw*H*W each),
-# which bound its backward scratch too: one frame of the paper's 128-channel
-# 3x3 conv on 16x16 (1.18 MB; a chunk has at least one frame), 7 of a
-# 16-channel one
+# sizes conv2d's frame chunks, which bounds each pool task's scratch: as
+# many frames as fit this many bytes at C_in*kh*kw*H*W values a frame (a
+# chunk's columns are H*(W+kw-1) wide per tap, 1/8 more for a 3x3 kernel
+# on 16x16), and at least one: one frame of the paper's 128-channel 3x3
+# conv on 16x16 (1.18 MB), 7 of a 16-channel one
 _CONV_FRAME_BUDGET = 2**20
 
 # a context variable, so each thread starts with recording on
@@ -247,13 +250,25 @@ def _make(out_data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str,
     return out
 
 
+def _lead_sum(g: np.ndarray, k: int) -> np.ndarray:
+    """``g`` summed over its ``k`` leading axes. A C-contiguous ``g`` is
+    summed as a (rows, row) matrix by ``np.einsum``, which runs along the
+    long rows where ``sum`` loops over the short last axis: the same
+    additions in the same order, so the same bits (a strided ``g`` may sum
+    in another order, so it takes ``sum``)."""
+    if not g.flags.c_contiguous:
+        return g.sum(axis=tuple(range(k)))
+    rest = g.shape[k:]
+    return np.einsum("ij->j", g.reshape(math.prod(g.shape[:k]), math.prod(rest))).reshape(rest)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcasted gradient back to the operand's shape."""
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = _lead_sum(grad, extra)
     axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -661,37 +676,39 @@ def cross_entropy_logits(logits, labels: np.ndarray, keep: np.ndarray | None = N
 # ---------------------------------------------------------------------------
 # convolutions
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(B,C,H,W) -> (B, C*kh*kw, H*W) patches, 'same' zero padding, stride 1."""
-    b, c, h, w = x.shape
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = np.empty((b, c, kh * kw, h, w), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i * kw + j] = xp[:, :, i:i + h, j:j + w]
-    return cols.reshape(b, c * kh * kw, h * w)
-
-
-def _col2im(gcols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
-    b, c, h, w = shape
-    ph, pw = kh // 2, kw // 2
-    gp = np.zeros((b, c, h + 2 * ph, w + 2 * pw), dtype=gcols.dtype)
-    gc = gcols.reshape(b, c, kh * kw, h, w)
-    for i in range(kh):
-        for j in range(kw):
-            gp[:, :, i:i + h, j:j + w] += gc[:, :, i * kw + j]
-    return gp[:, :, ph:ph + h, pw:pw + w]
+def _padded(c: int, n: int, h: int, w: int, kh: int, kw: int, dtype):
+    """Zeros for n frames of c channels, each (h, w) frame padded for a
+    'same' kh x kw conv and flattened, laid out channel-major: a
+    (c, n, (h+kh-1)(w+kw-1) + kw-1) array, whose kw-1 trailing zeros let
+    the last tap's slice run to its end, and the (c, n, h, w) view of
+    the frames inside the padding."""
+    hp, wp = h + kh - 1, w + kw - 1
+    flat = np.zeros((c, n, hp * wp + kw - 1), dtype)
+    frames = flat[:, :, :hp * wp].reshape(c, n, hp, wp)
+    return flat, frames[:, :, kh // 2:kh // 2 + h, kw // 2:kw // 2 + w]
 
 
 def _conv_parts(x, weight, bias):
     """A conv2d's checked operands and its chunked work, for ``conv2d`` and
     ``conv_bn_relu``: the parents, the empty (B, C_out, H, W) output, its
-    frame chunks (``_CONV_FRAME_BUDGET`` bytes of columns each, at least one
-    frame), the task that fills one chunk of the output, and the backward
-    function, which keeps no output values. Backward writes each chunk's
-    slice of the input gradient, and ``pool._map_sum`` adds the chunks'
-    weight-gradient partials in chunk order as they finish."""
+    frame chunks (``_CONV_FRAME_BUDGET`` bytes of C_in*kh*kw*H*W columns
+    each, at least one frame), the task that fills one chunk of the output,
+    and the backward function, which keeps no output values.
+
+    A chunk's columns come from its frames zero-padded and flattened
+    (``_padded``): tap (i, j) of the kernel reads the pixel i rows down and
+    j columns right of each output pixel, one offset along a flattened
+    padded frame, so its columns are one contiguous slice of H*(W+kw-1)
+    values per frame and channel, laid out channel-major as
+    (C_in*kh*kw, frames*H*(W+kw-1)) for one GEMM per chunk. The slice's
+    kw-1 extra columns per image row read padding or the next row; the
+    forward drops them when it writes the output, after the bias add.
+    Backward pads the output gradient with zeros in those columns: one
+    GEMM against the same columns is the chunk's weight-gradient partial,
+    and one GEMM with the weight and a contiguous add per tap into a
+    padded frame give the chunk's slice of the input gradient.
+    ``pool._map_sum`` adds the chunks' partials in chunk order as they
+    finish."""
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     c_out, c_in, kh, kw = weight.shape
     if x.ndim != 4 or x.shape[1] != c_in:
@@ -705,12 +722,23 @@ def _conv_parts(x, weight, bias):
                                 _CONV_FRAME_BUDGET)
     parents = (x, weight, bias)
     out = np.empty((b, c_out, h, w), dtype=np.result_type(*(p.data for p in parents)))
+    wp = w + kw - 1                 # a padded frame's row
+    rows = h * wp                   # a tap's slice of one padded frame
+    offsets = [i * wp + j for i in range(kh) for j in range(kw)]
+
+    def columns(s, e):
+        flat, frames = _padded(c_in, e - s, h, w, kh, kw, xv.dtype)
+        frames[...] = xv[s:e].transpose(1, 0, 2, 3)
+        cols = np.empty((c_in, kh * kw, e - s, rows), xv.dtype)
+        for t, o in enumerate(offsets):
+            cols[:, t] = flat[:, :, o:o + rows]
+        return cols.reshape(c_in * kh * kw, (e - s) * rows)
 
     def run(bound):
         s, e = bound
-        chunk = out[s:e].reshape(e - s, c_out, h * w)
-        np.matmul(wmat, _im2col(xv[s:e], kh, kw), out=chunk)
-        chunk += bias.data[:, None]
+        y = np.matmul(wmat, columns(s, e))
+        y += bias.data[:, None]
+        out[s:e] = y.reshape(c_out, e - s, h, wp)[..., :w].transpose(1, 0, 2, 3)
 
     def backward_fn(g):
         gmat = g.reshape(b, c_out, h * w)
@@ -718,9 +746,16 @@ def _conv_parts(x, weight, bias):
 
         def backward(bound):
             s, e = bound
-            part = np.einsum("bop,bkp->ok", gmat[s:e], _im2col(xv[s:e], kh, kw), optimize=True)
+            gp = np.zeros((c_out, e - s, h, wp), g.dtype)
+            gp[..., :w] = g[s:e].transpose(1, 0, 2, 3)
+            gp = gp.reshape(c_out, (e - s) * rows)
+            part = gp @ columns(s, e).T
             if gx is not None:
-                gx[s:e] = _col2im(np.matmul(wmat.T, gmat[s:e]), gx[s:e].shape, kh, kw)
+                gcols = np.matmul(wmat.T, gp).reshape(c_in, kh * kw, e - s, rows)
+                flat, frames = _padded(c_in, e - s, h, w, kh, kw, gcols.dtype)
+                for t, o in enumerate(offsets):
+                    flat[:, :, o:o + rows] += gcols[:, t]
+                gx[s:e] = frames.transpose(1, 0, 2, 3)
             return [part]
 
         gw = pool._map_sum(backward, bounds)[0].reshape(weight.shape)
@@ -737,14 +772,16 @@ def conv2d(x, weight, bias) -> Tensor:
     Spatial extent is preserved.
 
     Every frame is convolved on its own, so the B frames run as chunks on
-    the shared pool, each chunk's im2col columns fitting
-    ``_CONV_FRAME_BUDGET`` (1 MiB: one frame of the paper's 128-channel
-    conv). A chunk writes its GEMM straight into its slice of the output;
-    backward recomputes its columns instead of keeping them, writes its
-    slice of the input gradient, and returns its part of the weight
-    gradient, which ``pool._map_sum`` adds up in chunk order as the chunks
-    finish. Output and input gradient equal the whole-batch op bitwise; the
-    weight gradient is bitwise the same for any worker count.
+    the shared pool, sized by ``_CONV_FRAME_BUDGET`` (1 MiB: one frame of
+    the paper's 128-channel conv). A chunk's columns are contiguous slices
+    of its zero-padded frames (``_conv_parts``), and one GEMM per chunk
+    fills its slice of the output, with the bias. Backward recomputes the
+    columns instead of keeping them, writes the chunk's slice of the input
+    gradient, and returns its part of the weight gradient, which
+    ``pool._map_sum`` adds up in chunk order as the chunks finish. Output
+    and input gradient equal the whole-batch op bitwise, and an im2col
+    GEMM per frame too; the weight gradient is bitwise the same for any
+    worker count.
     """
     parents, out, bounds, run, backward_fn = _conv_parts(x, weight, bias)
     pool._map(run, bounds)
@@ -761,22 +798,30 @@ def depthwise_conv1d(x, weight, bias) -> Tensor:
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.ndim != 3 or weight.ndim != 2 or x.shape[2] != weight.shape[0]:
         raise ShapeError(f"depthwise_conv1d: input {x.shape} vs weight {weight.shape}")
-    l, k = x.shape[1], weight.shape[1]
+    nb, l, d = x.shape
+    k = weight.shape[1]
     xv, wv = x.data, weight.data
     # tap i reads s = k-1-i steps back: out[:, t] += x[:, t-s] * w[:, i] for t >= s
     taps = [(i, k - 1 - i) for i in range(k) if k - 1 - i < l]
+    # w[:, i] and the bias repeated over the L steps, so that each product and
+    # add runs along a sequence's (L-s)*D values, not along rows of D
+    w_steps = np.ascontiguousarray(np.broadcast_to(wv.T[:, None, :], (k, l, d)))
+    prod = np.empty(xv.size, np.result_type(xv, wv))     # each tap's product
     out = np.zeros(xv.shape, dtype=xv.dtype)
     for i, s in taps:
-        out[:, s:] += xv[:, :l - s] * wv[:, i]
-    out = out + bias.data
+        tap = prod[:nb * (l - s) * d].reshape(nb, l - s, d)
+        out[:, s:] += np.multiply(xv[:, :l - s], w_steps[i, :l - s], out=tap)
+    out += np.tile(bias.data, (l, 1))
 
     def backward_fn(g):
         gw = np.zeros_like(wv)
         gx = np.zeros_like(xv)
+        prod = np.empty(g.size, np.result_type(g, wv))
         for i, s in taps:
             gw[:, i] = np.einsum("bld,bld->d", g[:, s:], xv[:, :l - s])
-            gx[:, :l - s] += g[:, s:] * wv[:, i]
-        return gx, gw, g.sum(axis=(0, 1))
+            tap = prod[:nb * (l - s) * d].reshape(nb, l - s, d)
+            gx[:, :l - s] += np.multiply(g[:, s:], w_steps[i, :l - s], out=tap)
+        return gx, gw, _lead_sum(g, 2)
 
     return _make(out, (x, weight, bias), backward_fn, "depthwise_conv1d")
 

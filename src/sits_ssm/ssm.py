@@ -344,11 +344,15 @@ def selective_scan_fused(u: Tensor, delta: Tensor, a: Tensor, b: Tensor,
             reduced *= u_t
             gd[t] += reduced
             ga_h += np.einsum("cd,cnd->nd", d_t, lam_h, out=step)
-            x = np.einsum("cnd,cd->cnd", lam, d_t, out=tmp)
+            x = np.multiply(lam, d_t[:, None, :], out=tmp)
             x -= lam_s                                  # delta lam_e - lam_s
             if hi > lo:
                 x[at_t] = x_near
-            ga_ub += np.einsum("cn,cd,cnd->nd", b_t, u_t, x, out=step)
+            # sum over the sequences of b u x: x *= u, then for each n one
+            # (1, c) @ (c, D) product, all in one matmul
+            x *= u_t[:, None, :]
+            np.matmul(b_t.T[:, None, :], x.transpose(1, 0, 2), out=step[:, None, :])
+            ga_ub += step
         hs = None                              # free the trajectory and the step buffers early
         del lam, inv_a, tmp, em, lam_em, lam_h, x, lam_s, reduced
         ga = (ga_h + ga_ub / a_t).T.astype(ut.dtype)

@@ -17,10 +17,13 @@ One of these routes shares code with what it checks, so a defect in the
 shared part can hit both sides alike. What still catches it:
 
 - ``unfused_conv_bn_relu`` runs ``conv2d`` and ``batchnorm``, which share
-  ``_conv_parts`` (im2col, GEMM and its backward) and the ``_bn_*``
+  ``_conv_parts`` (columns, GEMM and its backward) and the ``_bn_*``
   helpers with ``conv_bn_relu``. The acceptance tests' finite-difference
   checks (criterion 1) over ``conv2d``, ``batchnorm`` and
-  ``spatial.ConvBlock`` cover the shared code.
+  ``spatial.ConvBlock`` cover the shared code, and a test checks
+  ``conv2d`` against a plain sum over its kernel taps, which also fails a
+  kernel read transposed or a tap at the wrong offset: those are linear
+  maps whose backward matches their forward, so finite differences pass.
 
 The fused scan and the composite share no phi': the composite
 differentiates ``zoh_phi`` with ``ssm._phi_prime``, the package's one phi',

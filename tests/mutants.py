@@ -70,8 +70,12 @@ MUTANTS = [
            "return (g2 @ w.data.T).reshape(x.shape), gw.T.reshape(gw.shape)"),
     Mutant("conv_bias_grad_dropped", "autodiff.py",
            "return gx, gw, gmat.sum(axis=(0, 2))", "return gx, gw, 0 * gmat.sum(axis=(0, 2))"),
+    Mutant("conv_kernel_transposed", "autodiff.py",
+           "for i in range(kh) for j in range(kw)]", "for j in range(kw) for i in range(kh)]"),
+    Mutant("conv_tap_rows_unpadded", "autodiff.py",
+           "offsets = [i * wp + j", "offsets = [i * w + j"),
     Mutant("depthwise_bias_grad_dropped", "autodiff.py",
-           "return gx, gw, g.sum(axis=(0, 1))", "return gx, gw, 0 * g.sum(axis=(0, 1))"),
+           "return gx, gw, _lead_sum(g, 2)", "return gx, gw, 0 * _lead_sum(g, 2)"),
     Mutant("chunk_bounds_drop_last", "pool.py",
            "for s in range(0, n, size)]", "for s in range(0, n - 1, size)]"),
     Mutant("max_rel_diff_outputs_only", "verify.py",

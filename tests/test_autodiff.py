@@ -786,3 +786,117 @@ class TestChunkedConv2d:
         x = Tensor(np.zeros((frames, channels, 16, 16), np.float32))
         w = Tensor(np.zeros((channels, channels, 3, 3), np.float32))
         assert len(ad._conv_parts(x, w, np.zeros(channels, np.float32))[2]) == chunks
+
+
+def direct_conv(x, w, b, g):
+    """A 'same' conv's output and its input, weight and bias gradients,
+    each a plain sum over the kernel taps of the zero-padded input:
+    y[n, o, r, q] = b[o] + sum_{c, i, j} w[o, c, i, j] xpad[n, c, r + i, q + j].
+    Shares no code with ``autodiff``."""
+    _, _, kh, kw = w.shape
+    _, _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    y = np.zeros((x.shape[0], w.shape[0], h, wd)) + b[:, None, None]
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for i in range(kh):
+        for j in range(kw):
+            window = xp[:, :, i:i + h, j:j + wd]
+            y += np.einsum("oc,ncrq->norq", w[:, :, i, j], window)
+            gxp[:, :, i:i + h, j:j + wd] += np.einsum("oc,norq->ncrq", w[:, :, i, j], g)
+            gw[:, :, i, j] = np.einsum("norq,ncrq->oc", g, window)
+    gx = gxp[:, :, kh // 2:kh // 2 + h, kw // 2:kw // 2 + wd]
+    return [y, gx, gw, g.sum(axis=(0, 2, 3))]
+
+
+class TestConvAgainstDirectSum:
+    """conv2d against ``direct_conv`` in float64, on frames of 5 rows and 7
+    columns, so that a kernel read transposed, or a tap that steps through
+    the padded frame by the wrong row length, shows."""
+
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (5, 3), (3, 5)],
+                             ids=["1x1", "3x3", "5x3", "3x5"])
+    @pytest.mark.parametrize("budget, chunks", [(0, 4), (2**62, 1)],
+                             ids=["frame_chunks", "one_chunk"])
+    def test_output_and_gradients(self, rng, monkeypatch, kernel, budget, chunks):
+        monkeypatch.setattr(ad, "_CONV_FRAME_BUDGET", budget)
+        x = rng.normal(0, 1, (4, 3, 5, 7))
+        w = rng.normal(0, 1, (2, 3) + kernel)
+        b, g = rng.normal(0, 1, 2), rng.normal(0, 1, (4, 2, 5, 7))
+        assert len(ad._conv_parts(x, w, b)[2]) == chunks
+        for got, ref in zip(conv_pass(x, w, b, g), direct_conv(x, w, b, g), strict=True):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def im2col_conv(x, w, b, g):
+    """One chunk's conv output and input gradient by the (B, C*kh*kw, H*W)
+    im2col columns, one GEMM per frame, and a strided add per tap back
+    into the padded frame."""
+    n, c, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    cols = np.empty((n, c, kh * kw, h, wd), x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i * kw + j] = xp[:, :, i:i + h, j:j + wd]
+    wmat = w.reshape(c_out, -1)
+    y = np.matmul(wmat, cols.reshape(n, c * kh * kw, h * wd))
+    y += b[:, None]
+    gc = np.matmul(wmat.T, g.reshape(n, c_out, h * wd)).reshape(n, c, kh * kw, h, wd)
+    gp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gp[:, :, i:i + h, j:j + wd] += gc[:, :, i * kw + j]
+    return y.reshape(n, c_out, h, wd), gp[:, :, kh // 2:kh // 2 + h, kw // 2:kw // 2 + wd]
+
+
+class TestLongRowKernelsKeepBits:
+    """The kernels that run along long rows give the bits of the short-row
+    forms they replaced, where the additions are the same ones in the
+    same order."""
+
+    @pytest.mark.parametrize("frames, c_in, c_out", [
+        (7, 16, 16), (28, 4, 16),          # learn_small's second and first conv chunks
+        (1, 128, 128), (11, 10, 128)])     # the paper's second and first conv chunks
+    def test_conv_output_and_input_gradient(self, rng, frames, c_in, c_out):
+        x = rng.normal(0, 1, (frames, c_in, 16, 16)).astype(np.float32)
+        w = rng.normal(0, 0.1, (c_out, c_in, 3, 3)).astype(np.float32)
+        b = rng.normal(0, 1, c_out).astype(np.float32)
+        g = rng.normal(0, 1, (frames, c_out, 16, 16)).astype(np.float32)
+        assert len(ad._conv_parts(x, w, b)[2]) == 1
+        y, gx, _, _ = conv_pass(x, w, b, g)
+        ref_y, ref_gx = im2col_conv(x, w, b, g)
+        assert np.array_equal(y, ref_y) and np.array_equal(gx, ref_gx)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (256, 20, 32), (256, 20, 16), (512, 20, 4),      # learn_small's bias gradients
+        (16, 30, 256), (16, 30, 128), (512, 30, 10)])    # and the paper's
+    def test_leading_axis_sum(self, rng, dtype, shape):
+        g = rng.normal(0, 1, shape).astype(dtype)
+        assert np.array_equal(ad._lead_sum(g, 2), g.sum(axis=(0, 1)))
+        assert np.array_equal(ad._unbroadcast(g, shape[-1:]), g.sum(axis=(0, 1)))
+        # a strided gradient keeps numpy's own sum, whose order differs
+        gt = g[:, 0].T
+        assert np.array_equal(ad._lead_sum(gt, 1), gt.sum(axis=0))
+
+    @pytest.mark.parametrize("k, length", [(4, 20), (4, 30), (4, 2), (1, 5)])
+    def test_depthwise_conv1d(self, rng, k, length):
+        # x is the first half of a wider array's channels, as in the block
+        x = rng.normal(0, 1, (64, length, 64)).astype(np.float32)[:, :, :32]
+        g = rng.normal(0, 1, (64, length, 32)).astype(np.float32)
+        w, b = rng.normal(0, 1, (32, k)).astype(np.float32), rng.normal(0, 1, 32).astype(np.float32)
+        ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+        y = ad.depthwise_conv1d(*ts)
+        ad.backward(ad.sum_(ad.mul(y, Tensor(g))))
+        taps = [(i, k - 1 - i) for i in range(k) if k - 1 - i < length]
+        ref_y = np.zeros_like(x)
+        ref_gx, ref_gw = np.zeros_like(x), np.zeros_like(w)
+        for i, s in taps:
+            ref_y[:, s:] += x[:, :length - s] * w[:, i]
+            ref_gw[:, i] = np.einsum("bld,bld->d", g[:, s:], x[:, :length - s])
+            ref_gx[:, :length - s] += g[:, s:] * w[:, i]
+        ref_y = ref_y + b
+        for got, ref in zip([y.data] + [t.grad for t in ts],
+                            [ref_y, ref_gx, ref_gw, g.sum(axis=(0, 1))], strict=True):
+            assert np.array_equal(got, ref)
